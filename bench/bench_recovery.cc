@@ -2,7 +2,8 @@
 // the committed state from (a) a pure WAL replay of N commits, (b) a
 // checkpoint plus a short replay tail, and the raw WAL scan cost those sit
 // on. This quantifies the snapshot cadence trade-off: how much replay time a
-// checkpoint buys at the price of writing the full instance.
+// checkpoint buys at the price of writing the full instance. The write side
+// is timed too: commit latency, and its flatness across store sizes.
 
 #include <benchmark/benchmark.h>
 
@@ -147,6 +148,61 @@ void BM_CommitLatency(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CommitLatency)->Unit(benchmark::kMicrosecond);
+
+void BM_CommitLatencyAtSize(benchmark::State& state) {
+  // The O(|delta|) commit gate: one-edge Mutate commits on stores of
+  // growing size. The statement journals its one edge, so everything but
+  // the instance lookups is independent of the store size and the latency
+  // stays flat across the sweep. Wall clock: the fsync is most of it.
+  const Workload w;
+  const auto objects = static_cast<std::uint32_t>(state.range(0));
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "setrec_bench_recovery" /
+      ("commit-at-" + std::to_string(objects));
+  std::filesystem::remove_all(dir);
+  auto store =
+      std::move(DurableStore::Open(dir.string(), &w.schema)).value();
+  const std::uint32_t pairs = objects / 2;
+  Instance initial(&w.schema);
+  for (std::uint32_t k = 0; k < pairs; ++k) {
+    if (!initial.AddObject(ObjectId(w.a, k)).ok() ||
+        !initial.AddObject(ObjectId(w.b, k)).ok() ||
+        !initial.AddEdge(ObjectId(w.a, k), w.f, ObjectId(w.b, k)).ok()) {
+      std::abort();
+    }
+  }
+  if (!store
+           ->Mutate([&initial](Instance& inst, ExecContext&) {
+             inst = initial;
+             return Status::OK();
+           })
+           .ok()) {
+    std::abort();
+  }
+  std::uint32_t k = 0;
+  for (auto _ : state) {
+    // Toggle one edge A(k) -> B(k+1): added on even passes, removed on odd.
+    const ObjectId source(w.a, (k / 2) % pairs);
+    const ObjectId target(w.b, ((k / 2) + 1) % pairs);
+    ++k;
+    Status s = store->Mutate([&](Instance& inst, ExecContext&) {
+      return inst.HasEdge(source, w.f, target)
+                 ? inst.RemoveEdge(source, w.f, target)
+                 : inst.AddEdge(source, w.f, target);
+    });
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["objects"] = static_cast<double>(store->instance().num_objects());
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CommitLatencyAtSize)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace setrec

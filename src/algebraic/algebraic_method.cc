@@ -35,8 +35,16 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> AlgebraicUpdateMethod::Make(
 
 Result<Instance> AlgebraicUpdateMethod::Apply(const Instance& instance,
                                               const Receiver& receiver) const {
+  Instance out = instance;
+  SETREC_RETURN_IF_ERROR(ApplyInPlace(out, receiver));
+  return out;
+}
+
+Status AlgebraicUpdateMethod::ApplyInPlace(Instance& instance,
+                                           const Receiver& receiver) const {
   SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
-  SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
+  SETREC_ASSIGN_OR_RETURN(Database db,
+                          EncodeInstance(instance, ReadRelations()));
   SETREC_RETURN_IF_ERROR(
       InstallReceiverRelations(db, context_, receiver, /*primed=*/false));
 
@@ -51,19 +59,18 @@ Result<Instance> AlgebraicUpdateMethod::Apply(const Instance& instance,
     results.push_back(std::move(r));
   }
 
-  Instance out = instance;
   const ObjectId receiving = receiver.receiving_object();
   for (std::size_t i = 0; i < statements_.size(); ++i) {
     SETREC_RETURN_IF_ERROR(
-        out.ClearEdgesFrom(receiving, statements_[i].property));
+        instance.ClearEdgesFrom(receiving, statements_[i].property));
     for (const Tuple& t : results[i]) {
       // Typing guarantees E(I,t) ⊆ B(I) (see ValidateUpdateExpression), so
       // AddEdge cannot fail on a missing endpoint.
       SETREC_RETURN_IF_ERROR(
-          out.AddEdge(receiving, statements_[i].property, t.at(0)));
+          instance.AddEdge(receiving, statements_[i].property, t.at(0)));
     }
   }
-  return out;
+  return Status::OK();
 }
 
 bool AlgebraicUpdateMethod::IsPositiveMethod() const {
@@ -71,6 +78,16 @@ bool AlgebraicUpdateMethod::IsPositiveMethod() const {
     if (!IsPositive(*s.expression)) return false;
   }
   return true;
+}
+
+std::vector<std::string> AlgebraicUpdateMethod::ReadRelations() const {
+  std::set<std::string> names;
+  for (const UpdateStatement& s : statements_) {
+    for (std::string& name : ReferencedRelations(*s.expression)) {
+      names.insert(std::move(name));
+    }
+  }
+  return {names.begin(), names.end()};
 }
 
 std::vector<PropertyId> AlgebraicUpdateMethod::UpdatedProperties() const {

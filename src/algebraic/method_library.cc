@@ -282,7 +282,8 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeSalaryFromManagersNewSal(
 Result<std::vector<Receiver>> ReceiversFromQuery(
     const ExprPtr& query, const Instance& instance,
     const MethodSignature& signature, ExecContext& ctx) {
-  SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
+  SETREC_ASSIGN_OR_RETURN(
+      Database db, EncodeInstance(instance, ReferencedRelations(*query)));
   SETREC_ASSIGN_OR_RETURN(Relation result, Evaluate(query, db, ctx));
   if (result.scheme().arity() != signature.size()) {
     return Status::InvalidArgument(

@@ -219,13 +219,13 @@ std::vector<std::pair<std::size_t, std::size_t>> ShardBoundaries(
   return bounds;
 }
 
-}  // namespace
-
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               const ParallelOptions& options,
-                               ExecContext& ctx) {
+/// Shared body of the ParallelApply overloads. When `sink` is set, the
+/// merge runs under a journal whose delta is published to it.
+Result<Instance> ParallelApplyImpl(const AlgebraicUpdateMethod& method,
+                                   const Instance& instance,
+                                   std::span<const Receiver> receivers,
+                                   const ParallelOptions& options,
+                                   ExecContext& ctx, DeltaSink* sink) {
   const MethodContext& mctx = method.context();
   TraceSpan apply_span = StartSpan(ctx, "parallel/apply");
   MetricsRegistry* metrics = ctx.metrics();
@@ -237,7 +237,8 @@ Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
     }
   }
 
-  SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
+  SETREC_ASSIGN_OR_RETURN(
+      Database db, EncodeInstance(instance, method.ReadRelations()));
   SETREC_ASSIGN_OR_RETURN(RelationScheme rec_scheme,
                           RecScheme(mctx.signature));
 
@@ -301,6 +302,7 @@ Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
   // the canonical receiver order of the single-threaded path exactly.
   TraceSpan merge_span = StartSpan(ctx, "parallel/merge");
   Instance out = instance;
+  if (sink != nullptr) out.BeginJournal();
   const std::span<const UpdateStatement> statements = method.statements();
   for (std::size_t i = 0; i < statements.size(); ++i) {
     const PropertyId property = statements[i].property;
@@ -329,7 +331,24 @@ Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
       }
     }
   }
+  if (sink != nullptr) {
+    // Advisory publication: the cache fails closed on its own when it
+    // cannot absorb a delta, so errors here do not fail the apply.
+    (void)sink->ApplyDelta(out.JournalDelta());
+    out.EndJournal();
+  }
   return out;
+}
+
+}  // namespace
+
+Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
+                               const Instance& instance,
+                               std::span<const Receiver> receivers,
+                               const ParallelOptions& options,
+                               ExecContext& ctx) {
+  return ParallelApplyImpl(method, instance, receivers, options, ctx,
+                           nullptr);
 }
 
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
@@ -341,14 +360,8 @@ Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
   par.num_workers = options.num_workers;
   par.pool = options.pool;
   par.backend = options.backend;
-  Result<Instance> result =
-      ParallelApply(method, instance, receivers, par, scope.ctx());
-  if (result.ok() && options.view_cache != nullptr) {
-    // Advisory publication: the cache fails closed on its own when it
-    // cannot absorb a delta, so errors here do not fail the apply.
-    (void)options.view_cache->ApplyDelta(DiffInstances(instance, *result));
-  }
-  return result;
+  return ParallelApplyImpl(method, instance, receivers, par, scope.ctx(),
+                           options.view_cache);
 }
 
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,

@@ -12,7 +12,6 @@
 
 namespace setrec {
 
-class Instance;
 class ThreadPool;
 class ViewCache;
 struct InstanceDelta;
@@ -37,13 +36,14 @@ class DeltaSink {
 };
 
 /// A commit hook for mutating statements: invoked exactly once, after the
-/// statement's in-memory application succeeded, with the pre- and
-/// post-statement states. Returning non-OK *vetoes* the commit — the
-/// statement restores the pre-state snapshot and propagates the hook's
-/// error. This is the durability layer's interposition point (see
-/// store/durable_store.h). An empty hook commits unconditionally.
-using CommitHook =
-    std::function<Status(const Instance& before, const Instance& after)>;
+/// statement's in-memory application succeeded, with the statement's net
+/// delta — built by the instance's mutation journal in O(|delta|), equal
+/// to DiffInstances(before, after). Returning non-OK *vetoes* the commit:
+/// the statement rolls back by applying the journal's inverse and
+/// propagates the hook's error. This is the durability layer's
+/// interposition point (see store/durable_store.h). An empty hook commits
+/// unconditionally.
+using CommitHook = std::function<Status(const InstanceDelta& delta)>;
 
 /// The one options struct every governed entry point accepts. It bundles
 /// the parameters that used to accrete one by one on each signature

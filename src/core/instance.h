@@ -2,7 +2,9 @@
 #define SETREC_CORE_INSTANCE_H_
 
 #include <compare>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -10,8 +12,11 @@
 #include "core/ids.h"
 #include "core/schema.h"
 #include "core/status.h"
+#include "obs/metrics.h"
 
 namespace setrec {
+
+struct InstanceDelta;
 
 /// A property link (o, e, p) between two objects (Definition 2.2).
 struct Edge {
@@ -30,10 +35,32 @@ struct Edge {
 ///
 /// Equality is full graph equality (same objects, same edges), which is the
 /// notion of sameness used by all order-independence definitions.
+///
+/// Mutation journal. While a journal scope is open (BeginJournal), every
+/// *effective* mutation is recorded — a no-op (adding a present item,
+/// removing an absent one) records nothing; RemoveObject records each
+/// cascaded edge removal; a copy- or move-assignment onto the instance
+/// records one DiffInstances(old, new). JournalDelta() then reports the
+/// scope's net effect in exactly the canonical form DiffInstances would
+/// (so it prints the same WAL text), and Rollback() undoes the scope by
+/// applying the recorded inverses in reverse order. Both cost O(|journal|),
+/// not O(|instance|): this is what lets a commit pay for its change instead
+/// of for the whole instance. Scopes nest; an inner scope's mutations stay
+/// recorded in the enclosing scope when it ends. Copies (and moves) never
+/// inherit a journal.
 class Instance {
  public:
   /// An empty instance of `schema`; the schema must outlive the instance.
   explicit Instance(const Schema* schema);
+
+  /// Copies the graph, never the journal. Counted in InstanceCosts().copies.
+  Instance(const Instance& other);
+  Instance(Instance&& other) noexcept;
+  /// Replaces the graph. A copy is counted in InstanceCosts().copies; on a
+  /// journaling instance the replacement is recorded as one DiffInstances.
+  Instance& operator=(const Instance& other);
+  Instance& operator=(Instance&& other);
+  ~Instance();
 
   const Schema& schema() const { return *schema_; }
 
@@ -93,13 +120,44 @@ class Instance {
     return a.objects_ == b.objects_ && a.edges_ == b.edges_;
   }
 
+  // -- Mutation journal -------------------------------------------------------
+
+  /// Opens a journal scope: from here on every effective mutation is
+  /// recorded until the matching EndJournal().
+  void BeginJournal();
+  /// Closes the innermost scope, keeping its mutations (they remain
+  /// recorded in the enclosing scope, if any).
+  void EndJournal();
+  bool journaling() const { return journal_ != nullptr; }
+
+  /// The net effect of the innermost scope's mutations, sorted exactly as
+  /// DiffInstances(state at BeginJournal, current state) emits it. Items
+  /// changed and changed back cancel out. Requires an open scope.
+  InstanceDelta JournalDelta() const;
+
+  /// Undoes the innermost scope's mutations in reverse order, restoring the
+  /// state at its BeginJournal() bit-identically. The scope stays open and
+  /// empty. Requires an open scope.
+  void Rollback();
+
  private:
   friend class PartialInstance;
+  struct Journal;
+
+  // Unchecked, unjournaled primitives used to undo journaled mutations.
+  void InsertObjectRaw(ObjectId object);
+  void EraseObjectRaw(ObjectId object);
+  void InsertEdgeRaw(const Edge& e);
+  void EraseEdgeRaw(const Edge& e);
+  /// Records a wholesale replacement of the graph by `other`'s.
+  void JournalAssignment(const Instance& other);
 
   const Schema* schema_;
   // Keyed maps keep iteration deterministic; absent keys mean empty sets.
   std::map<ClassId, std::set<ObjectId>> objects_;
   std::map<PropertyId, std::set<std::pair<ObjectId, ObjectId>>> edges_;
+  // Null when no journal scope is open.
+  std::unique_ptr<Journal> journal_;
 };
 
 /// The item-set difference between two instances over the same schema: the
@@ -131,10 +189,38 @@ struct InstanceDelta {
 InstanceDelta DiffInstances(const Instance& before, const Instance& after);
 
 /// Applies a delta in redo order (remove edges, remove objects, add objects,
-/// add edges). Fails atomically-in-effect only when the delta does not fit
-/// the instance (e.g. an added edge's endpoint is absent) — callers that
-/// need all-or-nothing semantics snapshot first, as the SQL engine does.
+/// add edges). Fails only when the delta does not fit the instance (e.g. an
+/// added edge's endpoint is absent), leaving a prefix applied — callers
+/// that need all-or-nothing semantics run it under RunJournaled.
 Status ApplyDelta(Instance& instance, const InstanceDelta& delta);
+
+/// The delta undoing `delta`: additions and removals swap roles, so
+/// ApplyDelta(after, InverseDelta(DiffInstances(before, after))) restores
+/// `before`.
+InstanceDelta InverseDelta(const InstanceDelta& delta);
+
+/// Runs `mutate` on `instance` as one all-or-nothing statement. A journal
+/// scope records the mutation; on success its net delta goes to `commit`,
+/// if one is given — the commit-hook interposition of the durability
+/// layer. Any failure, of `mutate` or a veto by `commit`, rolls the
+/// instance back through the journal and propagates. `committed`, when
+/// non-null, receives the delta of a successful run.
+Status RunJournaled(
+    Instance& instance, const std::function<Status()>& mutate,
+    const std::function<Status(const InstanceDelta&)>& commit,
+    InstanceDelta* committed = nullptr);
+
+/// Process-wide counts of the work whose cost grows with the whole
+/// instance rather than with a statement's change: full Instance copies
+/// (copy construction and copy assignment), DiffInstances calls, and
+/// EncodeInstance calls that encode every relation. Counts only grow;
+/// tests pin per-commit differences of them.
+struct InstanceCostCounters {
+  Counter copies;
+  Counter diffs;
+  Counter encodes;
+};
+InstanceCostCounters& InstanceCosts();
 
 }  // namespace setrec
 

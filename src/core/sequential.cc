@@ -33,20 +33,27 @@ Result<Instance> ApplySequence(const UpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> sequence,
                                ExecContext& ctx) {
+  Instance current = instance;
+  SETREC_RETURN_IF_ERROR(ApplySequenceInPlace(method, current, sequence, ctx));
+  return current;
+}
+
+Status ApplySequenceInPlace(const UpdateMethod& method, Instance& instance,
+                            std::span<const Receiver> sequence,
+                            ExecContext& ctx) {
   TraceSpan span = StartSpan(ctx, "sequential/apply");
   MetricsRegistry* metrics = ctx.metrics();
-  Instance current = instance;
   for (const Receiver& t : sequence) {
     SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sequential/receiver"));
     if (metrics != nullptr) metrics->engine.sequential_receivers.Add(1);
-    if (!t.IsValidOver(method.signature(), current)) {
+    if (!t.IsValidOver(method.signature(), instance)) {
       return Status::FailedPrecondition(
           "sequence is undefined: receiver not valid over intermediate "
           "instance");
     }
-    SETREC_ASSIGN_OR_RETURN(current, method.Apply(current, t));
+    SETREC_RETURN_IF_ERROR(method.ApplyInPlace(instance, t));
   }
-  return current;
+  return Status::OK();
 }
 
 std::vector<Receiver> CanonicalReceiverSet(
@@ -134,11 +141,15 @@ Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
   return outcome;
 }
 
-Result<Instance> SequentialApply(const UpdateMethod& method,
-                                 const Instance& instance,
-                                 std::span<const Receiver> receivers,
-                                 bool verify_order_independence,
-                                 ExecContext& ctx) {
+namespace {
+
+/// Shared body of the SequentialApply overloads. When `sink` is set, the
+/// result's journal yields the delta published to it.
+Result<Instance> SequentialApplyImpl(const UpdateMethod& method,
+                                     const Instance& instance,
+                                     std::span<const Receiver> receivers,
+                                     bool verify_order_independence,
+                                     ExecContext& ctx, DeltaSink* sink) {
   std::vector<Receiver> set = CanonicalReceiverSet(receivers);
   if (verify_order_independence) {
     SETREC_ASSIGN_OR_RETURN(OrderIndependenceOutcome outcome,
@@ -149,7 +160,28 @@ Result<Instance> SequentialApply(const UpdateMethod& method,
           "M_seq is ill-defined");
     }
   }
-  return ApplySequence(method, instance, set, ctx);
+  Instance result = instance;
+  if (sink != nullptr) result.BeginJournal();
+  SETREC_RETURN_IF_ERROR(ApplySequenceInPlace(method, result, set, ctx));
+  if (sink != nullptr) {
+    // The apply itself succeeded; the cache is advisory and fails closed on
+    // its own when it cannot absorb a delta, so publication errors do not
+    // fail the call.
+    (void)sink->ApplyDelta(result.JournalDelta());
+    result.EndJournal();
+  }
+  return result;
+}
+
+}  // namespace
+
+Result<Instance> SequentialApply(const UpdateMethod& method,
+                                 const Instance& instance,
+                                 std::span<const Receiver> receivers,
+                                 bool verify_order_independence,
+                                 ExecContext& ctx) {
+  return SequentialApplyImpl(method, instance, receivers,
+                             verify_order_independence, ctx, nullptr);
 }
 
 Result<Instance> SequentialApply(const UpdateMethod& method,
@@ -158,16 +190,9 @@ Result<Instance> SequentialApply(const UpdateMethod& method,
                                  const ExecOptions& options,
                                  bool verify_order_independence) {
   ExecScope scope(options);
-  Result<Instance> result = SequentialApply(method, instance, receivers,
-                                            verify_order_independence,
-                                            scope.ctx());
-  if (result.ok() && options.view_cache != nullptr) {
-    // The apply itself succeeded; the cache is advisory and fails closed on
-    // its own when it cannot absorb a delta, so publication errors do not
-    // fail the call.
-    (void)options.view_cache->ApplyDelta(DiffInstances(instance, *result));
-  }
-  return result;
+  return SequentialApplyImpl(method, instance, receivers,
+                             verify_order_independence, scope.ctx(),
+                             options.view_cache);
 }
 
 }  // namespace setrec

@@ -23,6 +23,14 @@ Result<Instance> ApplySequence(const UpdateMethod& method,
                                std::span<const Receiver> sequence,
                                ExecContext& ctx = ExecContext::Default());
 
+/// In-place form of ApplySequence: each receiver's update is applied
+/// directly to `instance` (UpdateMethod::ApplyInPlace), so the sequence
+/// copies nothing. On failure `instance` holds the state reached so far;
+/// callers that need all-or-nothing run it under RunJournaled.
+Status ApplySequenceInPlace(const UpdateMethod& method, Instance& instance,
+                            std::span<const Receiver> sequence,
+                            ExecContext& ctx);
+
 /// Outcome of testing Definition 3.1 on a concrete pair (I, T).
 struct OrderIndependenceOutcome {
   /// True when every enumeration of T yields the same result — where, per

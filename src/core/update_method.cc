@@ -12,6 +12,13 @@ Status UpdateMethod::CheckReceiver(const Instance& instance,
   return Status::OK();
 }
 
+Status UpdateMethod::ApplyInPlace(Instance& instance,
+                                  const Receiver& receiver) const {
+  SETREC_ASSIGN_OR_RETURN(Instance out, Apply(instance, receiver));
+  instance = std::move(out);
+  return Status::OK();
+}
+
 std::unique_ptr<UpdateMethod> MakeMethod(MethodSignature signature,
                                          std::string name,
                                          FunctionalUpdateMethod::Body body) {

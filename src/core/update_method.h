@@ -39,6 +39,14 @@ class UpdateMethod {
   virtual Result<Instance> Apply(const Instance& instance,
                                  const Receiver& receiver) const = 0;
 
+  /// Replaces `instance` by M(instance, receiver). On failure the instance
+  /// may hold part of the update; callers that need all-or-nothing run it
+  /// under a journal (RunJournaled) and roll back. The default applies
+  /// Apply() and assigns the result; methods that can update in place
+  /// override it so that sequential application copies nothing.
+  virtual Status ApplyInPlace(Instance& instance,
+                              const Receiver& receiver) const;
+
  protected:
   /// Standard guard shared by implementations: fails unless `receiver` is a
   /// receiver over `instance` of this method's type.

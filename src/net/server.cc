@@ -659,14 +659,8 @@ Response Server::HandleDelta(Tenant& tenant, const Request& request,
           const CommitHook& hook) -> Status {
         if (trace.active()) ctx.set_trace_id(trace.trace_id);
         SETREC_RETURN_IF_ERROR(ctx.CheckPoint("net/apply-delta"));
-        Instance before = instance;
-        Status applied = ApplyDelta(instance, parsed);
-        if (applied.ok()) applied = hook(before, instance);
-        if (!applied.ok()) {
-          instance = std::move(before);
-          return applied;
-        }
-        return Status::OK();
+        return RunJournaled(
+            instance, [&] { return ApplyDelta(instance, parsed); }, hook);
       },
       RequestLimits(tenant, deadline));
   if (!committed.ok()) return ErrorResponse(committed);

@@ -1,5 +1,6 @@
 #include "objrel/encoding.h"
 
+#include <algorithm>
 #include <set>
 
 namespace setrec {
@@ -55,11 +56,19 @@ DependencySet InducedDependencies(const Schema& schema) {
   return deps;
 }
 
-Result<Database> EncodeInstance(const Instance& instance) {
+namespace {
+
+/// Encodes the relations named in `wanted`, or every relation when `all`.
+Result<Database> Encode(const Instance& instance,
+                        std::span<const std::string> wanted, bool all) {
   const Schema& schema = instance.schema();
   SETREC_ASSIGN_OR_RETURN(Catalog catalog, EncodeCatalog(schema));
+  auto selected = [&](const std::string& name) {
+    return all || std::find(wanted.begin(), wanted.end(), name) != wanted.end();
+  };
   Database db;
   for (ClassId c = 0; c < schema.num_classes(); ++c) {
+    if (!selected(schema.class_name(c))) continue;
     SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme,
                             catalog.Find(schema.class_name(c)));
     Relation rel(*scheme);
@@ -70,6 +79,7 @@ Result<Database> EncodeInstance(const Instance& instance) {
   }
   for (PropertyId p = 0; p < schema.num_properties(); ++p) {
     const std::string name = PropertyRelationName(schema, p);
+    if (!selected(name)) continue;
     SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme, catalog.Find(name));
     Relation rel(*scheme);
     for (const auto& [src, dst] : instance.edges(p)) {
@@ -78,6 +88,18 @@ Result<Database> EncodeInstance(const Instance& instance) {
     db.Put(name, std::move(rel));
   }
   return db;
+}
+
+}  // namespace
+
+Result<Database> EncodeInstance(const Instance& instance) {
+  InstanceCosts().encodes.Add(1);
+  return Encode(instance, {}, /*all=*/true);
+}
+
+Result<Database> EncodeInstance(const Instance& instance,
+                                std::span<const std::string> relations) {
+  return Encode(instance, relations, /*all=*/false);
 }
 
 Result<Instance> DecodeInstance(const Database& database,

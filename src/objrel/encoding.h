@@ -1,6 +1,7 @@
 #ifndef SETREC_OBJREL_ENCODING_H_
 #define SETREC_OBJREL_ENCODING_H_
 
+#include <span>
 #include <string>
 
 #include "core/instance.h"
@@ -34,7 +35,16 @@ Result<Catalog> EncodeCatalog(const Schema& schema);
 DependencySet InducedDependencies(const Schema& schema);
 
 /// Encodes an object-base instance as a relational database instance.
+/// Costs O(|instance|); counted in InstanceCosts().encodes.
 Result<Database> EncodeInstance(const Instance& instance);
+
+/// Encodes only the relations named in `relations`; names that are not
+/// relations of the encoding (e.g. `self`, `arg1`) are ignored. An
+/// expression reads only its ReferencedRelations, so evaluating it over
+/// this encoding gives the same result and the same error status as over
+/// the full one, at a cost proportional to the relations it reads.
+Result<Database> EncodeInstance(const Instance& instance,
+                                std::span<const std::string> relations);
 
 /// Decodes a relational database back into an object-base instance of
 /// `schema`. Fails if the database does not satisfy the induced inclusion

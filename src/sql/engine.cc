@@ -12,19 +12,26 @@ Result<Instance> CursorDelete(const Instance& instance, ClassId cls,
                               const RowPredicate& pred,
                               std::span<const ObjectId> order,
                               ExecContext& ctx) {
+  Instance current = instance;
+  SETREC_RETURN_IF_ERROR(CursorDeleteInPlace(current, cls, pred, order, ctx));
+  return current;
+}
+
+Status CursorDeleteInPlace(Instance& instance, ClassId cls,
+                           const RowPredicate& pred,
+                           std::span<const ObjectId> order, ExecContext& ctx) {
   TraceSpan span = StartSpan(ctx, "sql/cursor-delete");
   std::vector<ObjectId> rows(order.begin(), order.end());
   if (rows.empty()) {
     rows.assign(instance.objects(cls).begin(), instance.objects(cls).end());
   }
-  Instance current = instance;
   for (ObjectId row : rows) {
     SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/cursor-delete/row"));
-    if (!current.HasObject(row)) continue;  // already deleted by a cascade
-    SETREC_ASSIGN_OR_RETURN(bool doomed, pred(current, row));
-    if (doomed) SETREC_RETURN_IF_ERROR(current.RemoveObject(row));
+    if (!instance.HasObject(row)) continue;  // already deleted by a cascade
+    SETREC_ASSIGN_OR_RETURN(bool doomed, pred(instance, row));
+    if (doomed) SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
   }
-  return current;
+  return Status::OK();
 }
 
 Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
@@ -50,20 +57,16 @@ Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
   // Phase two: remove them all together, all-or-nothing. The commit hook is
   // part of the statement: a veto (e.g. a WAL write failure) unwinds exactly
   // like an in-memory fault.
-  Instance snapshot = instance;
-  Status applied = [&]() -> Status {
-    for (ObjectId row : doomed) {
-      SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/delete/row"));
-      SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
-    }
-    if (commit_hook) SETREC_RETURN_IF_ERROR(commit_hook(snapshot, instance));
-    return Status::OK();
-  }();
-  if (!applied.ok()) {
-    instance = std::move(snapshot);
-    return applied;
-  }
-  return Status::OK();
+  return RunJournaled(
+      instance,
+      [&]() -> Status {
+        for (ObjectId row : doomed) {
+          SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/delete/row"));
+          SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
+        }
+        return Status::OK();
+      },
+      commit_hook);
 }
 
 Result<CursorOrderReport> TestCursorDeleteOrders(const Instance& instance,
@@ -126,8 +129,16 @@ Result<Instance> CursorUpdate(const AlgebraicUpdateMethod& method,
                               const Instance& instance,
                               std::span<const Receiver> order,
                               ExecContext& ctx) {
+  Instance current = instance;
+  SETREC_RETURN_IF_ERROR(CursorUpdateInPlace(method, current, order, ctx));
+  return current;
+}
+
+Status CursorUpdateInPlace(const AlgebraicUpdateMethod& method,
+                           Instance& instance, std::span<const Receiver> order,
+                           ExecContext& ctx) {
   TraceSpan span = StartSpan(ctx, "sql/cursor-update");
-  return ApplySequence(method, instance, order, ctx);
+  return ApplySequenceInPlace(method, instance, order, ctx);
 }
 
 Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
@@ -209,8 +220,7 @@ Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
   // Phase two: rewrite the a-edges row by row, all-or-nothing. Because the
   // receiver set is a key set, "a := arg1" amounts to replacing each
   // receiving row's a-edges by the single queried target.
-  Instance snapshot = instance;
-  Status applied = [&]() -> Status {
+  auto rewrite = [&]() -> Status {
     for (const Receiver& t : receivers) {
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/update/receiver"));
       if (!t.IsValidOver(assign->signature(), instance)) {
@@ -222,17 +232,14 @@ Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
       SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/update/edge"));
       SETREC_RETURN_IF_ERROR(instance.AddEdge(row, property, t.object_at(1)));
     }
-    if (commit_hook) SETREC_RETURN_IF_ERROR(commit_hook(snapshot, instance));
     return Status::OK();
-  }();
-  if (!applied.ok()) {
-    instance = std::move(snapshot);
-    return applied;
-  }
+  };
+  InstanceDelta delta;
+  SETREC_RETURN_IF_ERROR(RunJournaled(instance, rewrite, commit_hook, &delta));
   if (sink != nullptr) {
     // Post-commit, advisory: the sink fails closed on its own when it
     // cannot absorb the delta.
-    (void)sink->ApplyDelta(DiffInstances(snapshot, instance));
+    (void)sink->ApplyDelta(delta);
   }
   return Status::OK();
 }
@@ -260,15 +267,14 @@ Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
   ExecScope scope(options);
   // Deletes have no receiver-query phase to serve from the cache, but their
   // effects must still reach it or dependent views go permanently stale.
-  // The in-place API destroys the before-state, so publication rides the
-  // commit hook, which sees both states; it runs after the caller's own
-  // hook accepted the commit (a veto publishes nothing).
+  // Publication rides the commit hook, which receives the journaled delta;
+  // it runs after the caller's own hook accepted the commit (a veto
+  // publishes nothing).
   CommitHook hook = options.commit_hook;
   if (DeltaSink* sink = options.view_cache; sink != nullptr) {
-    hook = [inner = std::move(hook), sink](const Instance& before,
-                                           const Instance& after) -> Status {
-      if (inner) SETREC_RETURN_IF_ERROR(inner(before, after));
-      (void)sink->ApplyDelta(DiffInstances(before, after));
+    hook = [inner = std::move(hook), sink](const InstanceDelta& delta) {
+      if (inner) SETREC_RETURN_IF_ERROR(inner(delta));
+      (void)sink->ApplyDelta(delta);
       return Status::OK();
     };
   }

@@ -26,6 +26,13 @@ Result<Instance> CursorDelete(const Instance& instance, ClassId cls,
                               std::span<const ObjectId> order = {},
                               ExecContext& ctx = ExecContext::Default());
 
+/// CursorDelete applied directly to `instance`. On failure `instance`
+/// holds the rows deleted so far; callers that need all-or-nothing run it
+/// under RunJournaled.
+Status CursorDeleteInPlace(Instance& instance, ClassId cls,
+                           const RowPredicate& pred,
+                           std::span<const ObjectId> order, ExecContext& ctx);
+
 /// Set-oriented DELETE: first identifies every row satisfying `pred` against
 /// the *input* instance, then removes them all together — the two-phase
 /// semantics of the standalone SQL statement.
@@ -33,10 +40,11 @@ Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
                                    const RowPredicate& pred,
                                    ExecContext& ctx = ExecContext::Default());
 
-/// In-place set-oriented DELETE with all-or-nothing semantics: snapshots the
-/// instance, removes the doomed rows incrementally, and restores the
-/// snapshot on ANY failure (governance, injected fault, or structural
-/// error), so a failed statement leaves `instance` bit-identical to its
+/// In-place set-oriented DELETE with all-or-nothing semantics: removes the
+/// doomed rows incrementally under the instance's mutation journal, hands
+/// the journaled delta to `commit_hook`, and on ANY failure (governance,
+/// injected fault, structural error, or a hook veto) rolls the journal
+/// back, so a failed statement leaves `instance` bit-identical to its
 /// pre-statement state.
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
                                 const RowPredicate& pred,
@@ -77,6 +85,13 @@ Result<Instance> CursorUpdate(const AlgebraicUpdateMethod& method,
                               std::span<const Receiver> order,
                               ExecContext& ctx = ExecContext::Default());
 
+/// CursorUpdate applied directly to `instance` (ApplySequenceInPlace). On
+/// failure `instance` holds the receivers applied so far; callers that
+/// need all-or-nothing run it under RunJournaled.
+Status CursorUpdateInPlace(const AlgebraicUpdateMethod& method,
+                           Instance& instance, std::span<const Receiver> order,
+                           ExecContext& ctx);
+
 /// The trivial modification update "a := arg1" of type [C, B] that underlies
 /// every set-oriented UPDATE statement (Section 7): key-order independent by
 /// Proposition 5.8.
@@ -93,11 +108,12 @@ Result<Instance> SetOrientedUpdate(const Instance& instance,
                                    ExecContext& ctx = ExecContext::Default());
 
 /// In-place set-oriented UPDATE with all-or-nothing semantics: computes the
-/// receiver key set (phase one), snapshots the instance, and applies the
-/// edge rewrites incrementally (phase two). On ANY failure — a governance
-/// stop, an injected fault at any probe point, or a structural error — the
-/// snapshot is restored before the error returns, so `instance` is
-/// bit-identical to its pre-statement state.
+/// receiver key set (phase one), then applies the edge rewrites
+/// incrementally under the instance's mutation journal and hands the
+/// journaled delta to `commit_hook` (phase two). On ANY failure — a
+/// governance stop, an injected fault at any probe point, a structural
+/// error, or a hook veto — the journal is rolled back before the error
+/// returns, so `instance` is bit-identical to its pre-statement state.
 Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                 const ExprPtr& receiver_query,
                                 ExecContext& ctx = ExecContext::Default(),

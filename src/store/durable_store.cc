@@ -216,9 +216,7 @@ Status DurableStore::CommitLocked(const Statement& statement,
     return Status::FailedPrecondition(
         "store hit a storage fault; reopen to recover");
   }
-  const CommitHook hook = [this](const Instance& before,
-                                 const Instance& after) -> Status {
-    const InstanceDelta delta = DiffInstances(before, after);
+  const CommitHook hook = [this](const InstanceDelta& delta) -> Status {
     if (delta.empty()) return Status::OK();  // no-op statement, no record
     SETREC_RETURN_IF_ERROR(
         wal_.Append(DeltaToText(delta, *schema_)).status());
@@ -297,21 +295,18 @@ Status DurableStore::CommitBatch(std::span<const Statement> statements,
                               wal_.next_sequence());
   }
   const auto batch_start = std::chrono::steady_clock::now();
-  // Rollback point for the crash case: a storage fault voids the whole
-  // batch, so the in-memory state must return to before the first statement.
-  const Instance before_batch = instance_;
   // Append-only hook: the fsync is hoisted out of the loop below. Deltas
   // are staged, not published — nothing in the batch is durable until the
-  // single covering fsync succeeds.
+  // single covering fsync succeeds. They are also the batch's rollback
+  // log: every staged delta is in the instance, and a vetoed statement
+  // rolled itself back.
   std::vector<InstanceDelta> staged_deltas;
-  const CommitHook hook = [this, &staged_deltas](
-                              const Instance& before,
-                              const Instance& after) -> Status {
-    InstanceDelta delta = DiffInstances(before, after);
+  const CommitHook hook = [this,
+                           &staged_deltas](const InstanceDelta& delta) -> Status {
     if (delta.empty()) return Status::OK();  // no-op statement, no record
     SETREC_RETURN_IF_ERROR(
         wal_.Append(DeltaToText(delta, *schema_)).status());
-    staged_deltas.push_back(std::move(delta));
+    staged_deltas.push_back(delta);
     return Status::OK();
   };
   std::uint64_t committed = 0;
@@ -340,7 +335,12 @@ Status DurableStore::CommitBatch(std::span<const Statement> statements,
     (void)synced;  // a failure shows as wal_.broken() below
   }
   if (wal_.broken()) {
-    instance_ = before_batch;
+    // A storage fault voids the whole batch: undo the staged statements,
+    // newest first, by applying their inverses.
+    for (auto it = staged_deltas.rbegin(); it != staged_deltas.rend(); ++it) {
+      Status undone = ApplyDelta(instance_, InverseDelta(*it));
+      (void)undone;  // the inverse of an applied delta always fits
+    }
     Status fault = Status::FailedPrecondition(
         "storage fault during group commit; batch voided, reopen to recover");
     for (Status& r : res) r = fault;
@@ -401,39 +401,31 @@ Status DurableStore::Delete(ClassId cls, const RowPredicate& pred) {
 Status DurableStore::ApplyCursorUpdate(const AlgebraicUpdateMethod& method,
                                        std::span<const Receiver> order) {
   return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) -> Status {
-    SETREC_ASSIGN_OR_RETURN(Instance after,
-                            CursorUpdate(method, instance, order, ctx));
-    SETREC_RETURN_IF_ERROR(commit(instance, after));
-    instance = std::move(after);
-    return Status::OK();
+                    const CommitHook& commit) {
+    return RunJournaled(
+        instance,
+        [&] { return CursorUpdateInPlace(method, instance, order, ctx); },
+        commit);
   });
 }
 
 Status DurableStore::ApplyCursorDelete(ClassId cls, const RowPredicate& pred,
                                        std::span<const ObjectId> order) {
   return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) -> Status {
-    SETREC_ASSIGN_OR_RETURN(Instance after,
-                            CursorDelete(instance, cls, pred, order, ctx));
-    SETREC_RETURN_IF_ERROR(commit(instance, after));
-    instance = std::move(after);
-    return Status::OK();
+                    const CommitHook& commit) {
+    return RunJournaled(
+        instance,
+        [&] { return CursorDeleteInPlace(instance, cls, pred, order, ctx); },
+        commit);
   });
 }
 
 Status DurableStore::Mutate(
     const std::function<Status(Instance&, ExecContext&)>& body) {
   return Commit([&](Instance& instance, ExecContext& ctx,
-                    const CommitHook& commit) -> Status {
-    Instance before = instance;
-    Status status = body(instance, ctx);
-    if (status.ok()) status = commit(before, instance);
-    if (!status.ok()) {
-      instance = std::move(before);
-      return status;
-    }
-    return Status::OK();
+                    const CommitHook& commit) {
+    return RunJournaled(
+        instance, [&] { return body(instance, ctx); }, commit);
   });
 }
 

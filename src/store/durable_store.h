@@ -93,14 +93,15 @@ struct DurableStoreOptions {
 /// snapshot plus the longest valid WAL prefix, tolerating a torn tail.
 ///
 /// Commit protocol (per statement):
-///   1. run the statement in memory — the engine's all-or-nothing snapshot
-///      semantics apply, governed by a fresh ExecContext per attempt;
-///   2. through the engine's CommitHook, append diff(before, after) to the
-///      WAL and fsync — only then is the commit acknowledged;
+///   1. run the statement in memory under the instance's mutation journal,
+///      governed by a fresh ExecContext per attempt — nothing is copied;
+///   2. through the engine's CommitHook, append the journaled delta (the
+///      statement's canonical InstanceDelta, built in O(|delta|)) to the WAL
+///      and fsync — only then is the commit acknowledged;
 ///   3. a hook failure (torn write, failed fsync) vetoes the statement: the
-///      in-memory state rolls back to the pre-statement instance and the
-///      store refuses further commits until reopened, exactly as if the
-///      process had died at the fault.
+///      statement rolls the in-memory state back by applying the journal's
+///      inverse, and the store refuses further commits until reopened,
+///      exactly as if the process had died at the fault.
 /// Retryable governance failures (kResourceExhausted, kDeadlineExceeded) are
 /// retried per the RetryPolicy with deterministic backoff; semantic errors,
 /// cancellation, and storage faults are not.
@@ -110,10 +111,12 @@ struct DurableStoreOptions {
 /// atomic counters make a shared injector safe too).
 class DurableStore {
  public:
-  /// A statement body: mutate the instance under `ctx`, calling `commit`
-  /// exactly once with (before, after) on success, and leaving the instance
-  /// at `before` on any failure. The engine's *InPlace statements have this
-  /// exact shape.
+  /// A statement body: mutate the instance under `ctx` with a journal scope
+  /// open, calling `commit` exactly once with the scope's JournalDelta() on
+  /// success, and rolling the journal back (leaving the instance at its
+  /// pre-statement state) on any failure, a veto by `commit` included.
+  /// RunJournaled has this exact shape, and so have the engine's *InPlace
+  /// statements.
   using Statement =
       std::function<Status(Instance&, ExecContext&, const CommitHook&)>;
 
@@ -144,8 +147,9 @@ class DurableStore {
                            std::span<const ObjectId> order = {});
 
   /// Arbitrary mutation as one committed statement: `body` edits the
-  /// instance; on any failure the pre-statement state is restored; on
-  /// success the delta is logged and fsynced before Mutate returns OK.
+  /// instance under a journal; on any failure the journal is rolled back;
+  /// on success the journaled delta is logged and fsynced before Mutate
+  /// returns OK.
   Status Mutate(const std::function<Status(Instance&, ExecContext&)>& body);
 
   /// Runs a caller-shaped statement through the commit protocol.
@@ -173,7 +177,8 @@ class DurableStore {
   ///
   /// A storage fault anywhere (torn append or the batch fsync) fails the
   /// *whole* batch: the in-memory instance rolls back to the pre-batch
-  /// state, the store is poisoned until reopened, and every slot of
+  /// state by applying the inverses of the statements' staged deltas,
+  /// newest first; the store is poisoned until reopened, and every slot of
   /// `results` reports the fault — exactly the crash model, where none of
   /// the batch was acknowledged but a prefix of its records may still be
   /// replayed on recovery (statement boundaries are record boundaries, so

@@ -318,15 +318,17 @@ Status TxnManager::AttemptMvcc(
     const std::function<Status(Instance&, ExecContext&)>& body) {
   TraceSpan span(options_.tracer, "txn/mvcc-attempt");
   std::uint64_t snapshot_version = 0;
-  const Instance snapshot = TakeSnapshot(&snapshot_version);
+  // The snapshot is this attempt's private copy: the body runs on it under
+  // a journal, which yields the write set without a second copy or a diff.
+  Instance snapshot = TakeSnapshot(&snapshot_version);
   Status result = [&]() -> Status {
-    Instance working = snapshot;
+    InstanceDelta delta;
     {
       ExecContext ctx(options_.limits);
       Configure(ctx);
-      SETREC_RETURN_IF_ERROR(body(working, ctx));
+      SETREC_RETURN_IF_ERROR(RunJournaled(
+          snapshot, [&] { return body(snapshot, ctx); }, {}, &delta));
     }
-    const InstanceDelta delta = DiffInstances(snapshot, working);
     if (delta.empty()) return Status::OK();  // read-only transaction
     const Footprint footprint = Footprint::FromDelta(delta);
     PendingCommit pending;
@@ -341,10 +343,8 @@ Status TxnManager::AttemptMvcc(
             "write footprint overlaps a commit after snapshot v" +
             std::to_string(snapshot_version));
       }
-      Instance after = instance;
-      SETREC_RETURN_IF_ERROR(ApplyDelta(after, delta));
-      SETREC_RETURN_IF_ERROR(commit(instance, after));
-      instance = std::move(after);
+      SETREC_RETURN_IF_ERROR(RunJournaled(
+          instance, [&] { return ApplyDelta(instance, delta); }, commit));
       pending.footprint = footprint;
       batch_footprints_.push_back(footprint);
       return Status::OK();
@@ -379,23 +379,23 @@ Status TxnManager::Apply(const AlgebraicUpdateMethod& method,
     }
   }
 
+  const std::vector<Receiver> set = CanonicalReceiverSet(receivers);
   if (commutative) {
     Bump(&Stats::commutative_admissions, "txn.admit_commutative");
     Note("txn/admit-commutative", receivers.size());
     Status result = RunWithRetries("commutative txn", [&]() -> Status {
       PendingCommit pending;
-      pending.statement = [this, &method, &receivers, &pending](
+      pending.statement = [this, &method, &set, &pending](
                               Instance& instance, ExecContext& ctx,
                               const CommitHook& commit) -> Status {
-        ExecOptions opts;
-        opts.ctx = &ctx;
         // No snapshot, no validation: certification made the serialization
-        // order immaterial, so applying at the commit point is enough.
-        SETREC_ASSIGN_OR_RETURN(
-            Instance after, SequentialApply(method, instance, receivers, opts));
-        const InstanceDelta delta = DiffInstances(instance, after);
-        SETREC_RETURN_IF_ERROR(commit(instance, after));
-        instance = std::move(after);
+        // order immaterial, so applying at the commit point, directly to
+        // the store's instance, is enough.
+        InstanceDelta delta;
+        SETREC_RETURN_IF_ERROR(RunJournaled(
+            instance,
+            [&] { return ApplySequenceInPlace(method, instance, set, ctx); },
+            commit, &delta));
         // MVCC transactions still validate against this commit.
         pending.footprint = Footprint::FromDelta(delta);
         batch_footprints_.push_back(pending.footprint);
@@ -417,13 +417,8 @@ Status TxnManager::Apply(const AlgebraicUpdateMethod& method,
   Bump(&Stats::mvcc_admissions, "txn.admit_mvcc");
   Note("txn/admit-mvcc", receivers.size());
   return RunWithRetries("method txn", [&] {
-    return AttemptMvcc([&](Instance& instance, ExecContext& ctx) -> Status {
-      ExecOptions opts;
-      opts.ctx = &ctx;
-      SETREC_ASSIGN_OR_RETURN(
-          Instance after, SequentialApply(method, instance, receivers, opts));
-      instance = std::move(after);
-      return Status::OK();
+    return AttemptMvcc([&](Instance& instance, ExecContext& ctx) {
+      return ApplySequenceInPlace(method, instance, set, ctx);
     });
   });
 }

@@ -54,11 +54,13 @@ struct TxnOptions {
 ///     whose method is certified absolutely order independent — and whose
 ///     pairs with every in-flight commutative transaction the
 ///     CommutativityCache certifies — skip snapshots and validation
-///     entirely: their sequential application runs at the serialization
-///     point inside group commit, and certification guarantees the final
-///     instance is bit-identical for *any* arrival interleaving.
+///     entirely: their sequential application runs in place on the
+///     store's instance at the serialization point inside group commit,
+///     and certification guarantees the final instance is bit-identical
+///     for *any* arrival interleaving.
 ///   * **MVCC fallback.** Everything else runs under snapshot isolation:
-///     execute against a versioned copy, diff, then validate
+///     execute against a versioned copy under a mutation journal (its
+///     delta is the write set), then validate
 ///     first-committer-wins against the version chain of committed
 ///     InstanceDeltas at commit; an overlapping write footprint aborts with
 ///     kTxnConflict and retries on a fresh snapshot per the RetryPolicy,
@@ -155,8 +157,9 @@ class TxnManager {
   /// batches through CommitBatch) or waits for its result.
   void SubmitCommit(PendingCommit& pending);
 
-  /// Runs `body` once under snapshot isolation: snapshot, execute, diff,
-  /// validate-and-commit through the group pipeline.
+  /// Runs `body` once under snapshot isolation: snapshot, execute under a
+  /// journal, validate-and-commit the journaled delta through the group
+  /// pipeline.
   Status AttemptMvcc(const std::function<Status(Instance&, ExecContext&)>& body);
 
   /// The shared retry loop around one attempt shape.

@@ -173,20 +173,11 @@ std::vector<NamedView> MakeTestViews() {
 }
 
 /// A DurableStore statement adding one edge, honoring the statement
-/// contract: commit exactly once on success, restore the pre-state on veto.
+/// contract: commit the journaled delta exactly once on success, roll back
+/// to the pre-state on veto.
 DurableStore::Statement AddEdgeStatement(Edge e) {
-  return [e](Instance& instance, ExecContext&,
-             const CommitHook& commit) -> Status {
-    const Instance before = instance;
-    SETREC_RETURN_IF_ERROR(instance.AddEdge(e));
-    if (commit) {
-      const Status hooked = commit(before, instance);
-      if (!hooked.ok()) {
-        instance = before;
-        return hooked;
-      }
-    }
-    return Status::OK();
+  return [e](Instance& instance, ExecContext&, const CommitHook& commit) {
+    return RunJournaled(instance, [&] { return instance.AddEdge(e); }, commit);
   };
 }
 

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "algebraic/method_library.h"
 #include "core/instance_generator.h"
 #include "objrel/encoding.h"
 #include "relational/builder.h"
 #include "relational/evaluator.h"
+#include "sql/table.h"
 
 namespace setrec {
 namespace {
@@ -122,6 +126,182 @@ TEST(EncodingTest, QueriesOverEncodedInstances) {
       std::move(Evaluate(ra::Project(join2, {"f"}), db)).value();
   ASSERT_EQ(result.size(), 1u);
   EXPECT_TRUE(result.Contains(Tuple{b1}));
+}
+
+// -- Read-set encoding --------------------------------------------------------
+
+/// Full and read-set evaluations agree on the result, or fail with the
+/// same status.
+void ExpectSameOutcome(const Result<Relation>& full,
+                       const Result<Relation>& read_set,
+                       const std::string& what) {
+  ASSERT_EQ(full.ok(), read_set.ok()) << what;
+  if (full.ok()) {
+    EXPECT_TRUE(*full == *read_set) << what;
+  } else {
+    EXPECT_EQ(full.status(), read_set.status()) << what;
+  }
+}
+
+/// Evaluates `expr` for receiver `t` over `db` with the receiver relations
+/// installed.
+Result<Relation> EvalForReceiver(const ExprPtr& expr, Database db,
+                                 const MethodContext& context,
+                                 const Receiver& t) {
+  SETREC_RETURN_IF_ERROR(InstallReceiverRelations(db, context, t, false));
+  return Evaluate(expr, db);
+}
+
+/// M(I, t) computed from the full encoding: evaluate every statement, then
+/// replace the receiving object's a-edges.
+Result<Instance> ApplyOverFullEncoding(const AlgebraicUpdateMethod& method,
+                                       const Instance& instance,
+                                       const Receiver& t) {
+  SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
+  Instance out = instance;
+  std::vector<Relation> results;
+  for (const UpdateStatement& s : method.statements()) {
+    SETREC_ASSIGN_OR_RETURN(
+        Relation r, EvalForReceiver(s.expression, db, method.context(), t));
+    results.push_back(std::move(r));
+  }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const PropertyId a = method.statements()[i].property;
+    SETREC_RETURN_IF_ERROR(out.ClearEdgesFrom(t.receiving_object(), a));
+    for (const Tuple& target : results[i]) {
+      SETREC_RETURN_IF_ERROR(out.AddEdge(t.receiving_object(), a, target.at(0)));
+    }
+  }
+  return out;
+}
+
+/// Checks every statement of `method` (and `extra` statement-shaped
+/// expressions, which may be ill-formed) for every receiver of `receivers`,
+/// every query of `queries`, and Apply itself, against the full encoding.
+void CheckReadSetEncoding(const AlgebraicUpdateMethod& method,
+                          const Instance& instance,
+                          const std::vector<Receiver>& receivers,
+                          const std::vector<ExprPtr>& extra,
+                          const std::vector<ExprPtr>& queries,
+                          const std::string& tag) {
+  const Database full = std::move(EncodeInstance(instance)).value();
+  std::vector<ExprPtr> expressions = extra;
+  for (const UpdateStatement& s : method.statements()) {
+    expressions.push_back(s.expression);
+  }
+  for (const Receiver& t : receivers) {
+    for (const ExprPtr& e : expressions) {
+      const Database read_set = std::move(
+          EncodeInstance(instance, ReferencedRelations(*e))).value();
+      ExpectSameOutcome(EvalForReceiver(e, full, method.context(), t),
+                        EvalForReceiver(e, read_set, method.context(), t),
+                        tag + " " + method.name() + " " + ExprToString(*e));
+    }
+    Result<Instance> applied = method.Apply(instance, t);
+    Result<Instance> reference = ApplyOverFullEncoding(method, instance, t);
+    ASSERT_EQ(applied.ok(), reference.ok()) << tag << " " << method.name();
+    if (applied.ok()) {
+      EXPECT_TRUE(*applied == *reference) << tag << " " << method.name();
+    } else {
+      EXPECT_EQ(applied.status(), reference.status()) << tag;
+    }
+  }
+  for (const ExprPtr& q : queries) {
+    const Database read_set =
+        std::move(EncodeInstance(instance, ReferencedRelations(*q))).value();
+    ExpectSameOutcome(Evaluate(q, full), Evaluate(q, read_set),
+                      tag + " query " + ExprToString(*q));
+  }
+}
+
+TEST(ReadSetEncodingTest, MatchesTheFullEncodingOnTheDrinkersCorpus) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  std::vector<std::unique_ptr<AlgebraicUpdateMethod>> methods;
+  methods.push_back(std::move(MakeAddBar(ds)).value());
+  methods.push_back(std::move(MakeFavoriteBar(ds)).value());
+  methods.push_back(std::move(MakeDeleteBar(ds)).value());
+  methods.push_back(std::move(MakeLikesServesBar(ds)).value());
+  methods.push_back(std::move(MakeClearBars(ds)).value());
+  methods.push_back(std::move(MakeAllBars(ds)).value());
+  // Ill-formed expressions must fail identically: an unknown relation, a
+  // union of mismatched schemes, a projection onto a missing attribute.
+  const std::vector<ExprPtr> broken = {
+      ra::Union(ra::Rel("self"), ra::Rel("Nope")),
+      ra::Union(ra::Rel("Df"), ra::Rel("Dl")),
+      ra::Project(ra::Rel("Df"), {"zzz"})};
+  const std::vector<ExprPtr> queries = {
+      ra::Project(ra::JoinEq(ra::Rel("Dl"), ra::Rel("Bas"), "l", "s"),
+                  {"D", "Ba"}),
+      ra::Product(ra::Rel("D"), ra::Rel("Ba")),
+      ra::Diff(ra::Project(ra::Rel("Df"), {"D"}),
+               ra::Project(ra::Rel("Dl"), {"D"})),
+      ra::Rel("Nope"),
+      ra::Union(ra::Rel("Df"), ra::Rel("Bas"))};
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    InstanceGenerator gen(&ds.schema, seed);
+    InstanceGenerator::Options options;
+    options.min_objects_per_class = 2;
+    options.max_objects_per_class = 6;
+    const Instance instance = gen.RandomInstance(options);
+    for (const auto& method : methods) {
+      const std::vector<Receiver> receivers =
+          gen.RandomReceiverSet(instance, method->signature(), 4);
+      CheckReadSetEncoding(*method, instance, receivers, broken, queries,
+                           "seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(ReadSetEncodingTest, MatchesTheFullEncodingOnPayroll) {
+  PayrollSchema ps = std::move(MakePayrollSchema()).value();
+  std::vector<EmployeeRow> employees;
+  std::vector<NewSalRow> raises;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    employees.push_back(EmployeeRow{
+        i, 1000 + (i % 6),
+        i == 0 ? std::nullopt : std::optional<std::uint32_t>(i / 4)});
+  }
+  for (std::uint32_t s = 0; s < 6; ++s) {
+    raises.push_back(NewSalRow{1000 + s, 2000 + s});
+  }
+  const Instance instance =
+      std::move(BuildPayrollInstance(ps, employees, {}, raises)).value();
+  const auto b = std::move(MakeSalaryFromNewSal(ps)).value();
+  const auto c = std::move(MakeSalaryFromManagersNewSal(ps)).value();
+  // The §7 set-oriented update's receiver query.
+  const ExprPtr update_query = ra::Project(
+      ra::JoinEq(ra::Rel("EmpSalary"),
+                 ra::Project(ra::JoinEq(ra::Rel("NSOld"),
+                                        ra::Rename(ra::Rel("NSNew"), "NS",
+                                                   "NS2"),
+                                        "NS", "NS2"),
+                             {"Old", "New"}),
+                 "Salary", "Old"),
+      {"Emp", "New"});
+  std::vector<Receiver> salary_receivers;
+  std::vector<Receiver> employee_receivers;
+  for (const EmployeeRow& row : employees) {
+    salary_receivers.push_back(Receiver::Unchecked(
+        {ObjectId(ps.emp, row.id), ObjectId(ps.val, row.salary)}));
+    employee_receivers.push_back(
+        Receiver::Unchecked({ObjectId(ps.emp, row.id)}));
+  }
+  CheckReadSetEncoding(*b, instance, salary_receivers, {}, {update_query},
+                       "payroll");
+  CheckReadSetEncoding(*c, instance, employee_receivers, {}, {update_query},
+                       "payroll");
+
+  // ReceiversFromQuery (read-set encoded) against the full encoding.
+  const Relation full =
+      std::move(Evaluate(update_query, EncodeInstance(instance).value()))
+          .value();
+  const auto receivers = std::move(ReceiversFromQuery(
+      update_query, instance, b->signature())).value();
+  ASSERT_EQ(receivers.size(), full.size());
+  std::size_t i = 0;
+  for (const Tuple* t : full.SortedTuples()) {
+    EXPECT_EQ(receivers[i++], Receiver::Unchecked(t->values()));
+  }
 }
 
 }  // namespace

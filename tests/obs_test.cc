@@ -419,14 +419,14 @@ TEST(ExecOptionsTest, SqlUpdateHonorsCommitHookVeto) {
       {"Emp", "New"});
 
   // Veto: the statement must report the hook's error and leave the instance
-  // bit-identical, after the hook saw a genuinely mutated `after`.
+  // bit-identical, after the hook saw the genuine, non-empty delta.
   Instance vetoed = original;
   bool hook_ran = false;
   ExecOptions veto;
-  veto.commit_hook = [&](const Instance& before, const Instance& after) {
+  veto.commit_hook = [&](const InstanceDelta& delta) {
     hook_ran = true;
-    EXPECT_TRUE(before == original);
-    EXPECT_FALSE(after == before);
+    EXPECT_TRUE(delta == DiffInstances(original, vetoed));
+    EXPECT_FALSE(delta.empty());
     return Status::Internal("veto");
   };
   Status s = SetOrientedUpdateInPlace(vetoed, ps.salary, query, veto);
