@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "conjunctive/containment.h"
 #include "conjunctive/translate.h"
@@ -57,6 +58,23 @@ ExprPtr ApplyStep(const ExprPtr& e_prev, const std::string& self_rel,
   ExprPtr fresh =
       ra::Product(ra::Rename(ra::Rel(self_rel), self_rel, class_attr), e_rhs);
   return ra::Union(std::move(keep), std::move(fresh));
+}
+
+/// p1 ≡_Σ p2 under the reduction's dependencies, for queries the caller
+/// has already run through SimplifyPositiveQuery: both containment
+/// directions, neither simplifying again.
+Result<bool> EquivalentSimplified(const PositiveQuery& p1,
+                                  const PositiveQuery& p2,
+                                  const MethodContext& mctx,
+                                  ExecContext& ctx) {
+  for (const auto& [from, to] : {std::pair(&p1, &p2), std::pair(&p2, &p1)}) {
+    SETREC_ASSIGN_OR_RETURN(
+        ContainmentResult result,
+        CheckContainment(*from, *to, mctx.reduction_deps,
+                         mctx.reduction_catalog, /*simplify=*/false, ctx));
+    if (!result.contained) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -181,10 +199,10 @@ Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
     SETREC_ASSIGN_OR_RETURN(
         PositiveQuery q2,
         TranslateToPositiveQuery(r.e_ts, mctx.reduction_catalog));
-    SETREC_ASSIGN_OR_RETURN(
-        bool equivalent,
-        EquivalentUnder(q1, q2, mctx.reduction_deps, mctx.reduction_catalog,
-                        ctx));
+    const PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
+    const PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
+    SETREC_ASSIGN_OR_RETURN(bool equivalent,
+                            EquivalentSimplified(p1, p2, mctx, ctx));
     if (!equivalent) return false;
   }
   return true;
@@ -234,10 +252,8 @@ Result<DecisionReport> DecideOrderIndependenceDetailed(
     PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
     detail.pruned_disjuncts_tt = p1.disjuncts.size();
     detail.pruned_disjuncts_ts = p2.disjuncts.size();
-    SETREC_ASSIGN_OR_RETURN(
-        detail.equivalent,
-        EquivalentUnder(p1, p2, mctx.reduction_deps, mctx.reduction_catalog,
-                        ctx));
+    SETREC_ASSIGN_OR_RETURN(detail.equivalent,
+                            EquivalentSimplified(p1, p2, mctx, ctx));
     if (!detail.equivalent) report.order_independent = false;
     report.properties.push_back(detail);
   }

@@ -7,104 +7,173 @@ namespace setrec {
 
 namespace {
 
-/// Backtracking search for valuations of `query` into `database` extending
-/// `binding` (nullopt = unbound). Invokes `on_solution` for every satisfying
-/// valuation; stops early when it returns false. Returns an error only on
-/// structural problems (missing relation, arity mismatch, unsafe variable).
-Status SearchValuations(
-    const ConjunctiveQuery& query, const Database& database,
-    std::vector<std::optional<ObjectId>> binding,
-    const std::function<bool(const std::vector<std::optional<ObjectId>>&)>&
-        on_solution,
-    ExecContext& ctx) {
-  if (query.trivially_false()) return Status::OK();
-
-  std::vector<const Conjunct*> conjuncts;
-  // Candidate tuples per conjunct, in canonical (sorted) order: relations
-  // iterate in hash order, but which satisfying valuation is *found first*
-  // must not depend on it — witnesses and counterexamples are reported to
-  // users and asserted by tests.
-  std::vector<std::vector<const Tuple*>> relations;
-  std::vector<bool> covered(query.num_vars(), false);
-  for (const Conjunct& c : query.conjuncts()) {
-    SETREC_ASSIGN_OR_RETURN(const Relation* rel, database.Find(c.relation));
-    if (rel->scheme().arity() != c.vars.size()) {
-      return Status::InvalidArgument("conjunct arity mismatch for relation " +
-                                     c.relation);
-    }
-    conjuncts.push_back(&c);
-    relations.push_back(rel->SortedTuples());
-    for (VarId v : c.vars) covered[v] = true;
-  }
-  for (VarId v = 0; v < query.num_vars(); ++v) {
-    if (!covered[v] && !binding[v].has_value()) {
-      return Status::InvalidArgument(
-          "unsafe conjunctive query: variable occurs in no conjunct");
-    }
+/// One run of the kernel. Variables bound while trying a row go on a trail,
+/// so backtracking unbinds exactly them without allocating per row.
+class ValuationSearch {
+ public:
+  ValuationSearch(const BoundQuery& bound, std::span<const FactRows> facts,
+                  std::vector<std::optional<ObjectId>>& binding,
+                  const OnSolution& on_solution, SearchCounters& counters,
+                  ExecContext& ctx)
+      : bound_(bound),
+        query_(*bound.query),
+        facts_(facts),
+        binding_(binding),
+        on_solution_(on_solution),
+        counters_(counters),
+        ctx_(ctx) {
+    trail_.reserve(binding.size());
   }
 
-  const auto& neqs = query.non_equalities();
-  auto neq_ok = [&](const std::vector<std::optional<ObjectId>>& b) {
-    for (const auto& [x, y] : neqs) {
-      if (b[x].has_value() && b[y].has_value() && *b[x] == *b[y]) {
+  Status Run() {
+    Visit(0);
+    return governed_;
+  }
+
+ private:
+  /// Binds the conjunct's unbound variables to `row`; false on a domain or
+  /// value clash. Every variable bound here is pushed on the trail.
+  bool Unify(const Conjunct& c, const ObjectId* row) {
+    for (std::size_t k = 0; k < c.vars.size(); ++k) {
+      const VarId v = c.vars[k];
+      const ObjectId val = row[k];
+      if (val.class_id() != query_.var_domain(v)) return false;
+      if (binding_[v].has_value()) {
+        if (!(*binding_[v] == val)) return false;
+      } else {
+        binding_[v] = val;
+        trail_.push_back(v);
+      }
+    }
+    return true;
+  }
+
+  bool NonEqualitiesHold() const {
+    for (const auto& [x, y] : bound_.non_equalities) {
+      if (binding_[x].has_value() && binding_[y].has_value() &&
+          *binding_[x] == *binding_[y]) {
         return false;
       }
     }
     return true;
-  };
+  }
 
-  MetricsRegistry* metrics = ctx.metrics();
-  bool keep_going = true;
-  Status governed = Status::OK();
-  std::function<void(std::size_t)> recurse = [&](std::size_t i) {
-    if (!keep_going) return;
-    governed = ctx.CheckPoint("homomorphism/valuation-node");
-    if (!governed.ok()) {
-      keep_going = false;
+  void Visit(std::size_t i) {
+    governed_ = ctx_.CheckPoint("homomorphism/valuation-node");
+    if (!governed_.ok()) {
+      keep_going_ = false;
       return;
     }
-    if (i == conjuncts.size()) {
-      keep_going = on_solution(binding);
+    if (i == bound_.conjuncts.size()) {
+      keep_going_ = on_solution_(binding_);
       return;
     }
-    const Conjunct& c = *conjuncts[i];
-    for (const Tuple* tp : relations[i]) {
-      const Tuple& t = *tp;
-      if (metrics != nullptr) metrics->engine.hom_candidates.Add(1);
-      // Try to unify c.vars with t.
-      std::vector<std::pair<VarId, ObjectId>> newly_bound;
-      bool ok = true;
-      for (std::size_t k = 0; k < c.vars.size(); ++k) {
-        const VarId v = c.vars[k];
-        const ObjectId val = t.at(k);
-        if (val.class_id() != query.var_domain(v)) {
-          ok = false;
-          break;
-        }
-        if (binding[v].has_value()) {
-          if (!(*binding[v] == val)) {
-            ok = false;
-            break;
-          }
-        } else {
-          binding[v] = val;
-          newly_bound.emplace_back(v, val);
-        }
+    const Conjunct& c = *bound_.conjuncts[i];
+    for (const ObjectId* row : facts_[bound_.slots[i]]) {
+      ++counters_.candidates;
+      const std::size_t mark = trail_.size();
+      if (Unify(c, row) && NonEqualitiesHold()) {
+        Visit(i + 1);
+      } else {
+        ++counters_.pruned;
       }
-      if (ok && neq_ok(binding)) {
-        recurse(i + 1);
-      } else if (metrics != nullptr) {
-        metrics->engine.hom_pruned.Add(1);
+      while (trail_.size() > mark) {
+        binding_[trail_.back()] = std::nullopt;
+        trail_.pop_back();
       }
-      for (const auto& [v, val] : newly_bound) binding[v] = std::nullopt;
-      if (!keep_going) return;
+      if (!keep_going_) return;
     }
-  };
-  recurse(0);
-  return governed;
+  }
+
+  const BoundQuery& bound_;
+  const ConjunctiveQuery& query_;
+  std::span<const FactRows> facts_;
+  std::vector<std::optional<ObjectId>>& binding_;
+  const OnSolution& on_solution_;
+  SearchCounters& counters_;
+  ExecContext& ctx_;
+  std::vector<VarId> trail_;
+  bool keep_going_ = true;
+  Status governed_ = Status::OK();
+};
+
+/// Runs the kernel over `database`: every conjunct reads its relation's
+/// SortedTuples() (relations iterate in hash order, but which valuation is
+/// found first must not depend on it — witnesses and counterexamples are
+/// reported to users and asserted by tests).
+Status SearchDatabase(const ConjunctiveQuery& query, const Database& database,
+                      bool summary_bound,
+                      std::vector<std::optional<ObjectId>>& binding,
+                      const OnSolution& on_solution, ExecContext& ctx) {
+  std::vector<FactRows> facts;
+  SETREC_ASSIGN_OR_RETURN(
+      BoundQuery bound,
+      BindQuery(query, summary_bound,
+                [&](const std::string& name)
+                    -> Result<std::pair<std::uint32_t, const RelationScheme*>> {
+                  SETREC_ASSIGN_OR_RETURN(const Relation* rel,
+                                          database.Find(name));
+                  FactRows& rows = facts.emplace_back();
+                  for (const Tuple* t : rel->SortedTuples()) {
+                    rows.push_back(t->values().data());
+                  }
+                  return std::pair(static_cast<std::uint32_t>(facts.size() - 1),
+                                   &rel->scheme());
+                }));
+  SearchCounters counters;
+  Status searched =
+      SearchValuations(bound, facts, binding, on_solution, counters, ctx);
+  counters.Flush(ctx.metrics());
+  return searched;
 }
 
 }  // namespace
+
+Result<BoundQuery> BindQuery(const ConjunctiveQuery& query, bool summary_bound,
+                             const ResolveRelation& resolve) {
+  BoundQuery bound;
+  bound.query = &query;
+  std::vector<bool> covered(query.num_vars(), false);
+  for (const Conjunct& c : query.conjuncts()) {
+    SETREC_ASSIGN_OR_RETURN(auto slot, resolve(c.relation));
+    if (slot.second->arity() != c.vars.size()) {
+      return Status::InvalidArgument("conjunct arity mismatch for relation " +
+                                     c.relation);
+    }
+    bound.conjuncts.push_back(&c);
+    bound.slots.push_back(slot.first);
+    for (VarId v : c.vars) covered[v] = true;
+  }
+  if (summary_bound) {
+    for (VarId v : query.summary()) covered[v] = true;
+  }
+  bound.non_equalities.assign(query.non_equalities().begin(),
+                              query.non_equalities().end());
+  for (VarId v = 0; v < query.num_vars(); ++v) {
+    if (!covered[v]) {
+      return Status::InvalidArgument(
+          "unsafe conjunctive query: variable occurs in no conjunct");
+    }
+  }
+  return bound;
+}
+
+void SearchCounters::Flush(MetricsRegistry* metrics) {
+  if (metrics != nullptr) {
+    if (candidates != 0) metrics->engine.hom_candidates.Add(candidates);
+    if (pruned != 0) metrics->engine.hom_pruned.Add(pruned);
+  }
+  candidates = 0;
+  pruned = 0;
+}
+
+Status SearchValuations(const BoundQuery& bound, std::span<const FactRows> facts,
+                        std::vector<std::optional<ObjectId>>& binding,
+                        const OnSolution& on_solution,
+                        SearchCounters& counters, ExecContext& ctx) {
+  return ValuationSearch(bound, facts, binding, on_solution, counters, ctx)
+      .Run();
+}
 
 Result<Relation> EvaluateConjunctiveQuery(const ConjunctiveQuery& query,
                                           const RelationScheme& scheme,
@@ -117,9 +186,9 @@ Result<Relation> EvaluateConjunctiveQuery(const ConjunctiveQuery& query,
   }
   TraceSpan span = StartSpan(ctx, "homomorphism/evaluate-cq");
   Status collect_status = Status::OK();
-  Status s = SearchValuations(
-      query, database,
-      std::vector<std::optional<ObjectId>>(query.num_vars()),
+  std::vector<std::optional<ObjectId>> binding(query.num_vars());
+  Status s = SearchDatabase(
+      query, database, /*summary_bound=*/false, binding,
       [&](const std::vector<std::optional<ObjectId>>& b) {
         std::vector<ObjectId> values;
         values.reserve(query.summary().size());
@@ -154,8 +223,8 @@ Result<bool> TupleInConjunctiveQuery(const ConjunctiveQuery& query,
     binding[v] = s.at(i);
   }
   bool found = false;
-  SETREC_RETURN_IF_ERROR(SearchValuations(
-      query, database, std::move(binding),
+  SETREC_RETURN_IF_ERROR(SearchDatabase(
+      query, database, /*summary_bound=*/true, binding,
       [&](const std::vector<std::optional<ObjectId>>&) {
         found = true;
         return false;  // stop at first witness

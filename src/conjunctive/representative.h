@@ -45,9 +45,24 @@ struct CanonicalInstance {
   Tuple summary;
 };
 
-/// Builds θ(c(query)) as a Database covering *all* relations of `catalog`
-/// (unreferenced ones are empty), with variable v valued as
+/// The canonical value of variable v under a representative partition:
 /// ObjectId(domain(v), block_of[v]).
+inline ObjectId CanonicalValue(const ConjunctiveQuery& query,
+                               const std::vector<VarId>& block_of, VarId v) {
+  return ObjectId(query.var_domain(v), block_of[v]);
+}
+
+/// Checks that every conjunct of `query` fits its relation in `catalog`:
+/// the relation exists (NotFound otherwise), and the conjunct's arity and
+/// variable domains match its scheme (InvalidArgument otherwise). These are
+/// exactly the conditions under which BuildCanonicalInstance succeeds, for
+/// every partition.
+Status CheckCanonicalInstance(const ConjunctiveQuery& query,
+                              const Catalog& catalog);
+
+/// Builds θ(c(query)) as a Database covering *all* relations of `catalog`
+/// (unreferenced ones are empty), with every variable at its
+/// CanonicalValue. Fails as CheckCanonicalInstance does.
 Result<CanonicalInstance> BuildCanonicalInstance(
     const ConjunctiveQuery& query, const std::vector<VarId>& block_of,
     const Catalog& catalog);

@@ -3,16 +3,25 @@
 // representative-set test for non-equalities (Theorem A.1), union
 // containment (Sagiv–Yannakakis), and containment under dependencies
 // (Lemma 5.13) — cross-validated against exhaustive evaluation on random
-// databases.
+// databases, and the compiled containment test against a reference built
+// from the canonical Database of every representative valuation.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "algebraic/method_library.h"
+#include "algebraic/order_independence.h"
 #include "conjunctive/chase.h"
 #include "conjunctive/containment.h"
 #include "conjunctive/homomorphism.h"
 #include "conjunctive/representative.h"
 #include "conjunctive/translate.h"
 #include "core/instance_generator.h"
+#include "decision_corpus.h"
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 
@@ -347,6 +356,310 @@ TEST_P(ContainmentGroundTruthTest, AgreesWithExhaustiveSmallModels) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentGroundTruthTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// -- Differential suite: compiled containment vs. the canonical Database ----
+
+/// The containment test spelled out over its public per-valuation pieces: a
+/// canonical Database per representative valuation (BuildCanonicalInstance),
+/// the FD filter on it (Satisfies), and membership of the summary in q2
+/// (TupleInPositiveQuery). Counts the FD-rejected valuations.
+Result<ContainmentResult> ReferenceContainment(const PositiveQuery& q1,
+                                               const PositiveQuery& q2,
+                                               const DependencySet& deps,
+                                               const Catalog& catalog,
+                                               std::uint64_t& fd_rejected,
+                                               ExecContext& ctx) {
+  if (!(q1.scheme == q2.scheme)) {
+    return Status::InvalidArgument(
+        "containment requires identical result schemes");
+  }
+  ContainmentResult result;
+  for (const ConjunctiveQuery& disjunct : q1.disjuncts) {
+    SETREC_ASSIGN_OR_RETURN(ConjunctiveQuery chased,
+                            ChaseQuery(disjunct, deps, catalog, ctx));
+    if (chased.trivially_false()) continue;
+    Status inner = Status::OK();
+    bool refuted = false;
+    Status enumerated = ForEachRepresentativeValuation(
+        chased,
+        [&](const std::vector<VarId>& block_of) {
+          Result<CanonicalInstance> canon =
+              BuildCanonicalInstance(chased, block_of, catalog);
+          if (!canon.ok()) {
+            inner = canon.status();
+            return false;
+          }
+          for (const FunctionalDependency& fd : deps.fds) {
+            Result<bool> sat = Satisfies(canon->database, fd);
+            if (!sat.ok()) {
+              inner = sat.status();
+              return false;
+            }
+            if (!*sat) {
+              ++fd_rejected;
+              return true;
+            }
+          }
+          Result<bool> member =
+              TupleInPositiveQuery(q2, canon->summary, canon->database, ctx);
+          if (!member.ok()) {
+            inner = member.status();
+            return false;
+          }
+          if (*member) return true;
+          result.counterexample = std::move(canon->database);
+          result.counterexample_tuple = std::move(canon->summary);
+          refuted = true;
+          return false;
+        },
+        ctx);
+    SETREC_RETURN_IF_ERROR(enumerated);
+    SETREC_RETURN_IF_ERROR(inner);
+    if (refuted) return result;
+  }
+  result.contained = true;
+  return result;
+}
+
+/// One containment run: its outcome and what it charged.
+struct ContainmentRun {
+  Status status = Status::OK();
+  ContainmentResult result;
+  std::uint64_t steps = 0;
+  std::uint64_t candidates = 0;
+  std::uint64_t pruned = 0;
+};
+
+template <typename Fn>
+ContainmentRun Observe(Fn&& fn) {
+  MetricsRegistry metrics;
+  ExecContext ctx;
+  ctx.set_metrics(&metrics);
+  Result<ContainmentResult> r = fn(ctx);
+  ContainmentRun run;
+  if (r.ok()) {
+    run.result = std::move(r).value();
+  } else {
+    run.status = r.status();
+  }
+  run.steps = ctx.steps();
+  run.candidates = metrics.engine.hom_candidates.value();
+  run.pruned = metrics.engine.hom_pruned.value();
+  return run;
+}
+
+/// Runs CheckContainment (without simplification) and the reference on the
+/// same input and expects the same verdict, counterexample, status and
+/// work. Returns the reference's FD-rejected valuation count.
+std::uint64_t ExpectSameAsReference(const PositiveQuery& q1,
+                                    const PositiveQuery& q2,
+                                    const DependencySet& deps,
+                                    const Catalog& catalog,
+                                    const std::string& label) {
+  SCOPED_TRACE(label);
+  std::uint64_t fd_rejected = 0;
+  const ContainmentRun compiled = Observe([&](ExecContext& ctx) {
+    return CheckContainment(q1, q2, deps, catalog, /*simplify=*/false, ctx);
+  });
+  const ContainmentRun reference = Observe([&](ExecContext& ctx) {
+    return ReferenceContainment(q1, q2, deps, catalog, fd_rejected, ctx);
+  });
+  EXPECT_EQ(compiled.status.ToString(), reference.status.ToString());
+  EXPECT_EQ(compiled.result.contained, reference.result.contained);
+  EXPECT_EQ(compiled.result.counterexample, reference.result.counterexample);
+  EXPECT_EQ(compiled.result.counterexample_tuple,
+            reference.result.counterexample_tuple);
+  EXPECT_EQ(compiled.steps, reference.steps);
+  EXPECT_EQ(compiled.candidates, reference.candidates);
+  EXPECT_EQ(compiled.pruned, reference.pruned);
+  return fd_rejected;
+}
+
+/// Both directions of every property reduction of `method`, simplified as
+/// the decision procedure simplifies them.
+void ExpectReductionsMatchReference(const AlgebraicUpdateMethod& method,
+                                    OrderIndependenceKind kind,
+                                    const std::string& label) {
+  const MethodContext& mctx = method.context();
+  auto reductions =
+      std::move(BuildOrderIndependenceReduction(method, kind)).value();
+  ASSERT_FALSE(reductions.empty());
+  for (const ReductionExpressions& r : reductions) {
+    const PositiveQuery tt = SimplifyPositiveQuery(
+        Translate(r.e_tt, mctx.reduction_catalog));
+    const PositiveQuery ts = SimplifyPositiveQuery(
+        Translate(r.e_ts, mctx.reduction_catalog));
+    const std::string property = label + " property " +
+                                 std::to_string(r.property);
+    ExpectSameAsReference(tt, ts, mctx.reduction_deps, mctx.reduction_catalog,
+                          property + " tt⊆ts");
+    ExpectSameAsReference(ts, tt, mctx.reduction_deps, mctx.reduction_catalog,
+                          property + " ts⊆tt");
+  }
+}
+
+TEST(ContainmentDifferentialTest, E13ReductionsMatchTheReference) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  PairSchema pairs = std::move(MakePairSchema()).value();
+  PayrollSchema payroll = std::move(MakePayrollSchema()).value();
+  auto add_bar = std::move(MakeAddBar(ds)).value();
+  auto favorite_bar = std::move(MakeFavoriteBar(ds)).value();
+  auto delete_bar = std::move(MakeDeleteBar(ds)).value();
+  auto likes_serves = std::move(MakeLikesServesBar(ds)).value();
+  auto copy_extend = std::move(MakeCopyExtendMethod(pairs)).value();
+  auto payroll_b = std::move(MakeSalaryFromNewSal(payroll)).value();
+  auto payroll_c = std::move(MakeSalaryFromManagersNewSal(payroll)).value();
+  constexpr auto kAbs = OrderIndependenceKind::kAbsolute;
+  constexpr auto kKey = OrderIndependenceKind::kKeyOrder;
+  const std::vector<std::pair<const AlgebraicUpdateMethod*,
+                              OrderIndependenceKind>>
+      cases = {{add_bar.get(), kAbs},      {add_bar.get(), kKey},
+               {favorite_bar.get(), kAbs}, {favorite_bar.get(), kKey},
+               {delete_bar.get(), kAbs},   {likes_serves.get(), kAbs},
+               {copy_extend.get(), kAbs},  {copy_extend.get(), kKey},
+               {payroll_b.get(), kKey},    {payroll_c.get(), kKey}};
+  for (const auto& [method, kind] : cases) {
+    ExpectReductionsMatchReference(
+        *method, kind,
+        method->name() +
+            (kind == kAbs ? std::string(" absolute") : " key-order"));
+  }
+}
+
+TEST(ContainmentDifferentialTest, DecisionCorpusMatchesTheReference) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  for (std::uint64_t seed = 1; seed < kCorpusEnd; ++seed) {
+    auto method = std::move(AlgebraicUpdateMethod::Make(
+                                &ds.schema,
+                                MethodSignature({ds.drinker, ds.bar}),
+                                "random",
+                                {UpdateStatement{ds.frequents,
+                                                 CorpusExpression(seed)}}))
+                      .value();
+    for (OrderIndependenceKind kind :
+         {OrderIndependenceKind::kAbsolute, OrderIndependenceKind::kKeyOrder}) {
+      ExpectReductionsMatchReference(*method, kind,
+                                     "corpus seed " + std::to_string(seed));
+    }
+  }
+}
+
+/// A random safe conjunctive query over E and V with summary (x0): 2–4
+/// variables, 1–3 E conjuncts, a V conjunct for every variable no E
+/// conjunct covers, and sometimes a non-equality.
+ConjunctiveQuery RandomGraphQuery(SplitMix64& rng) {
+  ConjunctiveQuery q;
+  const std::size_t n = 2 + rng.UniformInt(3);
+  for (std::size_t i = 0; i < n; ++i) q.NewVar(kP);
+  auto var = [&] { return static_cast<VarId>(rng.UniformInt(n)); };
+  std::vector<bool> covered(n, false);
+  const std::size_t edges = 1 + rng.UniformInt(3);
+  for (std::size_t i = 0; i < edges; ++i) {
+    const VarId a = var(), b = var();
+    q.AddConjunct("E", {a, b});
+    covered[a] = covered[b] = true;
+  }
+  for (VarId v = 0; v < n; ++v) {
+    if (!covered[v] || rng.UniformInt(4) == 0) q.AddConjunct("V", {v});
+  }
+  if (rng.UniformInt(2) == 0) {
+    const VarId a = var(), b = var();
+    if (a != b) q.AddNonEquality(a, b);
+  }
+  q.set_summary({0});
+  return q;
+}
+
+TEST(ContainmentDifferentialTest, RandomQueriesUnderFdsMatchTheReference) {
+  const Catalog catalog = GraphCatalog();
+  const RelationScheme scheme = MakeScheme({{"v", kP}});
+  std::uint64_t fd_rejected = 0;
+  int contained = 0;
+  int refuted = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SplitMix64 rng(seed);
+    PositiveQuery q1{scheme, {RandomGraphQuery(rng)}};
+    PositiveQuery q2{scheme, {RandomGraphQuery(rng)}};
+    if (rng.UniformInt(2) == 0) q2.disjuncts.push_back(RandomGraphQuery(rng));
+    DependencySet deps;
+    deps.fds.push_back(FunctionalDependency{"E", {"x"}, "y"});
+    if (rng.UniformInt(3) == 0) {
+      deps.fds.push_back(FunctionalDependency{"V", {}, "v"});
+    }
+    if (rng.UniformInt(2) == 0) {
+      deps.inds.push_back(InclusionDependency{"E", {"y"}, "V"});
+    }
+    fd_rejected += ExpectSameAsReference(q1, q2, deps, catalog,
+                                         "seed " + std::to_string(seed));
+    auto verdict =
+        std::move(CheckContainment(q1, q2, deps, catalog, false)).value();
+    ++(verdict.contained ? contained : refuted);
+  }
+  // The FD filter rejects valuations here (no E13 valuation is rejected),
+  // and both verdicts occur.
+  EXPECT_GT(fd_rejected, 0u);
+  EXPECT_GT(contained, 0);
+  EXPECT_GT(refuted, 0);
+}
+
+TEST(ContainmentDifferentialTest, MalformedInputsFailAsTheReferenceDoes) {
+  const Catalog catalog = GraphCatalog();
+  const RelationScheme scheme = MakeScheme({{"v", kP}});
+  auto query = [](std::vector<std::pair<std::string, std::vector<VarId>>>
+                      conjuncts,
+                  std::size_t num_vars) {
+    ConjunctiveQuery q;
+    for (std::size_t i = 0; i < num_vars; ++i) q.NewVar(kP);
+    for (auto& [relation, vars] : conjuncts) {
+      q.AddConjunct(relation, std::move(vars));
+    }
+    q.set_summary({0});
+    return q;
+  };
+  const ConjunctiveQuery edge = query({{"E", {0, 1}}}, 2);
+  const ConjunctiveQuery missing = query({{"E", {0, 1}}, {"W", {1}}}, 2);
+  const ConjunctiveQuery short_edge = query({{"E", {0}}}, 1);
+  const ConjunctiveQuery unsafe = query({{"E", {0, 1}}}, 3);
+  ConjunctiveQuery mistyped = query({{"V", {0}}}, 1);
+  mistyped.AddConjunct("E", {0, mistyped.NewVar(1)});
+
+  struct Case {
+    const char* label;
+    ConjunctiveQuery q1;
+    ConjunctiveQuery q2;
+    DependencySet deps;
+    StatusCode code;
+  };
+  DependencySet fd_on_missing;
+  fd_on_missing.fds.push_back(FunctionalDependency{"W", {}, "w"});
+  DependencySet fd_unknown_attribute;
+  fd_unknown_attribute.fds.push_back(FunctionalDependency{"E", {"z"}, "y"});
+  const std::vector<Case> cases = {
+      {"q1 reads a relation missing from the catalog", missing, edge, {},
+       StatusCode::kNotFound},
+      {"q2 reads a relation missing from the catalog", edge, missing, {},
+       StatusCode::kNotFound},
+      {"q1 conjunct arity mismatch", short_edge, edge, {},
+       StatusCode::kInvalidArgument},
+      {"q2 conjunct arity mismatch", edge, short_edge, {},
+       StatusCode::kInvalidArgument},
+      {"q1 variable outside its attribute domain", mistyped, edge, {},
+       StatusCode::kInvalidArgument},
+      {"q2 unsafe variable", edge, unsafe, {}, StatusCode::kInvalidArgument},
+      {"FD over a missing relation", edge, edge, fd_on_missing,
+       StatusCode::kNotFound},
+      {"FD over an unknown attribute", edge, edge, fd_unknown_attribute,
+       StatusCode::kNotFound},
+  };
+  for (const Case& c : cases) {
+    const PositiveQuery q1{scheme, {c.q1}};
+    const PositiveQuery q2{scheme, {c.q2}};
+    ExpectSameAsReference(q1, q2, c.deps, catalog, c.label);
+    EXPECT_EQ(CheckContainment(q1, q2, c.deps, catalog, false).status().code(),
+              c.code)
+        << c.label;
+  }
+}
 
 }  // namespace
 }  // namespace setrec

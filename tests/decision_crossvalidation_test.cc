@@ -11,75 +11,18 @@
 #include "algebraic/method_library.h"
 #include "algebraic/order_independence.h"
 #include "core/instance_generator.h"
+#include "decision_corpus.h"
 #include "relational/builder.h"
 
 namespace setrec {
 namespace {
-
-/// Generates a random positive unary expression of domain Ba (output
-/// attribute "f") over the drinkers method context [D, Ba], from a small
-/// grammar of leaves and combinators that covers reads of own rows, other
-/// rows, class relations and guards.
-class ExpressionGenerator {
- public:
-  explicit ExpressionGenerator(std::uint64_t seed) : rng_(seed) {}
-
-  ExprPtr Generate(int depth) {
-    if (depth <= 0 || rng_.UniformInt(3) == 0) return Leaf();
-    switch (rng_.UniformInt(3)) {
-      case 0:
-        return ra::Union(Generate(depth - 1), Generate(depth - 1));
-      case 1:
-        // Conditioning on a guard over some relation.
-        return ra::Product(Generate(depth - 1), ra::Guard(GuardSource()));
-      default:
-        // "except the argument bar": π_f(σ_{f≠arg1}(e × arg1)).
-        return ra::Project(
-            ra::SelectNeq(ra::Product(Generate(depth - 1), ra::Rel("arg1")),
-                          "f", "arg1"),
-            {"f"});
-    }
-  }
-
- private:
-  ExprPtr Leaf() {
-    switch (rng_.UniformInt(4)) {
-      case 0:
-        return ra::Rename(ra::Rel("arg1"), "arg1", "f");
-      case 1:
-        return ra::Rename(ra::Rel("Ba"), "Ba", "f");  // every bar
-      case 2:
-        // The receiving drinker's own bars.
-        return ra::Project(
-            ra::JoinEq(ra::Rel("self"), ra::Rel("Df"), "self", "D"), {"f"});
-      default:
-        return ra::Project(ra::Rel("Df"), {"f"});  // anyone's bars
-    }
-  }
-
-  ExprPtr GuardSource() {
-    switch (rng_.UniformInt(4)) {
-      case 0:
-        return ra::Rel("Dl");
-      case 1:
-        return ra::Rel("Bas");
-      case 2:
-        return ra::Rel("Df");
-      default:
-        return ra::Rel("Be");
-    }
-  }
-
-  SplitMix64 rng_;
-};
 
 class DecisionCrossValidation
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DecisionCrossValidation, VerdictMatchesSampledSemantics) {
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
-  ExpressionGenerator gen(GetParam() * 7919);
-  ExprPtr e = gen.Generate(2);
+  ExprPtr e = CorpusExpression(GetParam());
   auto method_or = AlgebraicUpdateMethod::Make(
       &ds.schema, MethodSignature({ds.drinker, ds.bar}), "random",
       {UpdateStatement{ds.frequents, e}});
@@ -119,7 +62,7 @@ TEST_P(DecisionCrossValidation, VerdictMatchesSampledSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, DecisionCrossValidation,
-                         ::testing::Range<std::uint64_t>(1, 25));
+                         ::testing::Range<std::uint64_t>(1, kCorpusEnd));
 
 }  // namespace
 }  // namespace setrec
