@@ -49,7 +49,7 @@ namespace setrec {
 /// atomics, so a step/row/byte cap is enforced exactly across every thread
 /// of a parallel computation (the thread whose charge crosses the cap is
 /// the one that trips). Cancellation is likewise pooled: RequestCancel on
-/// any member cancels the whole family, which is how one failing shard
+/// any member cancels the whole family, which is how one failing worker
 /// aborts its siblings promptly. Fork() itself must be called while no
 /// other thread is charging this context (i.e. before dispatching work);
 /// each child is then single-owner on its thread, like any context.
@@ -257,7 +257,7 @@ class ExecContext {
 
   /// Attaches a Tracer / MetricsRegistry (nullptr detaches; both must
   /// outlive their use). Fork() propagates the attachment, so a fan-out's
-  /// shards report into the same sinks. With nothing attached, every
+  /// workers report into the same sinks. With nothing attached, every
   /// instrumentation site in the engine degrades to a null-pointer test —
   /// the "free when off" contract the benches measure.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
@@ -276,7 +276,7 @@ class ExecContext {
 
   /// Span under which this context's first spans nest when its thread has
   /// no open span of its own: Fork() captures the forking thread's current
-  /// span here, which is what keeps a shard's spans parented under the
+  /// span here, which is what keeps a worker's spans parented under the
   /// fan-out's span even though they start on a fresh pool thread.
   std::uint64_t trace_parent() const { return trace_parent_; }
   void set_trace_parent(std::uint64_t span_id) { trace_parent_ = span_id; }

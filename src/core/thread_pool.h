@@ -12,7 +12,7 @@
 namespace setrec {
 
 /// A fixed-size pool of worker threads for the data-parallel kernels
-/// (sharded parallel application, partitioned hash-join probes).
+/// (partitioned hash-join probes).
 ///
 /// Design constraints, in order:
 ///   1. *Deterministic results.* The pool never decides in which order

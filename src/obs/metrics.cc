@@ -18,7 +18,6 @@ MetricsRegistry::MetricsRegistry() {
   counters_.emplace("evaluator.probe_partitions",
                     &engine.eval_probe_partitions);
   counters_.emplace("sequential.receivers", &engine.sequential_receivers);
-  counters_.emplace("parallel.shards", &engine.parallel_shards);
   counters_.emplace("apply.edges", &engine.apply_edges);
   counters_.emplace("wal.appends", &engine.wal_appends);
   counters_.emplace("wal.bytes", &engine.wal_bytes);

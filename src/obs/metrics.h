@@ -122,7 +122,6 @@ class MetricsRegistry {
     Counter eval_join_build_rows;  // evaluator.join_build_rows
     Counter eval_probe_partitions; // evaluator.probe_partitions
     Counter sequential_receivers;  // sequential.receivers
-    Counter parallel_shards;       // parallel.shards
     Counter apply_edges;           // apply.edges
     Counter wal_appends;           // wal.appends
     Counter wal_bytes;             // wal.bytes
@@ -134,7 +133,7 @@ class MetricsRegistry {
     Counter incremental_fallbacks;     // incremental.fallbacks
     Counter incremental_invalidations; // incremental.invalidations
     Counter incremental_delta_rows;    // incremental.delta_rows
-    Histogram shard_merge_ns;      // parallel.shard_merge_ns
+    Histogram shard_merge_ns;      // parallel.shard_merge_ns (per statement)
     Histogram commit_ns;           // store.commit_ns
     Histogram incremental_refresh_ns;  // incremental.refresh_ns
   };

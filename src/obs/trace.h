@@ -64,7 +64,7 @@ class TraceSpan {
   /// Starts a span on `tracer` (no-op when null). The parent is the
   /// innermost span currently open on this thread; when the thread has no
   /// open span — the first span of a forked worker — `parent_hint` is used,
-  /// which is how a fan-out's shard spans attach under the span that forked
+  /// which is how a fan-out's worker spans attach under the span that forked
   /// them (see ExecContext::Fork and StartSpan in core/exec_context.h).
   ///
   /// Trace identity: the thread's installed TraceContext wins (the request
@@ -195,7 +195,7 @@ class Tracer {
   /// subtrees deduplicated: `name{child;child;...}` with children sorted
   /// and uniqued. Dedup makes the signature invariant under the *multiplicity*
   /// of structurally identical siblings, which is exactly the degree of
-  /// freedom sharding introduces — 1 shard span or 8 identical ones yield
+  /// freedom a fan-out introduces — 1 worker span or 8 identical ones yield
   /// the same signature, so determinism tests can pin the tree across
   /// worker counts.
   std::string TreeSignature() const;

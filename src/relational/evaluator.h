@@ -116,8 +116,8 @@ class Evaluator {
   /// Join fusion: evaluates a chain of selections over a Cartesian product
   /// as a hash join instead of materializing the product. The paper's
   /// expressions are built almost exclusively from theta-joins
-  /// (σ_{aθb}(l × r)), and the par(E) rewriting multiplies every relation
-  /// by π_self(rec), so without fusion intermediate results grow with the
+  /// (σ_{aθb}(l × r)), and the par(E) rewriting joins receiver-dependent
+  /// operands on self, so without fusion intermediate results grow with the
   /// square of the receiver-set size.
   Result<Relation> EvalSelectionChain(const Expr& top);
 

@@ -115,7 +115,7 @@ class Relation {
   /// this relation and are invalidated by any insert. The view is memoized:
   /// the first call after a mutation sorts, later calls copy the cached
   /// pointer vector. Memoization is thread-safe for concurrent const use
-  /// (the parallel runtime's shards share base relations read-only).
+  /// (a Database's relations are shared read-only across threads).
   std::vector<const Tuple*> SortedTuples() const;
 
   friend bool operator==(const Relation& a, const Relation& b) {
@@ -144,11 +144,9 @@ class Relation {
 /// encoding produces one; update expressions are evaluated against one.
 ///
 /// Relations are held behind shared immutable storage, so copying a
-/// Database is O(#relations) regardless of data size — the sharded
-/// parallel-application runtime gives every worker its own Database (base
-/// relations shared read-only, plus that worker's `rec` shard) without
-/// duplicating the encoded instance. Put never mutates a stored relation in
-/// place, which is what makes the sharing thread-safe.
+/// Database is O(#relations) regardless of data size: copies that differ in
+/// a few relations share the storage of all the others. Put never mutates a
+/// stored relation in place, which is what makes the sharing thread-safe.
 class Database {
  public:
   /// Installs (or replaces) a relation under `name`.

@@ -17,6 +17,7 @@
 
 #include "algebraic/method_library.h"
 #include "algebraic/order_independence.h"
+#include "algebraic/parallel.h"
 #include "core/instance_generator.h"
 #include "core/thread_pool.h"
 #include "relational/builder.h"
@@ -216,57 +217,59 @@ TEST_F(ExplainPayrollTest, GoldenManagerTwoPhaseQuery) {
                                    /*analyze=*/false))
                          .value();
   const std::string text = plan.ToText();
+  // The receiver-free joins (EmpSalary, NewSal) are hoisted out of par(E),
+  // so the rec source is joined with them by key, never by self.
   EXPECT_EQ(text, R"golden(EXPLAIN: set-oriented UPDATE Salary
 ReceiverQuery [phase 1: evaluated against the pre-statement state] :: (self, New)
   -> Project [self, New] :: (self, New)
-     -> Select [Sal2=Old] :: (self, Emp, Manager, Emp2, Sal2, Old, New)
-        -> Project [self, Emp, Manager, Emp2, Sal2, Old, New] :: (self, Emp, Manager, Emp2, Sal2, Old, New)
-           -> HashJoin [keys: self=self§] :: (self, Emp, Manager, Emp2, Sal2, self§, Old, New)
-              -> Select [Manager=Emp2] :: (self, Emp, Manager, Emp2, Sal2)
-                 -> Project [self, Emp, Manager, Emp2, Sal2] :: (self, Emp, Manager, Emp2, Sal2)
-                    -> HashJoin [keys: self=self§] :: (self, Emp, Manager, self§, Emp2, Sal2)
-                       -> Select [self=Emp] :: (self, Emp, Manager)
-                          -> Project [self, Emp, Manager] :: (self, Emp, Manager)
-                             -> HashJoin [keys: self=self§] :: (self, self§, Emp, Manager)
-                                -> Project [self] :: (self)
-                                   -> Rename [Emp→self] :: (self)
-                                      -> Project [Emp] :: (Emp)
-                                         -> Scan Emp :: (Emp)
-                                -> Rename [self→self§] :: (self§, Emp, Manager)
-                                   -> Product :: (self, Emp, Manager)
-                                      -> Project [self] :: (self)
-                                         -> Rename [Emp→self] :: (self)
-                                            -> Project [Emp] :: (Emp)
-                                               -> Scan Emp :: (Emp)
-                                      -> Scan EmpManager :: (Emp, Manager)
-                       -> Rename [self→self§] :: (self§, Emp2, Sal2)
-                          -> Rename [Salary→Sal2] :: (self, Emp2, Sal2)
-                             -> Rename [Emp→Emp2] :: (self, Emp2, Salary)
-                                -> Product :: (self, Emp, Salary)
-                                   -> Project [self] :: (self)
-                                      -> Rename [Emp→self] :: (self)
-                                         -> Project [Emp] :: (Emp)
-                                            -> Scan Emp :: (Emp)
-                                   -> Scan EmpSalary :: (Emp, Salary)
-              -> Rename [self→self§] :: (self§, Old, New)
-                 -> Project [self, Old, New] :: (self, Old, New)
-                    -> Select [NS=NS2] :: (self, NS, Old, NS2, New)
-                       -> Project [self, NS, Old, NS2, New] :: (self, NS, Old, NS2, New)
-                          -> HashJoin [keys: self=self§] :: (self, NS, Old, self§, NS2, New)
-                             -> Product :: (self, NS, Old)
-                                -> Project [self] :: (self)
-                                   -> Rename [Emp→self] :: (self)
-                                      -> Project [Emp] :: (Emp)
-                                         -> Scan Emp :: (Emp)
-                                -> Scan NSOld :: (NS, Old)
-                             -> Rename [self→self§] :: (self§, NS2, New)
-                                -> Rename [NS→NS2] :: (self, NS2, New)
-                                   -> Product :: (self, NS, New)
-                                      -> Project [self] :: (self)
-                                         -> Rename [Emp→self] :: (self)
-                                            -> Project [Emp] :: (Emp)
-                                               -> Scan Emp :: (Emp)
-                                      -> Scan NSNew :: (NS, New)
+     -> HashJoin [keys: Sal2=Old] :: (self, Emp, Manager, Emp2, Sal2, Old, New)
+        -> HashJoin [keys: Manager=Emp2] :: (self, Emp, Manager, Emp2, Sal2)
+           -> HashJoin [keys: self=Emp] :: (self, Emp, Manager)
+              -> Project [self] :: (self)
+                 -> Rename [Emp→self] :: (self)
+                    -> Project [Emp] :: (Emp)
+                       -> Scan Emp :: (Emp)
+              -> Scan EmpManager :: (Emp, Manager)
+           -> Rename [Salary→Sal2] :: (Emp2, Sal2)
+              -> Rename [Emp→Emp2] :: (Emp2, Salary)
+                 -> Scan EmpSalary :: (Emp, Salary)
+        -> Project [Old, New] :: (Old, New)
+           -> HashJoin [keys: NS=NS2] :: (NS, Old, NS2, New)
+              -> Scan NSOld :: (NS, Old)
+              -> Rename [NS→NS2] :: (NS2, New)
+                 -> Scan NSNew :: (NS, New)
+Apply [Salary := arg1 over the receiver key set] :: (self, New)
+)golden");
+}
+
+TEST_F(ExplainPayrollTest, GoldenImprovedSalaryUpdateB) {
+  // ImproveCursorUpdate on B′ emits the Section 7 query "select EmpId, New
+  // from Employee, NewSal where Salary = Old": the rec source joined by key
+  // with the hoisted NewSal join.
+  auto method = std::move(MakeSalaryFromNewSal(ps_)).value();
+  const ExprPtr rec_source = ra::Rename(
+      ra::Rename(ra::Rel("EmpSalary"), "Emp", "self"), "Salary", "arg1");
+  ExprPtr query = std::move(ImproveCursorUpdate(*method, rec_source,
+                                                /*verify=*/false))
+                      .value()
+                      .receiver_query;
+  ExplainPlan plan = std::move(ExplainSetOrientedUpdate(
+                                   SmallDb(), ps_.salary, query,
+                                   /*analyze=*/false))
+                         .value();
+  EXPECT_EQ(plan.ToText(), R"golden(EXPLAIN: set-oriented UPDATE Salary
+ReceiverQuery [phase 1: evaluated against the pre-statement state] :: (self, New)
+  -> Project [self, New] :: (self, New)
+     -> HashJoin [keys: arg1=Old] :: (self, arg1, Old, New)
+        -> Project [self, arg1] :: (self, arg1)
+           -> Rename [Salary→arg1] :: (self, arg1)
+              -> Rename [Emp→self] :: (self, Salary)
+                 -> Scan EmpSalary :: (Emp, Salary)
+        -> Project [Old, New] :: (Old, New)
+           -> HashJoin [keys: NS=NS2] :: (NS, Old, NS2, New)
+              -> Scan NSOld :: (NS, Old)
+              -> Rename [NS→NS2] :: (NS2, New)
+                 -> Scan NSNew :: (NS, New)
 Apply [Salary := arg1 over the receiver key set] :: (self, New)
 )golden");
 }
@@ -386,6 +389,49 @@ TEST_F(ExplainPayrollTest, AnalyzeCountersAreWorkerCountInvariant) {
                               .value();
     EXPECT_EQ(LogicalFingerprint(update_base), LogicalFingerprint(sharded))
         << "UPDATE counters drifted at " << workers << " workers";
+  }
+}
+
+TEST_F(ExplainPayrollTest, AnalyzeRejectsWhatParallelApplyRejects) {
+  // Employee 7 is not in the instance: ParallelApply refuses the receiver,
+  // and ANALYZE must refuse it the same way instead of analyzing a run that
+  // never executes.
+  const Instance db = SmallDb();
+  auto method = std::move(MakeSalaryFromNewSal(ps_)).value();
+  std::vector<Receiver> receivers = SalaryReceivers(db);
+  receivers.push_back(Receiver::Unchecked(
+      {ObjectId(ps_.emp, 7), ObjectId(ps_.val, 100)}));
+  const Status applied =
+      ParallelApply(*method, db, receivers, ExecOptions{}).status();
+  const Status analyzed =
+      ExplainParallelApply(*method, db, receivers, /*analyze=*/true).status();
+  ASSERT_EQ(applied.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(analyzed.code(), applied.code());
+  EXPECT_EQ(analyzed.message(), applied.message());
+}
+
+TEST_F(ExplainPayrollTest, AnalyzeCountersEqualParallelApplys) {
+  const Instance db = LargeDb();
+  auto method = std::move(MakeSalaryFromNewSal(ps_)).value();
+  const std::vector<Receiver> receivers = SalaryReceivers(db);
+  ThreadPool pool(4);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    MetricsRegistry metrics;
+    ExecOptions options;
+    options.metrics = &metrics;
+    options.num_workers = workers;
+    options.pool = &pool;
+    ASSERT_TRUE(ParallelApply(*method, db, receivers, options).ok());
+    ExecOptions explain_options;
+    explain_options.num_workers = workers;
+    explain_options.pool = &pool;
+    ExplainPlan plan = std::move(ExplainParallelApply(*method, db, receivers,
+                                                      /*analyze=*/true,
+                                                      explain_options))
+                           .value();
+    EXPECT_EQ(plan.counters, LogicalCounters(metrics))
+        << "at " << workers << " workers";
+    EXPECT_EQ(plan.counters.at("apply.edges"), receivers.size());
   }
 }
 

@@ -268,7 +268,7 @@ struct PayrollWorkload {
   std::unique_ptr<AlgebraicUpdateMethod> method;
   std::vector<Receiver> receivers;
 
-  PayrollWorkload() : instance(nullptr) {}
+  PayrollWorkload() : instance(&schema.schema) {}
 };
 
 PayrollWorkload BuildPayroll(std::uint32_t n_employees) {
@@ -293,13 +293,20 @@ PayrollWorkload BuildPayroll(std::uint32_t n_employees) {
   return w;
 }
 
+/// Schema of an ObservedRun before a run assigns its instance (an Instance
+/// needs a schema; a null one trips its assert in Debug builds).
+const Schema& PlaceholderSchema() {
+  static const Schema* schema = new Schema();
+  return *schema;
+}
+
 struct ObservedRun {
   Instance out;
   std::uint64_t eval_rows = 0;
   std::uint64_t apply_edges = 0;
   std::string tree_signature;
 
-  ObservedRun() : out(nullptr) {}
+  ObservedRun() : out(&PlaceholderSchema()) {}
 };
 
 ObservedRun RunParallelObserved(const PayrollWorkload& w,
