@@ -3,23 +3,24 @@
 #include <algorithm>
 #include <utility>
 
+#include "relational/plan.h"
+
 namespace setrec {
 
 namespace {
 
-/// Recursive worker: returns the disjunct list; result schemes are computed
-/// by InferScheme at the top level (the recursion re-derives summaries
-/// positionally, which is enough).
+/// Recursive worker: returns the disjunct list. Schemes come from the
+/// lowered plan, memoized per node; the recursion re-derives summaries
+/// positionally, which is enough.
 Result<std::vector<ConjunctiveQuery>> Translate(const ExprPtr& expr,
-                                                const Catalog& catalog) {
+                                                PhysicalPlan& plan) {
   switch (expr->op()) {
     case Expr::Op::kRelation: {
-      SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme,
-                              catalog.Find(expr->relation_name()));
+      SETREC_ASSIGN_OR_RETURN(const PhysicalNode* scan, plan.Lower(*expr));
       ConjunctiveQuery q;
       std::vector<VarId> vars;
-      vars.reserve(scheme->arity());
-      for (const Attribute& a : scheme->attributes()) {
+      vars.reserve(scan->scheme->arity());
+      for (const Attribute& a : scan->scheme->attributes()) {
         vars.push_back(q.NewVar(a.domain));
       }
       q.AddConjunct(expr->relation_name(), vars);
@@ -31,17 +32,17 @@ Result<std::vector<ConjunctiveQuery>> Translate(const ExprPtr& expr,
           "difference is not part of the positive algebra (Definition 5.2)");
     case Expr::Op::kUnion: {
       SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> l,
-                              Translate(expr->left(), catalog));
+                              Translate(expr->left(), plan));
       SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> r,
-                              Translate(expr->right(), catalog));
+                              Translate(expr->right(), plan));
       for (ConjunctiveQuery& q : r) l.push_back(std::move(q));
       return l;
     }
     case Expr::Op::kProduct: {
       SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> l,
-                              Translate(expr->left(), catalog));
+                              Translate(expr->left(), plan));
       SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> r,
-                              Translate(expr->right(), catalog));
+                              Translate(expr->right(), plan));
       std::vector<ConjunctiveQuery> out;
       out.reserve(l.size() * r.size());
       for (const ConjunctiveQuery& ql : l) {
@@ -56,11 +57,13 @@ Result<std::vector<ConjunctiveQuery>> Translate(const ExprPtr& expr,
     case Expr::Op::kSelectEq:
     case Expr::Op::kSelectNeq: {
       SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> children,
-                              Translate(expr->child(), catalog));
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              InferScheme(*expr->child(), catalog));
-      SETREC_ASSIGN_OR_RETURN(std::size_t ia, scheme.IndexOf(expr->attr_a()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t ib, scheme.IndexOf(expr->attr_b()));
+                              Translate(expr->child(), plan));
+      SETREC_ASSIGN_OR_RETURN(const PhysicalNode* child,
+                              plan.Lower(*expr->child()));
+      SETREC_ASSIGN_OR_RETURN(std::size_t ia,
+                              child->scheme->IndexOf(expr->attr_a()));
+      SETREC_ASSIGN_OR_RETURN(std::size_t ib,
+                              child->scheme->IndexOf(expr->attr_b()));
       std::vector<ConjunctiveQuery> out;
       for (ConjunctiveQuery& q : children) {
         const VarId va = q.summary()[ia];
@@ -76,18 +79,14 @@ Result<std::vector<ConjunctiveQuery>> Translate(const ExprPtr& expr,
     }
     case Expr::Op::kProject: {
       SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> children,
-                              Translate(expr->child(), catalog));
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              InferScheme(*expr->child(), catalog));
-      std::vector<std::size_t> indices;
-      for (const std::string& name : expr->projection()) {
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, scheme.IndexOf(name));
-        indices.push_back(i);
-      }
+                              Translate(expr->child(), plan));
+      SETREC_ASSIGN_OR_RETURN(const PhysicalNode* project, plan.Lower(*expr));
       for (ConjunctiveQuery& q : children) {
         std::vector<VarId> new_summary;
-        new_summary.reserve(indices.size());
-        for (std::size_t i : indices) new_summary.push_back(q.summary()[i]);
+        new_summary.reserve(project->cols.size());
+        for (std::uint32_t i : project->cols) {
+          new_summary.push_back(q.summary()[i]);
+        }
         q.set_summary(std::move(new_summary));
       }
       return children;
@@ -95,7 +94,7 @@ Result<std::vector<ConjunctiveQuery>> Translate(const ExprPtr& expr,
     case Expr::Op::kRename:
       // Renaming does not change variables, only the output attribute name,
       // which lives in the scheme computed at the top level.
-      return Translate(expr->child(), catalog);
+      return Translate(expr->child(), plan);
   }
   return Status::Internal("unknown expression operator");
 }
@@ -104,11 +103,12 @@ Result<std::vector<ConjunctiveQuery>> Translate(const ExprPtr& expr,
 
 Result<PositiveQuery> TranslateToPositiveQuery(const ExprPtr& expr,
                                                const Catalog& catalog) {
-  SETREC_ASSIGN_OR_RETURN(RelationScheme scheme, InferScheme(*expr, catalog));
+  PhysicalPlan plan(catalog);
+  SETREC_ASSIGN_OR_RETURN(const PhysicalNode* root, plan.Lower(*expr));
   SETREC_ASSIGN_OR_RETURN(std::vector<ConjunctiveQuery> disjuncts,
-                          Translate(expr, catalog));
+                          Translate(expr, plan));
   for (ConjunctiveQuery& q : disjuncts) q.Compact();
-  return PositiveQuery{std::move(scheme), std::move(disjuncts)};
+  return PositiveQuery{*root->scheme, std::move(disjuncts)};
 }
 
 }  // namespace setrec

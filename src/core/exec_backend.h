@@ -23,8 +23,6 @@ enum class ExecBackend : std::uint8_t {
   kInterpreter,
   /// Columnar batch execution: expressions are lowered to a flat bytecode
   /// over structure-of-arrays tuple batches (relational/vectorized/).
-  /// Falls back to the interpreter per expression if a node type is ever
-  /// outside the compiled backend's coverage.
   kVectorized,
 };
 

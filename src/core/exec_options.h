@@ -88,8 +88,7 @@ struct ExecOptions {
   std::uint64_t trace_id = 0;
 
   /// Execution backend for relational evaluation (core/exec_backend.h).
-  /// kAuto (the default) keeps the interpreter unless the compiled
-  /// vectorized backend covers the expression and the inputs are large
+  /// kAuto (the default) keeps the interpreter unless the inputs are large
   /// enough to pay for batching; kInterpreter and kVectorized force a
   /// backend. Results, error statuses and logical counters are
   /// backend-invariant, so this is a pure performance knob.

@@ -45,26 +45,12 @@ std::uint64_t NowNs() {
 
 }  // namespace
 
-/// One registered view: a compiled operator plan (children precede parents
-/// in `nodes`; the root is last) plus the per-node memo state the delta
-/// rules maintain — materialized outputs, join indexes keyed by the join
-/// attributes, and projection support counts.
+/// One registered view: its lowered plan, the delta-state nodes mapped onto
+/// it (children precede parents in `nodes`; the root is last), and the
+/// per-node memo state the delta rules maintain — materialized outputs,
+/// join indexes keyed by the join attributes, and projection support
+/// counts.
 struct ViewCache::View {
-  /// A resolved selection condition local to one tuple.
-  struct Cond {
-    bool equal;
-    std::size_t ia;
-    std::size_t ib;
-  };
-  /// A residual (non-equality) condition across a join's two sides.
-  struct CrossCond {
-    bool equal;
-    bool a_left;
-    std::size_t ia;
-    bool b_left;
-    std::size_t ib;
-  };
-
   struct Node {
     enum class Kind {
       kBase,        // leaf: reads the cache's mirror relation
@@ -77,16 +63,11 @@ struct ViewCache::View {
     };
 
     Kind kind;
-    RelationScheme scheme;
+    // The plan node maintained here: output scheme and operator payload.
+    // The identity wrapper shares the wrapped scan's.
+    const PhysicalNode* plan = nullptr;
     std::size_t left = 0;   // child for unary nodes
     std::size_t right = 0;  // second child for binary nodes
-
-    std::string relation_name;                    // kBase
-    std::vector<Cond> filter_conds;               // kFilter
-    std::vector<Cond> local_left, local_right;    // kJoin per-side filters
-    std::vector<CrossCond> cross;                 // kJoin residual conditions
-    std::vector<std::size_t> left_key, right_key; // kJoin key projections
-    std::vector<std::size_t> proj;                // kProject indices
 
     // Materialized output (all kinds except kBase, which aliases the
     // mirror). Handed out by Read() for the root, so refreshes clone before
@@ -98,11 +79,14 @@ struct ViewCache::View {
     std::unordered_map<Tuple, std::size_t, TupleHash> support;
   };
 
+  explicit View(const Catalog& catalog) : lowering(catalog) {}
+
   std::string name;
   ExprPtr expr;
   std::string expr_text;
+  PhysicalPlan lowering;
   std::vector<Node> nodes;  // topological order; root = nodes.back()
-  std::unordered_map<const Expr*, std::size_t> memo;
+  std::unordered_map<const PhysicalNode*, std::size_t> memo;
   std::set<std::string> base_rels;
   std::uint64_t cursor = 0;  // global pending index consumed up to
   bool cold = true;          // needs full rematerialization on next read
@@ -112,16 +96,24 @@ struct ViewCache::View {
 
 namespace {
 
-bool PassesConds(const Tuple& t, const std::vector<ViewCache::View::Cond>& cs) {
-  for (const auto& c : cs) {
-    if ((t.at(c.ia) == t.at(c.ib)) != c.equal) return false;
+/// Whether `t` passes a join node's conditions of one side's `role`.
+bool PassesSide(const Tuple& t, const PhysicalNode& join,
+                JoinCond::Role role) {
+  for (const JoinCond& c : join.conds) {
+    if (c.role == role && (t.at(c.ia) == t.at(c.ib)) != c.equal) return false;
   }
   return true;
 }
 
-bool ResidualOk(const ViewCache::View::Node& n, const Tuple& l,
-                const Tuple& r) {
-  for (const auto& c : n.cross) {
+/// A filter node's σ; the identity wrapper over a scan passes every tuple.
+bool PassesFilter(const Tuple& t, const PhysicalNode& filter) {
+  return filter.kind != PhysicalNode::Kind::kSelect ||
+         (t.at(filter.ia) == t.at(filter.ib)) == filter.equal;
+}
+
+bool ResidualOk(const PhysicalNode& join, const Tuple& l, const Tuple& r) {
+  for (const JoinCond& c : join.conds) {
+    if (c.role != JoinCond::Role::kResidual) continue;
     const ObjectId va = c.a_left ? l.at(c.ia) : r.at(c.ia);
     const ObjectId vb = c.b_left ? l.at(c.ib) : r.at(c.ib);
     if ((va == vb) != c.equal) return false;
@@ -133,7 +125,7 @@ bool ResidualOk(const ViewCache::View::Node& n, const Tuple& l,
 /// reader still holds the current storage.
 Relation& MutableOut(ViewCache::View::Node& n) {
   if (n.out == nullptr) {
-    n.out = std::make_shared<Relation>(n.scheme);
+    n.out = std::make_shared<Relation>(*n.plan->scheme);
   } else if (n.out.use_count() > 1) {
     n.out = std::make_shared<Relation>(*n.out);
   }
@@ -333,162 +325,43 @@ Status ViewCache::ApplyDelta(const InstanceDelta& delta) {
   return Status::OK();
 }
 
-Result<std::size_t> ViewCache::BuildNode(View& view, const ExprPtr& expr) {
-  auto memo_it = view.memo.find(expr.get());
+std::size_t ViewCache::BuildNode(View& view, const PhysicalNode& plan) {
+  auto memo_it = view.memo.find(&plan);
   if (memo_it != view.memo.end()) return memo_it->second;
 
+  using Kind = View::Node::Kind;
   View::Node node;
-  switch (expr->op()) {
-    case Expr::Op::kRelation: {
-      SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme,
-                              catalog_.Find(expr->relation_name()));
-      node.kind = View::Node::Kind::kBase;
-      node.scheme = *scheme;
-      node.relation_name = expr->relation_name();
-      view.base_rels.insert(expr->relation_name());
+  node.plan = &plan;
+  switch (plan.kind) {
+    case PhysicalNode::Kind::kScan:
+      node.kind = Kind::kBase;
+      view.base_rels.insert(plan.expr->relation_name());
       break;
-    }
-    case Expr::Op::kUnion:
-    case Expr::Op::kDifference: {
-      SETREC_ASSIGN_OR_RETURN(std::size_t l, BuildNode(view, expr->left()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t r, BuildNode(view, expr->right()));
-      if (!(view.nodes[l].scheme == view.nodes[r].scheme)) {
-        return Status::InvalidArgument(
-            "union/difference operands must have identical schemes");
-      }
-      node.kind = expr->op() == Expr::Op::kUnion ? View::Node::Kind::kUnion
-                                                 : View::Node::Kind::kDifference;
-      node.scheme = view.nodes[l].scheme;
-      node.left = l;
-      node.right = r;
+    case PhysicalNode::Kind::kUnion:
+      node.kind = Kind::kUnion;
       break;
-    }
-    case Expr::Op::kProduct:
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq: {
-      // σ-chain fusion, mirroring Evaluator::EvalSelectionChain: collect
-      // the selections down to the bottom; a product bottom fuses into one
-      // join node (a bare product is a join with no conditions). A chain
-      // over a non-product child stays a plain filter node.
-      if (expr->op() != Expr::Op::kProduct) {
-        const Expr* bottom = expr.get();
-        while (bottom->op() == Expr::Op::kSelectEq ||
-               bottom->op() == Expr::Op::kSelectNeq) {
-          bottom = bottom->child().get();
-        }
-        if (bottom->op() != Expr::Op::kProduct) {
-          SETREC_ASSIGN_OR_RETURN(std::size_t c, BuildNode(view, expr->child()));
-          const RelationScheme& cs = view.nodes[c].scheme;
-          SETREC_ASSIGN_OR_RETURN(std::size_t ia, cs.IndexOf(expr->attr_a()));
-          SETREC_ASSIGN_OR_RETURN(std::size_t ib, cs.IndexOf(expr->attr_b()));
-          if (cs.attribute(ia).domain != cs.attribute(ib).domain) {
-            return Status::InvalidArgument(
-                "selection compares attributes of different domains");
-          }
-          node.kind = View::Node::Kind::kFilter;
-          node.scheme = cs;
-          node.left = c;
-          node.filter_conds.push_back(
-              {expr->op() == Expr::Op::kSelectEq, ia, ib});
-          break;
-        }
-      }
-      struct Condition {
-        bool equal;
-        std::string a;
-        std::string b;
-      };
-      std::vector<Condition> conditions;
-      const Expr* bottom = expr.get();
-      while (bottom->op() == Expr::Op::kSelectEq ||
-             bottom->op() == Expr::Op::kSelectNeq) {
-        conditions.push_back(Condition{bottom->op() == Expr::Op::kSelectEq,
-                                       bottom->attr_a(), bottom->attr_b()});
-        bottom = bottom->child().get();
-      }
-      SETREC_ASSIGN_OR_RETURN(std::size_t l, BuildNode(view, bottom->left()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t r, BuildNode(view, bottom->right()));
-      std::vector<Attribute> attrs = view.nodes[l].scheme.attributes();
-      for (const Attribute& a : view.nodes[r].scheme.attributes()) {
-        if (view.nodes[l].scheme.HasAttribute(a.name)) {
-          return Status::InvalidArgument(
-              "product operands share attribute name " + a.name);
-        }
-        attrs.push_back(a);
-      }
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      const std::size_t lw = view.nodes[l].scheme.arity();
-      node.kind = View::Node::Kind::kJoin;
-      node.left = l;
-      node.right = r;
-      for (const Condition& c : conditions) {
-        SETREC_ASSIGN_OR_RETURN(std::size_t ga, scheme.IndexOf(c.a));
-        SETREC_ASSIGN_OR_RETURN(std::size_t gb, scheme.IndexOf(c.b));
-        if (scheme.attribute(ga).domain != scheme.attribute(gb).domain) {
-          return Status::InvalidArgument(
-              "selection compares attributes of different domains");
-        }
-        const bool a_left = ga < lw;
-        const bool b_left = gb < lw;
-        const std::size_t ia = a_left ? ga : ga - lw;
-        const std::size_t ib = b_left ? gb : gb - lw;
-        if (a_left && b_left) {
-          node.local_left.push_back({c.equal, ia, ib});
-        } else if (!a_left && !b_left) {
-          node.local_right.push_back({c.equal, ia, ib});
-        } else if (c.equal) {
-          node.left_key.push_back(a_left ? ia : ib);
-          node.right_key.push_back(a_left ? ib : ia);
-        } else {
-          node.cross.push_back({c.equal, a_left, ia, b_left, ib});
-        }
-      }
-      node.scheme = std::move(scheme);
+    case PhysicalNode::Kind::kDifference:
+      node.kind = Kind::kDifference;
       break;
-    }
-    case Expr::Op::kProject: {
-      SETREC_ASSIGN_OR_RETURN(std::size_t c, BuildNode(view, expr->child()));
-      const RelationScheme& cs = view.nodes[c].scheme;
-      std::vector<Attribute> attrs;
-      std::set<std::string> seen;
-      for (const std::string& name : expr->projection()) {
-        if (!seen.insert(name).second) {
-          return Status::InvalidArgument("duplicate projection attribute " +
-                                         name);
-        }
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(name));
-        node.proj.push_back(i);
-        attrs.push_back(cs.attribute(i));
-      }
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      node.kind = View::Node::Kind::kProject;
-      node.scheme = std::move(scheme);
-      node.left = c;
+    case PhysicalNode::Kind::kProduct:  // a join with no conditions
+    case PhysicalNode::Kind::kJoin:
+      node.kind = Kind::kJoin;
       break;
-    }
-    case Expr::Op::kRename: {
-      SETREC_ASSIGN_OR_RETURN(std::size_t c, BuildNode(view, expr->child()));
-      const RelationScheme& cs = view.nodes[c].scheme;
-      SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(expr->rename_from()));
-      if (cs.HasAttribute(expr->rename_to())) {
-        return Status::InvalidArgument("rename target attribute " +
-                                       expr->rename_to() + " already present");
-      }
-      std::vector<Attribute> attrs = cs.attributes();
-      attrs[i].name = expr->rename_to();
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      node.kind = View::Node::Kind::kRename;
-      node.scheme = std::move(scheme);
-      node.left = c;
+    case PhysicalNode::Kind::kSelect:
+      node.kind = Kind::kFilter;
       break;
-    }
+    case PhysicalNode::Kind::kProject:
+      node.kind = Kind::kProject;
+      break;
+    case PhysicalNode::Kind::kRename:
+      node.kind = Kind::kRename;
+      break;
   }
+  if (plan.left != nullptr) node.left = BuildNode(view, *plan.left);
+  if (plan.right != nullptr) node.right = BuildNode(view, *plan.right);
   const std::size_t index = view.nodes.size();
   view.nodes.push_back(std::move(node));
-  view.memo.emplace(expr.get(), index);
+  view.memo.emplace(&plan, index);
   return index;
 }
 
@@ -517,17 +390,19 @@ Status ViewCache::RegisterLocked(std::string name, ExprPtr expr,
     }
     EvictLeastRecentlyRead();
   }
-  auto view = std::make_unique<View>();
+  auto view = std::make_unique<View>(catalog_);
   view->name = name;
   view->expr = std::move(expr);
   view->expr_text = std::move(text);
-  SETREC_ASSIGN_OR_RETURN(std::size_t root, BuildNode(*view, view->expr));
+  SETREC_ASSIGN_OR_RETURN(const PhysicalNode* plan,
+                          view->lowering.Lower(*view->expr));
+  const std::size_t root = BuildNode(*view, *plan);
   if (view->nodes[root].kind == View::Node::Kind::kBase) {
     // A bare relation reference would alias the mutable mirror; wrap it in
     // an identity filter so the root always owns immutable output storage.
     View::Node wrapper;
     wrapper.kind = View::Node::Kind::kFilter;
-    wrapper.scheme = view->nodes[root].scheme;
+    wrapper.plan = plan;
     wrapper.left = root;
     view->nodes.push_back(std::move(wrapper));
   }
@@ -553,7 +428,7 @@ const Relation& ViewCache::NodeRel(const View& view,
                                    std::size_t index) const {
   const View::Node& n = view.nodes[index];
   if (n.kind == View::Node::Kind::kBase) {
-    return *mirror_.at(n.relation_name);
+    return *mirror_.at(n.plan->expr->relation_name());
   }
   return *n.out;
 }
@@ -567,7 +442,7 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
     if (n.kind == View::Node::Kind::kBase) continue;
     // Fresh storage per rebuild: previously handed-out snapshots keep the
     // old relation alive, untouched.
-    n.out = std::make_shared<Relation>(n.scheme);
+    n.out = std::make_shared<Relation>(*n.plan->scheme);
     Relation& out = *n.out;
     switch (n.kind) {
       case View::Node::Kind::kBase:
@@ -601,15 +476,16 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
         const Relation& r = NodeRel(view, n.right);
         n.left_index.clear();
         n.right_index.clear();
+        const PhysicalNode& join = *n.plan;
         for (const Tuple& t : l) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/build"));
-          if (!PassesConds(t, n.local_left)) continue;
-          IndexInsert(n.left_index, t.Project(n.left_key), t);
+          if (!PassesSide(t, join, JoinCond::Role::kProbeFilter)) continue;
+          IndexInsert(n.left_index, t.Project(join.left_key), t);
         }
         for (const Tuple& t : r) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/build"));
-          if (!PassesConds(t, n.local_right)) continue;
-          IndexInsert(n.right_index, t.Project(n.right_key), t);
+          if (!PassesSide(t, join, JoinCond::Role::kBuildFilter)) continue;
+          IndexInsert(n.right_index, t.Project(join.right_key), t);
         }
         for (const auto& [key, lts] : n.left_index) {
           auto rit = n.right_index.find(key);
@@ -617,7 +493,7 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
           for (const Tuple& lt : lts) {
             for (const Tuple& rt : rit->second) {
               SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/probe"));
-              if (ResidualOk(n, lt, rt)) out.InsertValidated(lt.Concat(rt));
+              if (ResidualOk(join, lt, rt)) out.InsertValidated(lt.Concat(rt));
             }
           }
         }
@@ -628,7 +504,7 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
         out.Reserve(c.size());
         for (const Tuple& t : c) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/row"));
-          if (PassesConds(t, n.filter_conds)) out.InsertValidated(t);
+          if (PassesFilter(t, *n.plan)) out.InsertValidated(t);
         }
         break;
       }
@@ -637,7 +513,7 @@ Status ViewCache::RebuildView(View& view, ExecContext* ctx) {
         n.support.clear();
         for (const Tuple& t : c) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/rebuild/row"));
-          Tuple p = t.Project(n.proj);
+          Tuple p = t.Project(n.plan->cols);
           if (++n.support[p] == 1) out.InsertValidated(std::move(p));
         }
         break;
@@ -691,7 +567,7 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
     SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/node"));
     switch (n.kind) {
       case View::Node::Kind::kBase: {
-        auto it = net.find(n.relation_name);
+        auto it = net.find(n.plan->expr->relation_name());
         if (it != net.end()) d = it->second;
         break;
       }
@@ -740,28 +616,29 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
       case View::Node::Kind::kJoin: {
         const NodeDelta& dl = deltas[n.left];
         const NodeDelta& dr = deltas[n.right];
+        const PhysicalNode& join = *n.plan;
         // Phase 1 — left delta against the *old* right index:
         // Δout = ΔL ⋈ R_old, maintaining the left index along the way.
         for (const Tuple& t : dl.removed) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_left)) continue;
-          Tuple key = t.Project(n.left_key);
+          if (!PassesSide(t, join, JoinCond::Role::kProbeFilter)) continue;
+          Tuple key = t.Project(join.left_key);
           auto rit = n.right_index.find(key);
           if (rit != n.right_index.end()) {
             for (const Tuple& rt : rit->second) {
-              if (ResidualOk(n, t, rt)) d.Remove(t.Concat(rt));
+              if (ResidualOk(join, t, rt)) d.Remove(t.Concat(rt));
             }
           }
           IndexErase(n.left_index, key, t);
         }
         for (const Tuple& t : dl.added) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_left)) continue;
-          Tuple key = t.Project(n.left_key);
+          if (!PassesSide(t, join, JoinCond::Role::kProbeFilter)) continue;
+          Tuple key = t.Project(join.left_key);
           auto rit = n.right_index.find(key);
           if (rit != n.right_index.end()) {
             for (const Tuple& rt : rit->second) {
-              if (ResidualOk(n, t, rt)) d.Add(t.Concat(rt));
+              if (ResidualOk(join, t, rt)) d.Add(t.Concat(rt));
             }
           }
           IndexInsert(n.left_index, std::move(key), t);
@@ -772,24 +649,24 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         // the new state — annihilate instead of double-reporting.
         for (const Tuple& t : dr.removed) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_right)) continue;
-          Tuple key = t.Project(n.right_key);
+          if (!PassesSide(t, join, JoinCond::Role::kBuildFilter)) continue;
+          Tuple key = t.Project(join.right_key);
           auto lit = n.left_index.find(key);
           if (lit != n.left_index.end()) {
             for (const Tuple& lt : lit->second) {
-              if (ResidualOk(n, lt, t)) d.Remove(lt.Concat(t));
+              if (ResidualOk(join, lt, t)) d.Remove(lt.Concat(t));
             }
           }
           IndexErase(n.right_index, key, t);
         }
         for (const Tuple& t : dr.added) {
           SETREC_RETURN_IF_ERROR(Probe(ctx, "incremental/refresh/probe"));
-          if (!PassesConds(t, n.local_right)) continue;
-          Tuple key = t.Project(n.right_key);
+          if (!PassesSide(t, join, JoinCond::Role::kBuildFilter)) continue;
+          Tuple key = t.Project(join.right_key);
           auto lit = n.left_index.find(key);
           if (lit != n.left_index.end()) {
             for (const Tuple& lt : lit->second) {
-              if (ResidualOk(n, lt, t)) d.Add(lt.Concat(t));
+              if (ResidualOk(join, lt, t)) d.Add(lt.Concat(t));
             }
           }
           IndexInsert(n.right_index, std::move(key), t);
@@ -799,10 +676,10 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
       case View::Node::Kind::kFilter: {
         const NodeDelta& dc = deltas[n.left];
         for (const Tuple& t : dc.added) {
-          if (PassesConds(t, n.filter_conds)) d.added.insert(t);
+          if (PassesFilter(t, *n.plan)) d.added.insert(t);
         }
         for (const Tuple& t : dc.removed) {
-          if (PassesConds(t, n.filter_conds)) d.removed.insert(t);
+          if (PassesFilter(t, *n.plan)) d.removed.insert(t);
         }
         break;
       }
@@ -812,8 +689,8 @@ Result<ViewCache::RefreshOutcome> ViewCache::PropagateView(View& view,
         // membership transitions, so a projection that loses one pre-image
         // and gains another emits no spurious delta.
         std::unordered_map<Tuple, std::int64_t, TupleHash> change;
-        for (const Tuple& t : dc.added) ++change[t.Project(n.proj)];
-        for (const Tuple& t : dc.removed) --change[t.Project(n.proj)];
+        for (const Tuple& t : dc.added) ++change[t.Project(n.plan->cols)];
+        for (const Tuple& t : dc.removed) --change[t.Project(n.plan->cols)];
         for (auto& [p, c] : change) {
           if (c == 0) continue;
           auto sit = n.support.find(p);

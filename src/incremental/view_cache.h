@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/expression.h"
+#include "relational/plan.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
 
@@ -72,7 +73,7 @@ struct ViewCacheOptions {
 /// never mutates a relation a previous Read() handed out (copy-on-write).
 class ViewCache : public DeltaSink {
  public:
-  /// Implementation detail (a registered view's compiled plan plus memo
+  /// Implementation detail (a registered view's lowered plan plus delta
   /// state), defined in the .cc; public only so file-local helpers there
   /// can name its nested types.
   struct View;
@@ -172,7 +173,8 @@ class ViewCache : public DeltaSink {
   Status RegisterLocked(std::string name, ExprPtr expr, bool evict_for_room);
   Result<std::shared_ptr<const Relation>> ReadLocked(std::string_view name,
                                                      ExecContext* ctx);
-  Result<std::size_t> BuildNode(View& view, const ExprPtr& expr);
+  /// Maps `plan` (and its operands) onto delta-state nodes of `view`.
+  std::size_t BuildNode(View& view, const PhysicalNode& plan);
   Status RebuildView(View& view, ExecContext* ctx);
   /// Propagates the view's coalesced net delta through its plan. Non-OK =
   /// a governance stop from `ctx`; the view was left cold.

@@ -12,6 +12,7 @@
 #include "obs/json_escape.h"
 #include "objrel/encoding.h"
 #include "relational/evaluator.h"
+#include "relational/plan.h"
 #include "sql/engine.h"
 
 namespace setrec {
@@ -45,152 +46,88 @@ void AttachStats(
   node.backend = it->second.backend;
 }
 
-/// True when the node is a σ-chain whose bottom is a Cartesian product —
-/// exactly the shape the evaluator fuses into a hash join.
-bool IsJoinChain(const Expr& expr) {
-  if (expr.op() != Expr::Op::kSelectEq && expr.op() != Expr::Op::kSelectNeq) {
-    return false;
-  }
-  const Expr* node = &expr;
-  while (node->op() == Expr::Op::kSelectEq ||
-         node->op() == Expr::Op::kSelectNeq) {
-    node = node->child().get();
-  }
-  return node->op() == Expr::Op::kProduct;
-}
-
-Result<PlanNode> BuildPlan(
-    const ExprPtr& expr, const Catalog& catalog,
-    const std::unordered_map<const Expr*, EvalNodeStats>* stats);
-
-/// Renders the fused hash join for a σ-chain over a product, classifying
-/// the chain's conditions exactly as the evaluator does: cross equalities
-/// are hash keys, per-side conditions are build/probe filters, and cross
-/// non-equalities are residual filters applied per match.
-Result<PlanNode> BuildJoinPlan(
-    const ExprPtr& top, const Catalog& catalog,
+/// Renders one plan node and its operands. The tree is the lowered plan the
+/// engines execute, not the raw syntax tree: a σ-chain over a product
+/// renders as its single HashJoin, each condition in the role the lowering
+/// gave it — cross equalities are hash keys, per-side conditions are
+/// build/probe filters, and cross non-equalities are residual filters.
+PlanNode BuildPlan(
+    const PhysicalNode& n,
     const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  struct Condition {
-    bool equal;
-    std::string a, b;
-  };
-  std::vector<Condition> conditions;
-  const Expr* node = top.get();
-  while (node->op() == Expr::Op::kSelectEq ||
-         node->op() == Expr::Op::kSelectNeq) {
-    conditions.push_back(Condition{node->op() == Expr::Op::kSelectEq,
-                                   node->attr_a(), node->attr_b()});
-    node = node->child().get();
-  }
-  SETREC_ASSIGN_OR_RETURN(RelationScheme left_scheme,
-                          InferScheme(*node->left(), catalog));
-  SETREC_ASSIGN_OR_RETURN(RelationScheme scheme, InferScheme(*top, catalog));
-
-  std::string keys, left_filters, right_filters, residual;
-  auto append = [](std::string& to, const Condition& c) {
-    if (!to.empty()) to += ", ";
-    to += c.a + (c.equal ? "=" : "≠") + c.b;
-  };
-  for (const Condition& c : conditions) {
-    const bool a_left = left_scheme.HasAttribute(c.a);
-    const bool b_left = left_scheme.HasAttribute(c.b);
-    if (a_left && b_left) {
-      append(left_filters, c);
-    } else if (!a_left && !b_left) {
-      append(right_filters, c);
-    } else if (c.equal) {
-      append(keys, c);
-    } else {
-      append(residual, c);
-    }
-  }
-
-  PlanNode join;
-  join.op = "HashJoin";
-  join.detail = "keys: " + (keys.empty() ? std::string("none (cross)") : keys);
-  if (!left_filters.empty()) join.detail += "; probe filter: " + left_filters;
-  if (!right_filters.empty()) join.detail += "; build filter: " + right_filters;
-  if (!residual.empty()) join.detail += "; residual: " + residual;
-  join.scheme = RenderScheme(scheme);
-  // The evaluator records the whole chain's stats under the chain's top
-  // node; the collapsed operators in between never evaluate separately.
-  AttachStats(join, top.get(), stats);
-  SETREC_ASSIGN_OR_RETURN(PlanNode left, BuildPlan(node->left(), catalog, stats));
-  SETREC_ASSIGN_OR_RETURN(PlanNode right,
-                          BuildPlan(node->right(), catalog, stats));
-  join.children.push_back(std::move(left));
-  join.children.push_back(std::move(right));
-  return join;
-}
-
-Result<PlanNode> BuildPlan(
-    const ExprPtr& expr, const Catalog& catalog,
-    const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  if (IsJoinChain(*expr)) return BuildJoinPlan(expr, catalog, stats);
-
+  using Kind = PhysicalNode::Kind;
   PlanNode node;
-  SETREC_ASSIGN_OR_RETURN(RelationScheme scheme, InferScheme(*expr, catalog));
-  node.scheme = RenderScheme(scheme);
-  AttachStats(node, expr.get(), stats);
-  switch (expr->op()) {
-    case Expr::Op::kRelation:
-      node.op = "Scan " + expr->relation_name();
-      return node;
-    case Expr::Op::kUnion:
+  node.scheme = RenderScheme(*n.scheme);
+  // A fused join's stats are recorded under the chain's top node; the
+  // collapsed operators in between never evaluate separately.
+  AttachStats(node, n.expr, stats);
+  switch (n.kind) {
+    case Kind::kScan:
+      node.op = "Scan " + n.expr->relation_name();
+      break;
+    case Kind::kUnion:
       node.op = "Union";
       break;
-    case Expr::Op::kDifference:
+    case Kind::kDifference:
       node.op = "Difference";
       break;
-    case Expr::Op::kProduct: {
+    case Kind::kProduct:
       node.op = "Product";
-      for (const ExprPtr& side : {expr->left(), expr->right()}) {
-        if (side->op() == Expr::Op::kProject && side->projection().empty()) {
-          node.detail = "π∅-guarded";  // evaluator skips the other side
-          break;                       // when the guard side is empty
-        }
-      }
+      // The engines skip the other side when the guard side is empty.
+      if (n.guard != PhysicalNode::Guard::kNone) node.detail = "π∅-guarded";
       break;
-    }
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq: {
+    case Kind::kSelect:
       node.op = "Select";
-      node.detail = expr->attr_a() +
-                    (expr->op() == Expr::Op::kSelectEq ? "=" : "≠") +
-                    expr->attr_b();
+      node.detail =
+          n.expr->attr_a() + (n.equal ? "=" : "≠") + n.expr->attr_b();
       break;
-    }
-    case Expr::Op::kProject: {
+    case Kind::kProject:
       node.op = "Project";
-      if (expr->projection().empty()) {
-        node.detail = "∅";
-      } else {
-        for (const std::string& a : expr->projection()) {
-          if (!node.detail.empty()) node.detail += ", ";
-          node.detail += a;
-        }
+      for (const std::string& a : n.expr->projection()) {
+        if (!node.detail.empty()) node.detail += ", ";
+        node.detail += a;
       }
+      if (node.detail.empty()) node.detail = "∅";
+      break;
+    case Kind::kRename:
+      node.op = "Rename";
+      node.detail = n.expr->rename_from() + "→" + n.expr->rename_to();
+      break;
+    case Kind::kJoin: {
+      std::string keys, probe_filters, build_filters, residual;
+      for (const JoinCond& c : n.conds) {
+        std::string& to = c.role == JoinCond::Role::kKey ? keys
+                          : c.role == JoinCond::Role::kProbeFilter
+                              ? probe_filters
+                          : c.role == JoinCond::Role::kBuildFilter
+                              ? build_filters
+                              : residual;
+        if (!to.empty()) to += ", ";
+        to += std::string(c.a) + (c.equal ? "=" : "≠") + std::string(c.b);
+      }
+      node.op = "HashJoin";
+      node.detail =
+          "keys: " + (keys.empty() ? std::string("none (cross)") : keys);
+      if (!probe_filters.empty()) {
+        node.detail += "; probe filter: " + probe_filters;
+      }
+      if (!build_filters.empty()) {
+        node.detail += "; build filter: " + build_filters;
+      }
+      if (!residual.empty()) node.detail += "; residual: " + residual;
       break;
     }
-    case Expr::Op::kRename:
-      node.op = "Rename";
-      node.detail = expr->rename_from() + "→" + expr->rename_to();
-      break;
   }
-  if (expr->op() == Expr::Op::kUnion || expr->op() == Expr::Op::kDifference ||
-      expr->op() == Expr::Op::kProduct) {
-    SETREC_ASSIGN_OR_RETURN(PlanNode left,
-                            BuildPlan(expr->left(), catalog, stats));
-    SETREC_ASSIGN_OR_RETURN(PlanNode right,
-                            BuildPlan(expr->right(), catalog, stats));
-    node.children.push_back(std::move(left));
-    node.children.push_back(std::move(right));
-  } else {
-    SETREC_ASSIGN_OR_RETURN(PlanNode child,
-                            BuildPlan(expr->child(), catalog, stats));
-    node.children.push_back(std::move(child));
-  }
+  if (n.left != nullptr) node.children.push_back(BuildPlan(*n.left, stats));
+  if (n.right != nullptr) node.children.push_back(BuildPlan(*n.right, stats));
   return node;
+}
+
+/// Lowers `expr` (type errors surface here) and renders the result.
+Result<PlanNode> RenderExpr(
+    PhysicalPlan& lowering, const Expr& expr,
+    const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
+  SETREC_ASSIGN_OR_RETURN(const PhysicalNode* root, lowering.Lower(expr));
+  return BuildPlan(*root, stats);
 }
 
 std::string FormatNs(std::uint64_t ns) {
@@ -243,17 +180,6 @@ void NodeToJson(const PlanNode& node, std::ostream& out) {
     NodeToJson(node.children[i], out);
   }
   out << "]}";
-}
-
-/// A catalog over the database's actual relations (ANALYZE type-checks
-/// against the data it ran on, not a separate schema).
-Catalog DatabaseCatalog(const Database& database) {
-  Catalog catalog;
-  for (const std::string& name : database.Names()) {
-    Result<const Relation*> rel = database.Find(name);
-    if (rel.ok()) (void)catalog.AddRelation(name, (*rel)->scheme());
-  }
-  return catalog;
 }
 
 std::uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
@@ -328,7 +254,8 @@ Result<ExplainPlan> ExplainExpression(const ExprPtr& expr,
                                       const Catalog& catalog) {
   ExplainPlan plan;
   plan.title = "EXPLAIN: " + ExprToString(*expr);
-  SETREC_ASSIGN_OR_RETURN(PlanNode root, BuildPlan(expr, catalog, nullptr));
+  PhysicalPlan lowering(catalog);
+  SETREC_ASSIGN_OR_RETURN(PlanNode root, RenderExpr(lowering, *expr, nullptr));
   plan.roots.push_back(std::move(root));
   return plan;
 }
@@ -346,11 +273,12 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
   evaluator.set_node_stats(&stats);
   SETREC_RETURN_IF_ERROR(evaluator.Eval(expr).status());
 
-  const Catalog catalog = DatabaseCatalog(database);
+  // ANALYZE types the plan against the data it ran on.
+  PhysicalPlan lowering(database);
   ExplainPlan plan;
   plan.title = "EXPLAIN ANALYZE: " + ExprToString(*expr);
   plan.analyzed = true;
-  SETREC_ASSIGN_OR_RETURN(PlanNode root, BuildPlan(expr, catalog, &stats));
+  SETREC_ASSIGN_OR_RETURN(PlanNode root, RenderExpr(lowering, *expr, &stats));
   plan.roots.push_back(std::move(root));
   plan.counters = LogicalCounters(*scope.ctx().metrics());
   return plan;
@@ -424,9 +352,10 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
   PlanNode phase1;
   phase1.op = "ReceiverQuery";
   phase1.detail = "phase 1: evaluated against the pre-statement state";
+  PhysicalPlan lowering(catalog);
   SETREC_ASSIGN_OR_RETURN(
       PlanNode query_plan,
-      BuildPlan(receiver_query, catalog, analyze ? &stats : nullptr));
+      RenderExpr(lowering, *receiver_query, analyze ? &stats : nullptr));
   phase1.scheme = query_plan.scheme;
   if (analyze) {
     phase1.analyzed = query_plan.analyzed;
@@ -481,6 +410,7 @@ Result<ExplainPlan> ExplainParallelApply(const AlgebraicUpdateMethod& method,
     }
   }
 
+  PhysicalPlan lowering(catalog);
   for (std::size_t i = 0; i < pipelines.size(); ++i) {
     PlanNode root;
     root.op = "ParStatement";
@@ -489,7 +419,7 @@ Result<ExplainPlan> ExplainParallelApply(const AlgebraicUpdateMethod& method,
         " := par(E)";
     SETREC_ASSIGN_OR_RETURN(
         PlanNode body,
-        BuildPlan(pipelines[i], catalog, analyze ? &stats : nullptr));
+        RenderExpr(lowering, *pipelines[i], analyze ? &stats : nullptr));
     root.scheme = body.scheme;
     if (analyze) {
       root.analyzed = body.analyzed;

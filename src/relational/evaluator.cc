@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -12,37 +11,16 @@ namespace setrec {
 
 Evaluator::Evaluator(const Database* database, ExecContext& ctx,
                      ThreadPool* pool)
-    : database_(database), ctx_(&ctx), pool_(pool) {}
+    : database_(database), plan_(*database), ctx_(&ctx), pool_(pool) {}
 
 Evaluator::Evaluator(const Database* database, const ExecOptions& options)
-    : database_(database), scope_(std::in_place, options) {
+    : database_(database), plan_(*database), scope_(std::in_place, options) {
   ctx_ = &scope_->ctx();
   pool_ = options.pool;
   backend_ = options.backend;
 }
 
 Evaluator::~Evaluator() = default;
-
-namespace {
-
-/// Arity of a product/join output, for per-tuple memory accounting.
-std::size_t out_arity(const Relation& l, const Relation& r) {
-  return l.scheme().arity() + r.scheme().arity();
-}
-
-}  // namespace
-
-Result<const Catalog*> Evaluator::DatabaseCatalog() {
-  if (!catalog_.has_value()) {
-    Catalog catalog;
-    for (const std::string& name : database_->Names()) {
-      SETREC_ASSIGN_OR_RETURN(const Relation* rel, database_->Find(name));
-      SETREC_RETURN_IF_ERROR(catalog.AddRelation(name, rel->scheme()));
-    }
-    catalog_ = std::move(catalog);
-  }
-  return &*catalog_;
-}
 
 Result<Relation> Evaluator::Eval(const ExprPtr& expr) {
   // Compatibility wrapper: one copy out of the shared memo, for callers
@@ -57,7 +35,7 @@ bool Evaluator::UseVectorized(const Expr& expr) {
     case ExecBackend::kInterpreter:
       return false;
     case ExecBackend::kVectorized:
-      return vectorized::Covers(expr);
+      return true;
     case ExecBackend::kAuto:
       break;
   }
@@ -71,7 +49,7 @@ bool Evaluator::UseVectorized(const Expr& expr) {
         !parallel && vectorized::EstimatedInputRows(expr, *database_) >=
                          kAutoVectorizeInputRows;
   }
-  return *auto_vectorize_ && vectorized::Covers(expr);
+  return *auto_vectorize_;
 }
 
 Result<std::shared_ptr<const Relation>> Evaluator::EvalShared(
@@ -82,63 +60,65 @@ Result<std::shared_ptr<const Relation>> Evaluator::EvalShared(
     }
     return engine_->Execute(expr, node_stats_);
   }
-  auto it = cache_.find(expr.get());
+  // Type errors surface here, before any budget is charged.
+  SETREC_ASSIGN_OR_RETURN(const PhysicalNode* node, plan_.LowerRoot(expr));
+  return EvalNode(*node);
+}
+
+Result<std::shared_ptr<const Relation>> Evaluator::EvalNode(
+    const PhysicalNode& node) {
+  const Expr* key = node.expr;
+  auto it = cache_.find(key);
   if (it != cache_.end()) {
-    if (node_stats_ != nullptr) ++(*node_stats_)[expr.get()].cache_hits;
+    if (node_stats_ != nullptr) ++(*node_stats_)[key].cache_hits;
     return it->second;
   }
   if (node_stats_ == nullptr) {
     SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> result,
-                            EvalSharedUncached(*expr));
-    cache_.emplace(expr.get(), result);
+                            EvalSharedUncached(node));
+    cache_.emplace(key, result);
     return result;
   }
   const auto start = std::chrono::steady_clock::now();
-  Result<std::shared_ptr<const Relation>> result = EvalSharedUncached(*expr);
+  Result<std::shared_ptr<const Relation>> result = EvalSharedUncached(node);
   // Children evaluated inside EvalUncached already charged their own spans;
   // wall_ns is inclusive by design (EXPLAIN ANALYZE renders a tree, so the
   // reader sees child times indented under it).
-  (*node_stats_)[expr.get()].wall_ns += static_cast<std::uint64_t>(
+  (*node_stats_)[key].wall_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
   if (!result.ok()) return result;
-  (*node_stats_)[expr.get()].rows = (*result)->size();
-  cache_.emplace(expr.get(), *result);
+  (*node_stats_)[key].rows = (*result)->size();
+  cache_.emplace(key, *result);
   return result;
 }
 
 Result<std::shared_ptr<const Relation>> Evaluator::EvalSharedUncached(
-    const Expr& expr) {
-  if (expr.op() == Expr::Op::kRelation) {
+    const PhysicalNode& node) {
+  if (node.kind == PhysicalNode::Kind::kScan) {
     // Leaf: alias the Database's shared storage — no copy at all.
-    return database_->FindShared(expr.relation_name());
+    return database_->FindShared(node.expr->relation_name());
   }
-  SETREC_ASSIGN_OR_RETURN(Relation out, EvalUncached(expr));
+  SETREC_ASSIGN_OR_RETURN(Relation out, EvalUncached(node));
   return std::make_shared<const Relation>(std::move(out));
 }
 
-Result<Relation> Evaluator::EvalUncached(const Expr& expr) {
-  switch (expr.op()) {
-    case Expr::Op::kRelation: {
-      SETREC_ASSIGN_OR_RETURN(const Relation* rel,
-                              database_->Find(expr.relation_name()));
-      return *rel;
-    }
-    case Expr::Op::kUnion:
-    case Expr::Op::kDifference: {
+Result<Relation> Evaluator::EvalUncached(const PhysicalNode& node) {
+  using Kind = PhysicalNode::Kind;
+  switch (node.kind) {
+    case Kind::kScan:
+      break;  // EvalSharedUncached aliases the stored relation
+    case Kind::kUnion:
+    case Kind::kDifference: {
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> lp,
-                              EvalShared(expr.left()));
+                              EvalNode(*node.left));
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rp,
-                              EvalShared(expr.right()));
+                              EvalNode(*node.right));
       const Relation& l = *lp;
       const Relation& r = *rp;
-      if (!(l.scheme() == r.scheme())) {
-        return Status::InvalidArgument(
-            "union/difference operands must have identical schemes");
-      }
-      Relation out(l.scheme());
-      if (expr.op() == Expr::Op::kUnion) {
+      Relation out(*node.scheme);
+      if (node.kind == Kind::kUnion) {
         out.Reserve(l.size() + r.size());
         for (const Tuple& t : l) out.InsertValidated(t);
         for (const Tuple& t : r) out.InsertValidated(t);
@@ -150,50 +130,29 @@ Result<Relation> Evaluator::EvalUncached(const Expr& expr) {
       }
       return out;
     }
-    case Expr::Op::kProduct: {
+    case Kind::kProduct: {
       // Guard short-circuit: products with a nullary factor implement the
       // paper's if-then-else encoding (E × π_∅(...)). When the guard side
       // evaluates empty, the data of the other side is irrelevant — only
-      // its scheme is needed, which the type-only path derives without
-      // touching tuples.
-      for (bool guard_on_left : {true, false}) {
-        const ExprPtr& guard_ptr =
-            guard_on_left ? expr.left() : expr.right();
-        const ExprPtr& other_ptr =
-            guard_on_left ? expr.right() : expr.left();
-        if (guard_ptr->op() != Expr::Op::kProject ||
-            !guard_ptr->projection().empty()) {
-          continue;
-        }
-        SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> guard,
-                                EvalShared(guard_ptr));
-        if (!guard->empty()) break;  // no saving; fall through to full eval
-        SETREC_ASSIGN_OR_RETURN(const Catalog* catalog, DatabaseCatalog());
-        SETREC_ASSIGN_OR_RETURN(RelationScheme other_scheme,
-                                InferScheme(*other_ptr, *catalog));
-        return Relation(std::move(other_scheme));
+      // its scheme is needed, and the plan has resolved it already.
+      if (node.guard != PhysicalNode::Guard::kNone) {
+        SETREC_ASSIGN_OR_RETURN(
+            std::shared_ptr<const Relation> guard,
+            EvalNode(node.guard == PhysicalNode::Guard::kLeft ? *node.left
+                                                              : *node.right));
+        if (guard->empty()) return Relation(*node.scheme);
       }
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> lp,
-                              EvalShared(expr.left()));
+                              EvalNode(*node.left));
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rp,
-                              EvalShared(expr.right()));
+                              EvalNode(*node.right));
       const Relation& l = *lp;
       const Relation& r = *rp;
-      std::vector<Attribute> attrs = l.scheme().attributes();
-      for (const Attribute& a : r.scheme().attributes()) {
-        if (l.scheme().HasAttribute(a.name)) {
-          return Status::InvalidArgument(
-              "product operands share attribute name " + a.name);
-        }
-        attrs.push_back(a);
-      }
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
       const std::uint64_t tuple_bytes =
-          static_cast<std::uint64_t>(out_arity(l, r)) * sizeof(ObjectId);
+          static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
       TraceSpan span = StartSpan(*ctx_, "evaluator/product");
       MetricsRegistry* metrics = ctx_->metrics();
-      Relation out(std::move(scheme));
+      Relation out(*node.scheme);
       for (const Tuple& lt : l) {
         for (const Tuple& rt : r) {
           SETREC_RETURN_IF_ERROR(ctx_->ChargeRows(1, "evaluator/product-row"));
@@ -205,158 +164,56 @@ Result<Relation> Evaluator::EvalUncached(const Expr& expr) {
       }
       return out;
     }
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq: {
-      // Fuse σ-chains over a product into a hash join when possible.
-      const Expr* bottom = &expr;
-      while (bottom->op() == Expr::Op::kSelectEq ||
-             bottom->op() == Expr::Op::kSelectNeq) {
-        bottom = bottom->child().get();
-      }
-      if (bottom->op() == Expr::Op::kProduct) {
-        return EvalSelectionChain(expr);
-      }
+    case Kind::kJoin:
+      return EvalSelectionChain(node);
+    case Kind::kSelect: {
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> cp,
-                              EvalShared(expr.child()));
-      const Relation& c = *cp;
-      SETREC_ASSIGN_OR_RETURN(std::size_t ia,
-                              c.scheme().IndexOf(expr.attr_a()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t ib,
-                              c.scheme().IndexOf(expr.attr_b()));
-      if (c.scheme().attribute(ia).domain != c.scheme().attribute(ib).domain) {
-        return Status::InvalidArgument(
-            "selection compares attributes of different domains");
-      }
-      const bool want_equal = expr.op() == Expr::Op::kSelectEq;
-      Relation out(c.scheme());
-      for (const Tuple& t : c) {
-        if ((t.at(ia) == t.at(ib)) == want_equal) {
+                              EvalNode(*node.left));
+      Relation out(*node.scheme);
+      for (const Tuple& t : *cp) {
+        if ((t.at(node.ia) == t.at(node.ib)) == node.equal) {
           out.InsertValidated(t);
         }
       }
       return out;
     }
-    case Expr::Op::kProject: {
+    case Kind::kProject: {
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> cp,
-                              EvalShared(expr.child()));
-      const Relation& c = *cp;
-      std::vector<std::size_t> indices;
-      std::vector<Attribute> attrs;
-      std::set<std::string> seen;
-      for (const std::string& name : expr.projection()) {
-        if (!seen.insert(name).second) {
-          return Status::InvalidArgument("duplicate projection attribute " +
-                                         name);
-        }
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, c.scheme().IndexOf(name));
-        indices.push_back(i);
-        attrs.push_back(c.scheme().attribute(i));
-      }
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      Relation out(std::move(scheme));
-      out.Reserve(c.size());
-      for (const Tuple& t : c) {
-        out.InsertValidated(t.Project(indices));
+                              EvalNode(*node.left));
+      Relation out(*node.scheme);
+      out.Reserve(cp->size());
+      for (const Tuple& t : *cp) {
+        out.InsertValidated(t.Project(node.cols));
       }
       return out;
     }
-    case Expr::Op::kRename: {
+    case Kind::kRename: {
       SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> cp,
-                              EvalShared(expr.child()));
-      const Relation& c = *cp;
-      SETREC_ASSIGN_OR_RETURN(std::size_t i,
-                              c.scheme().IndexOf(expr.rename_from()));
-      if (c.scheme().HasAttribute(expr.rename_to())) {
-        return Status::InvalidArgument("rename target attribute " +
-                                       expr.rename_to() + " already present");
-      }
-      std::vector<Attribute> attrs = c.scheme().attributes();
-      attrs[i].name = expr.rename_to();
-      SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                              RelationScheme::Make(std::move(attrs)));
-      Relation out(std::move(scheme));
-      out.Reserve(c.size());
-      for (const Tuple& t : c) out.InsertValidated(t);
+                              EvalNode(*node.left));
+      Relation out(*node.scheme);
+      out.Reserve(cp->size());
+      for (const Tuple& t : *cp) out.InsertValidated(t);
       return out;
     }
   }
-  return Status::Internal("unknown expression operator");
+  return Status::Internal("unknown plan operator");
 }
 
-Result<Relation> Evaluator::EvalSelectionChain(const Expr& top) {
+Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
   TraceSpan join_span = StartSpan(*ctx_, "evaluator/join");
-  // Collect the selection conditions down to the product.
-  struct Condition {
-    bool equal;
-    std::string a;
-    std::string b;
-  };
-  std::vector<Condition> conditions;
-  const Expr* node = &top;
-  while (node->op() == Expr::Op::kSelectEq ||
-         node->op() == Expr::Op::kSelectNeq) {
-    conditions.push_back(Condition{node->op() == Expr::Op::kSelectEq,
-                                   node->attr_a(), node->attr_b()});
-    node = node->child().get();
-  }
   SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> left_ptr,
-                          EvalShared(node->left()));
+                          EvalNode(*node.left));
   SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> right_ptr,
-                          EvalShared(node->right()));
+                          EvalNode(*node.right));
   const Relation& left = *left_ptr;
   const Relation& right = *right_ptr;
 
-  // Output scheme = product scheme.
-  std::vector<Attribute> attrs = left.scheme().attributes();
-  for (const Attribute& a : right.scheme().attributes()) {
-    if (left.scheme().HasAttribute(a.name)) {
-      return Status::InvalidArgument("product operands share attribute name " +
-                                     a.name);
-    }
-    attrs.push_back(a);
-  }
-  SETREC_ASSIGN_OR_RETURN(RelationScheme scheme,
-                          RelationScheme::Make(std::move(attrs)));
-
-  // Classify conditions: per-side filters, cross equalities (join keys),
-  // cross non-equalities (residual filters).
-  const std::size_t lw = left.scheme().arity();
-  struct Resolved {
-    bool equal;
-    bool a_left, b_left;
-    std::size_t ia, ib;  // indices local to their side
-  };
-  std::vector<Resolved> local_left, local_right, cross;
-  std::vector<std::pair<std::size_t, std::size_t>> join_keys;  // (l, r)
-  for (const Condition& c : conditions) {
-    SETREC_ASSIGN_OR_RETURN(std::size_t ga, scheme.IndexOf(c.a));
-    SETREC_ASSIGN_OR_RETURN(std::size_t gb, scheme.IndexOf(c.b));
-    if (scheme.attribute(ga).domain != scheme.attribute(gb).domain) {
-      return Status::InvalidArgument(
-          "selection compares attributes of different domains");
-    }
-    Resolved r;
-    r.equal = c.equal;
-    r.a_left = ga < lw;
-    r.b_left = gb < lw;
-    r.ia = r.a_left ? ga : ga - lw;
-    r.ib = r.b_left ? gb : gb - lw;
-    if (r.a_left && r.b_left) {
-      local_left.push_back(r);
-    } else if (!r.a_left && !r.b_left) {
-      local_right.push_back(r);
-    } else if (r.equal) {
-      // Normalize to (left index, right index).
-      join_keys.emplace_back(r.a_left ? r.ia : r.ib, r.a_left ? r.ib : r.ia);
-    } else {
-      cross.push_back(r);
-    }
-  }
-
-  auto passes_local = [](const Tuple& t, const std::vector<Resolved>& cs) {
-    for (const Resolved& c : cs) {
-      if ((t.at(c.ia) == t.at(c.ib)) != c.equal) return false;
+  // Per-side filters, in the roles the plan classified.
+  auto passes = [&node](const Tuple& t, JoinCond::Role side) {
+    for (const JoinCond& c : node.conds) {
+      if (c.role == side && (t.at(c.ia) == t.at(c.ib)) != c.equal) {
+        return false;
+      }
     }
     return true;
   };
@@ -366,41 +223,37 @@ Result<Relation> Evaluator::EvalSelectionChain(const Expr& top) {
   {
     TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
     index.reserve(right.size());
-    std::vector<std::size_t> right_key;
-    right_key.reserve(join_keys.size());
-    for (const auto& [l, r] : join_keys) right_key.push_back(r);
     std::uint64_t built = 0;
     for (const Tuple& t : right) {
-      if (!passes_local(t, local_right)) continue;
-      index[t.Project(right_key)].push_back(&t);
+      if (!passes(t, JoinCond::Role::kBuildFilter)) continue;
+      index[t.Project(node.right_key)].push_back(&t);
       ++built;
     }
     if (ctx_->metrics() != nullptr) {
       ctx_->metrics()->engine.eval_join_build_rows.Add(built);
     }
-    if (node_stats_ != nullptr) (*node_stats_)[&top].build_rows += built;
+    if (node_stats_ != nullptr) {
+      (*node_stats_)[node.expr].build_rows += built;
+    }
   }
 
-  std::vector<std::size_t> left_key;
-  left_key.reserve(join_keys.size());
-  for (const auto& [l, r] : join_keys) left_key.push_back(l);
-
   const std::uint64_t tuple_bytes =
-      static_cast<std::uint64_t>(out_arity(left, right)) * sizeof(ObjectId);
+      static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
 
   // Probes one left tuple against the index, appending matches to `rows`
   // and charging `ctx`. Shared by the sequential and partitioned paths.
   auto probe_one = [&](const Tuple& lt, ExecContext& ctx,
                        std::vector<Tuple>& rows) -> Status {
-    if (!passes_local(lt, local_left)) return Status::OK();
-    auto it = index.find(lt.Project(left_key));
+    if (!passes(lt, JoinCond::Role::kProbeFilter)) return Status::OK();
+    auto it = index.find(lt.Project(node.left_key));
     if (it == index.end()) return Status::OK();
     for (const Tuple* rt : it->second) {
       SETREC_RETURN_IF_ERROR(ctx.ChargeRows(1, "evaluator/join-row"));
       SETREC_RETURN_IF_ERROR(
           ctx.ChargeMemory(tuple_bytes, "evaluator/join-row"));
       bool ok = true;
-      for (const Resolved& c : cross) {
+      for (const JoinCond& c : node.conds) {
+        if (c.role != JoinCond::Role::kResidual) continue;
         const ObjectId va = c.a_left ? lt.at(c.ia) : rt->at(c.ia);
         const ObjectId vb = c.b_left ? lt.at(c.ib) : rt->at(c.ib);
         if ((va == vb) != c.equal) {
@@ -416,14 +269,16 @@ Result<Relation> Evaluator::EvalSelectionChain(const Expr& top) {
     return Status::OK();
   };
 
-  Relation out(std::move(scheme));
+  Relation out(*node.scheme);
   TraceSpan probe_span = StartSpan(*ctx_, "evaluator/join-probe");
   // Probes are counted as probe-side tuples, not per-partition work items,
   // so the counter is identical at any worker count.
   if (ctx_->metrics() != nullptr) {
     ctx_->metrics()->engine.eval_join_probes.Add(left.size());
   }
-  if (node_stats_ != nullptr) (*node_stats_)[&top].probe_rows += left.size();
+  if (node_stats_ != nullptr) {
+    (*node_stats_)[node.expr].probe_rows += left.size();
+  }
   const bool partitioned = pool_ != nullptr && pool_->num_workers() > 1 &&
                            left.size() >= kParallelProbeThreshold &&
                            !index.empty();

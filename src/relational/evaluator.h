@@ -10,6 +10,7 @@
 #include "core/exec_options.h"
 #include "core/thread_pool.h"
 #include "relational/expression.h"
+#include "relational/plan.h"
 #include "relational/relation.h"
 
 namespace setrec {
@@ -80,8 +81,9 @@ class Evaluator {
   // member is incomplete here.
   ~Evaluator();
 
-  /// Evaluates `expr`. Scheme checks are performed on the fly against the
-  /// actual relations, so a standalone catalog is not required here.
+  /// Evaluates `expr`. Its schemes are checked by lowering it against the
+  /// bound database's relations (relational/plan.h), once per root and
+  /// before any budget is charged, so a standalone catalog is not required.
   /// Returns a copy of the memoized result; callers that only read should
   /// prefer EvalShared.
   Result<Relation> Eval(const ExprPtr& expr);
@@ -110,40 +112,35 @@ class Evaluator {
   ExecBackend backend() const { return backend_; }
 
  private:
-  Result<Relation> EvalUncached(const Expr& expr);
-  Result<std::shared_ptr<const Relation>> EvalSharedUncached(const Expr& expr);
+  /// The memoized evaluation of one plan node, keyed by its expression.
+  Result<std::shared_ptr<const Relation>> EvalNode(const PhysicalNode& node);
+  Result<std::shared_ptr<const Relation>> EvalSharedUncached(
+      const PhysicalNode& node);
+  Result<Relation> EvalUncached(const PhysicalNode& node);
 
-  /// Join fusion: evaluates a chain of selections over a Cartesian product
-  /// as a hash join instead of materializing the product. The paper's
-  /// expressions are built almost exclusively from theta-joins
-  /// (σ_{aθb}(l × r)), and the par(E) rewriting joins receiver-dependent
-  /// operands on self, so without fusion intermediate results grow with the
-  /// square of the receiver-set size.
-  Result<Relation> EvalSelectionChain(const Expr& top);
-
-  /// A lazily built catalog over the bound database's relations, used for
-  /// type-only scheme inference (the guard short-circuit needs the scheme
-  /// of a subexpression whose data it can skip). Fails if any relation's
-  /// scheme cannot be registered (e.g. duplicate names with conflicting
-  /// schemes) instead of silently serving a partial catalog.
-  Result<const Catalog*> DatabaseCatalog();
+  /// Join fusion: evaluates a σ-chain over a Cartesian product as a hash
+  /// join instead of materializing the product. The paper's expressions
+  /// are built almost exclusively from theta-joins (σ_{aθb}(l × r)), and the
+  /// par(E) rewriting joins receiver-dependent operands on self, so without
+  /// fusion intermediate results grow with the square of the receiver-set
+  /// size.
+  Result<Relation> EvalSelectionChain(const PhysicalNode& node);
 
   /// Whether `expr` should run on the compiled vectorized backend. Forced
-  /// backends answer directly (kVectorized still requires coverage); kAuto
-  /// latches its cost decision on the first call — a pool with real
-  /// parallelism keeps the interpreter (its partitioned probe would be
-  /// forfeited), otherwise vectorization wins once the referenced inputs
-  /// reach kAutoVectorizeInputRows.
+  /// backends answer directly; kAuto latches its cost decision on the first
+  /// call — a pool with real parallelism keeps the interpreter (its
+  /// partitioned probe would be forfeited), otherwise vectorization wins
+  /// once the referenced inputs reach kAutoVectorizeInputRows.
   bool UseVectorized(const Expr& expr);
 
   const Database* database_;
+  PhysicalPlan plan_;  // the interpreter's lowering; unused by the engine
   std::optional<ExecScope> scope_;
   ExecContext* ctx_ = nullptr;
   ThreadPool* pool_ = nullptr;
   ExecBackend backend_ = ExecBackend::kAuto;
   std::optional<bool> auto_vectorize_;  // kAuto decision, latched
   std::unique_ptr<vectorized::Engine> engine_;  // lazily built
-  std::optional<Catalog> catalog_;
   std::unordered_map<const Expr*, std::shared_ptr<const Relation>> cache_;
   std::unordered_map<const Expr*, EvalNodeStats>* node_stats_ = nullptr;
 };

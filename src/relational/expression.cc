@@ -88,85 +88,6 @@ std::vector<std::string> ReferencedRelations(const Expr& expr) {
   return {names.begin(), names.end()};
 }
 
-Result<RelationScheme> InferScheme(const Expr& expr, const Catalog& catalog) {
-  switch (expr.op()) {
-    case Expr::Op::kRelation: {
-      SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme,
-                              catalog.Find(expr.relation_name()));
-      return *scheme;
-    }
-    case Expr::Op::kUnion:
-    case Expr::Op::kDifference: {
-      SETREC_ASSIGN_OR_RETURN(RelationScheme l,
-                              InferScheme(*expr.left(), catalog));
-      SETREC_ASSIGN_OR_RETURN(RelationScheme r,
-                              InferScheme(*expr.right(), catalog));
-      if (!(l == r)) {
-        return Status::InvalidArgument(
-            "union/difference operands must have identical schemes");
-      }
-      return l;
-    }
-    case Expr::Op::kProduct: {
-      SETREC_ASSIGN_OR_RETURN(RelationScheme l,
-                              InferScheme(*expr.left(), catalog));
-      SETREC_ASSIGN_OR_RETURN(RelationScheme r,
-                              InferScheme(*expr.right(), catalog));
-      std::vector<Attribute> attrs = l.attributes();
-      for (const Attribute& a : r.attributes()) {
-        if (l.HasAttribute(a.name)) {
-          return Status::InvalidArgument(
-              "product operands share attribute name " + a.name +
-              "; rename first");
-        }
-        attrs.push_back(a);
-      }
-      return RelationScheme::Make(std::move(attrs));
-    }
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq: {
-      SETREC_ASSIGN_OR_RETURN(RelationScheme s,
-                              InferScheme(*expr.child(), catalog));
-      SETREC_ASSIGN_OR_RETURN(std::size_t ia, s.IndexOf(expr.attr_a()));
-      SETREC_ASSIGN_OR_RETURN(std::size_t ib, s.IndexOf(expr.attr_b()));
-      if (s.attribute(ia).domain != s.attribute(ib).domain) {
-        return Status::InvalidArgument(
-            "selection compares attributes of different domains: " +
-            expr.attr_a() + " vs " + expr.attr_b());
-      }
-      return s;
-    }
-    case Expr::Op::kProject: {
-      SETREC_ASSIGN_OR_RETURN(RelationScheme s,
-                              InferScheme(*expr.child(), catalog));
-      std::vector<Attribute> attrs;
-      std::set<std::string> seen;
-      for (const std::string& name : expr.projection()) {
-        if (!seen.insert(name).second) {
-          return Status::InvalidArgument("duplicate projection attribute " +
-                                         name);
-        }
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, s.IndexOf(name));
-        attrs.push_back(s.attribute(i));
-      }
-      return RelationScheme::Make(std::move(attrs));
-    }
-    case Expr::Op::kRename: {
-      SETREC_ASSIGN_OR_RETURN(RelationScheme s,
-                              InferScheme(*expr.child(), catalog));
-      SETREC_ASSIGN_OR_RETURN(std::size_t i, s.IndexOf(expr.rename_from()));
-      if (s.HasAttribute(expr.rename_to())) {
-        return Status::InvalidArgument("rename target attribute " +
-                                       expr.rename_to() + " already present");
-      }
-      std::vector<Attribute> attrs = s.attributes();
-      attrs[i].name = expr.rename_to();
-      return RelationScheme::Make(std::move(attrs));
-    }
-  }
-  return Status::Internal("unknown expression operator");
-}
-
 ExprPtr SubstituteRelation(const ExprPtr& expr, const std::string& name,
                            const ExprPtr& replacement) {
   switch (expr->op()) {

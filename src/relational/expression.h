@@ -33,8 +33,8 @@ class Expr {
     kRename,     // ρ_{from→to}(child)
   };
 
-  // Factories. These only assemble the tree; schemes are checked by
-  // InferScheme against a catalog.
+  // Factories. These only assemble the tree; schemes are checked when the
+  // tree is lowered (relational/plan.h).
   static ExprPtr Relation(std::string name);
   static ExprPtr Union(ExprPtr left, ExprPtr right);
   static ExprPtr Difference(ExprPtr left, ExprPtr right);
@@ -79,6 +79,8 @@ std::vector<std::string> ReferencedRelations(const Expr& expr);
 /// attribute names, selections need both attributes present with equal
 /// domains, projection needs distinct present attributes, renaming needs a
 /// present source and a fresh target (domains are preserved automatically).
+/// Returns the root scheme of the lowering (relational/plan.h), where the
+/// typing rules live.
 Result<RelationScheme> InferScheme(const Expr& expr, const Catalog& catalog);
 
 /// Replaces every reference to relation `name` by `replacement` (used by the

@@ -1,16 +1,18 @@
 #include "relational/schema.h"
 
-#include <set>
 #include <utility>
 
 namespace setrec {
 
 Result<RelationScheme> RelationScheme::Make(
     std::vector<Attribute> attributes) {
-  std::set<std::string_view> seen;
-  for (const Attribute& a : attributes) {
-    if (!seen.insert(a.name).second) {
-      return Status::InvalidArgument("duplicate attribute name: " + a.name);
+  // Schemes are narrow: a pairwise scan beats building a set.
+  for (std::size_t i = 0; i < attributes.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (attributes[j].name == attributes[i].name) {
+        return Status::InvalidArgument("duplicate attribute name: " +
+                                       attributes[i].name);
+      }
     }
   }
   RelationScheme scheme;

@@ -10,11 +10,23 @@ Tuple Tuple::Concat(const Tuple& other) const {
   return Tuple(std::move(out));
 }
 
-Tuple Tuple::Project(std::span<const std::size_t> indices) const {
+namespace {
+template <typename Index>
+std::vector<ObjectId> Pick(const std::vector<ObjectId>& values,
+                           std::span<const Index> indices) {
   std::vector<ObjectId> out;
   out.reserve(indices.size());
-  for (std::size_t i : indices) out.push_back(values_[i]);
-  return Tuple(std::move(out));
+  for (Index i : indices) out.push_back(values[i]);
+  return out;
+}
+}  // namespace
+
+Tuple Tuple::Project(std::span<const std::size_t> indices) const {
+  return Tuple(Pick(values_, indices));
+}
+
+Tuple Tuple::Project(std::span<const std::uint32_t> indices) const {
+  return Tuple(Pick(values_, indices));
 }
 
 }  // namespace setrec

@@ -32,6 +32,7 @@ class Tuple {
 
   /// Projection onto the given positional indices, in the given order.
   Tuple Project(std::span<const std::size_t> indices) const;
+  Tuple Project(std::span<const std::uint32_t> indices) const;
 
   friend auto operator<=>(const Tuple&, const Tuple&) = default;
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <unordered_set>
 
 #include "relational/vectorized/kernels.h"
@@ -15,10 +14,7 @@ namespace {
 
 using Op = Insn::Op;
 using Clock = std::chrono::steady_clock;
-
-bool IsGuardShaped(const Expr& e) {
-  return e.op() == Expr::Op::kProject && e.projection().empty();
-}
+using Kind = PhysicalNode::Kind;
 
 std::vector<std::uint32_t> AllColumns(std::size_t arity) {
   std::vector<std::uint32_t> cols(arity);
@@ -26,22 +22,41 @@ std::vector<std::uint32_t> AllColumns(std::size_t arity) {
   return cols;
 }
 
-/// Lowers one expression DAG into a flat program. The compiler walks the DAG
-/// in the interpreter's exact evaluation order and performs the same checks
-/// with the same error strings, so an ill-typed expression fails identically
-/// under either backend (the engine merely fails before charging budgets —
-/// the documented divergence). Every repeated reference to a node becomes a
-/// kMemoLoad, never a raw register reuse: a register defined inside a block
-/// that an enclosing memo hit skipped would be stale, while the memo is
-/// guaranteed populated for every non-conditional node emitted earlier.
+/// The instruction that materializes a plan node of `kind`.
+Op MaterializerOf(Kind kind) {
+  switch (kind) {
+    case Kind::kScan:
+      return Op::kLoad;
+    case Kind::kUnion:
+      return Op::kUnion;
+    case Kind::kDifference:
+      return Op::kDifference;
+    case Kind::kProduct:
+      return Op::kProduct;
+    case Kind::kSelect:
+      return Op::kSelect;
+    case Kind::kProject:
+      return Op::kProject;
+    case Kind::kRename:
+      return Op::kRename;
+    case Kind::kJoin:
+      return Op::kHashJoin;
+  }
+  return Op::kLoad;
+}
+
+/// Flattens one lowered plan into a program. The compiler walks the plan in
+/// the interpreter's exact evaluation order. Every repeated reference to a
+/// node becomes a kMemoLoad, never a raw register reuse: a register defined
+/// inside a block that an enclosing memo hit skipped would be stale, while
+/// the memo is guaranteed populated for every non-conditional node emitted
+/// earlier.
 class Compiler {
  public:
-  explicit Compiler(const Database* database) : database_(database) {}
-
-  Result<Program> Compile(const ExprPtr& root) {
-    SETREC_RETURN_IF_ERROR(Emit(root).status());
+  Program Compile(const PhysicalNode& root) {
+    Emit(root);
     Program program;
-    program.root = root;
+    program.root = root.expr;
     program.code = std::move(code_);
     program.num_regs = num_regs_;
     return program;
@@ -51,171 +66,37 @@ class Compiler {
   std::uint32_t NewReg() { return num_regs_++; }
 
   std::size_t Push(Insn in) {
-    code_.push_back(std::move(in));
+    code_.push_back(in);
     return code_.size() - 1;
   }
 
-  /// Emits the block computing `e` and returns its result register. The
-  /// node's scheme is recorded in schemes_ as a side effect.
-  Result<std::uint32_t> Emit(const ExprPtr& e) {
-    const Expr* n = e.get();
-    if (available_.contains(n)) {
+  /// Emits the block computing `n` and returns its result register.
+  std::uint32_t Emit(const PhysicalNode& n) {
+    if (available_.contains(&n)) {
       // Already computed unconditionally earlier in this program: at
       // runtime the memo provably holds it (a skipped ancestor implies the
       // ancestor's own memo hit, which implies this entry was stored on the
       // run that populated the ancestor). Mirrors an interpreter cache hit.
-      Insn load;
-      load.op = Op::kMemoLoad;
-      load.origin = n;
-      load.dst = NewReg();
-      const std::uint32_t reg = load.dst;
-      Push(std::move(load));
+      const std::uint32_t reg = NewReg();
+      Push(Insn{.op = Op::kMemoLoad, .node = &n, .dst = reg});
       return reg;
     }
     const std::uint32_t reg = NewReg();
-    Insn check;
-    check.op = Op::kMemoCheck;
-    check.origin = n;
-    check.dst = reg;
-    const std::size_t check_idx = Push(std::move(check));
-    RelationScheme scheme;
-    switch (n->op()) {
-      case Expr::Op::kRelation: {
-        SETREC_ASSIGN_OR_RETURN(const Relation* rel,
-                                database_->Find(n->relation_name()));
-        scheme = rel->scheme();
-        Insn in;
-        in.op = Op::kLoad;
-        in.origin = n;
-        in.dst = reg;
-        in.name = n->relation_name();
-        in.scheme = scheme;
-        Push(std::move(in));
-        break;
-      }
-      case Expr::Op::kUnion:
-      case Expr::Op::kDifference: {
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t l, Emit(n->left()));
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t r, Emit(n->right()));
-        const RelationScheme& ls = schemes_.at(n->left().get());
-        const RelationScheme& rs = schemes_.at(n->right().get());
-        if (!(ls == rs)) {
-          return Status::InvalidArgument(
-              "union/difference operands must have identical schemes");
-        }
-        scheme = ls;
-        Insn in;
-        in.op = n->op() == Expr::Op::kUnion ? Op::kUnion : Op::kDifference;
-        in.origin = n;
-        in.dst = reg;
-        in.a = l;
-        in.b = r;
-        in.scheme = scheme;
-        Push(std::move(in));
-        break;
-      }
-      case Expr::Op::kProduct: {
-        SETREC_ASSIGN_OR_RETURN(scheme, EmitProduct(e, reg));
-        break;
-      }
-      case Expr::Op::kSelectEq:
-      case Expr::Op::kSelectNeq: {
-        const Expr* bottom = n;
-        while (bottom->op() == Expr::Op::kSelectEq ||
-               bottom->op() == Expr::Op::kSelectNeq) {
-          bottom = bottom->child().get();
-        }
-        if (bottom->op() == Expr::Op::kProduct) {
-          SETREC_ASSIGN_OR_RETURN(scheme, EmitChain(e, reg));
-          break;
-        }
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t c, Emit(n->child()));
-        const RelationScheme& cs = schemes_.at(n->child().get());
-        SETREC_ASSIGN_OR_RETURN(std::size_t ia, cs.IndexOf(n->attr_a()));
-        SETREC_ASSIGN_OR_RETURN(std::size_t ib, cs.IndexOf(n->attr_b()));
-        if (cs.attribute(ia).domain != cs.attribute(ib).domain) {
-          return Status::InvalidArgument(
-              "selection compares attributes of different domains");
-        }
-        scheme = cs;
-        Insn in;
-        in.op = Op::kSelect;
-        in.origin = n;
-        in.dst = reg;
-        in.a = c;
-        in.want_equal = n->op() == Expr::Op::kSelectEq;
-        in.ia = static_cast<std::uint32_t>(ia);
-        in.ib = static_cast<std::uint32_t>(ib);
-        in.scheme = scheme;
-        Push(std::move(in));
-        break;
-      }
-      case Expr::Op::kProject: {
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t c, Emit(n->child()));
-        const RelationScheme& cs = schemes_.at(n->child().get());
-        std::vector<std::uint32_t> cols;
-        std::vector<Attribute> attrs;
-        std::set<std::string> seen;
-        for (const std::string& name : n->projection()) {
-          if (!seen.insert(name).second) {
-            return Status::InvalidArgument("duplicate projection attribute " +
-                                           name);
-          }
-          SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(name));
-          cols.push_back(static_cast<std::uint32_t>(i));
-          attrs.push_back(cs.attribute(i));
-        }
-        SETREC_ASSIGN_OR_RETURN(scheme, RelationScheme::Make(std::move(attrs)));
-        Insn in;
-        in.op = Op::kProject;
-        in.origin = n;
-        in.dst = reg;
-        in.a = c;
-        in.cols = std::move(cols);
-        in.scheme = scheme;
-        Push(std::move(in));
-        break;
-      }
-      case Expr::Op::kRename: {
-        SETREC_ASSIGN_OR_RETURN(std::uint32_t c, Emit(n->child()));
-        const RelationScheme& cs = schemes_.at(n->child().get());
-        SETREC_ASSIGN_OR_RETURN(std::size_t i, cs.IndexOf(n->rename_from()));
-        if (cs.HasAttribute(n->rename_to())) {
-          return Status::InvalidArgument("rename target attribute " +
-                                         n->rename_to() + " already present");
-        }
-        std::vector<Attribute> attrs = cs.attributes();
-        attrs[i].name = n->rename_to();
-        SETREC_ASSIGN_OR_RETURN(scheme, RelationScheme::Make(std::move(attrs)));
-        Insn in;
-        in.op = Op::kRename;
-        in.origin = n;
-        in.dst = reg;
-        in.a = c;
-        in.scheme = scheme;
-        Push(std::move(in));
-        break;
-      }
+    const std::size_t check_idx =
+        Push(Insn{.op = Op::kMemoCheck, .node = &n, .dst = reg});
+    if (n.kind == Kind::kProduct) {
+      EmitProduct(n, reg);
+    } else {
+      // Operands in the interpreter's left-then-right order.
+      Insn in{.op = MaterializerOf(n.kind), .node = &n, .dst = reg};
+      if (n.left != nullptr) in.a = Emit(*n.left);
+      if (n.right != nullptr) in.b = Emit(*n.right);
+      Push(in);
     }
     code_[check_idx].target = static_cast<std::uint32_t>(code_.size());
-    available_.insert(n);
-    if (!regions_.empty()) regions_.back().push_back(n);
-    schemes_.insert_or_assign(n, scheme);
+    available_.insert(&n);
+    if (!regions_.empty()) regions_.back().push_back(&n);
     return reg;
-  }
-
-  /// Product scheme in the interpreter's order, with its error string.
-  Result<RelationScheme> ProductScheme(const RelationScheme& ls,
-                                       const RelationScheme& rs) {
-    std::vector<Attribute> attrs = ls.attributes();
-    for (const Attribute& a : rs.attributes()) {
-      if (ls.HasAttribute(a.name)) {
-        return Status::InvalidArgument(
-            "product operands share attribute name " + a.name);
-      }
-      attrs.push_back(a);
-    }
-    return RelationScheme::Make(std::move(attrs));
   }
 
   /// Bare product: lowers the interpreter's π_∅ guard short-circuit as a
@@ -225,143 +106,40 @@ class Compiler {
   /// branch closes (a later reference re-emits a full, memo-checked block —
   /// which at runtime replays exactly the interpreter's first-eval or
   /// cache-hit behavior for that node).
-  Result<RelationScheme> EmitProduct(const ExprPtr& e, std::uint32_t reg) {
-    const Expr* n = e.get();
-    const bool left_guard = IsGuardShaped(*n->left());
-    const bool right_guard = !left_guard && IsGuardShaped(*n->right());
-    const bool guarded = left_guard || right_guard;
+  void EmitProduct(const PhysicalNode& n, std::uint32_t reg) {
+    const bool guarded = n.guard != PhysicalNode::Guard::kNone;
     std::size_t jie_idx = 0;
     if (guarded) {
-      const ExprPtr& guard = left_guard ? n->left() : n->right();
-      SETREC_ASSIGN_OR_RETURN(std::uint32_t greg, Emit(guard));
-      Insn jie;
-      jie.op = Op::kJumpIfEmpty;
-      jie.a = greg;
-      jie_idx = Push(std::move(jie));
+      const std::uint32_t greg =
+          Emit(n.guard == PhysicalNode::Guard::kLeft ? *n.left : *n.right);
+      jie_idx = Push(Insn{.op = Op::kJumpIfEmpty, .a = greg});
       regions_.emplace_back();
     }
     // Full-evaluation path, in the interpreter's left-then-right order; the
     // guard side resolves to a kMemoLoad (its block ran just above), which
-    // is precisely the interpreter's extra EvalShared cache hit.
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t l, Emit(n->left()));
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t r, Emit(n->right()));
-    SETREC_ASSIGN_OR_RETURN(
-        RelationScheme scheme,
-        ProductScheme(schemes_.at(n->left().get()),
-                      schemes_.at(n->right().get())));
-    Insn prod;
-    prod.op = Op::kProduct;
-    prod.origin = n;
-    prod.dst = reg;
-    prod.a = l;
-    prod.b = r;
-    prod.scheme = scheme;
-    Push(std::move(prod));
+    // is precisely the interpreter's extra EvalNode cache hit.
+    const std::uint32_t l = Emit(*n.left);
+    const std::uint32_t r = Emit(*n.right);
+    Push(Insn{.op = Op::kProduct, .node = &n, .dst = reg, .a = l, .b = r});
     if (guarded) {
-      Insn jmp;
-      jmp.op = Op::kJump;
-      const std::size_t jmp_idx = Push(std::move(jmp));
-      for (const Expr* x : regions_.back()) available_.erase(x);
+      const std::size_t jmp_idx = Push(Insn{.op = Op::kJump});
+      for (const PhysicalNode* x : regions_.back()) available_.erase(x);
       regions_.pop_back();
       code_[jie_idx].target = static_cast<std::uint32_t>(code_.size());
       // Guard empty: a type-only result. The guard contributes no
       // attributes, so the product scheme *is* the other side's scheme.
-      Insn mk;
-      mk.op = Op::kMakeEmpty;
-      mk.origin = n;
-      mk.dst = reg;
-      mk.scheme = scheme;
-      Push(std::move(mk));
+      Push(Insn{.op = Op::kMakeEmpty, .node = &n, .dst = reg});
       code_[jmp_idx].target = static_cast<std::uint32_t>(code_.size());
     }
-    return scheme;
   }
 
-  /// σ-chain over a product: the whole chain lowers to one kHashJoin owned
-  /// by the top node. Interior selections and the product never become
-  /// blocks (no memo entries, no stats), matching EvalSelectionChain.
-  Result<RelationScheme> EmitChain(const ExprPtr& e, std::uint32_t reg) {
-    struct Cond {
-      bool equal;
-      const std::string* a;
-      const std::string* b;
-    };
-    std::vector<Cond> conditions;
-    const Expr* node = e.get();
-    while (node->op() == Expr::Op::kSelectEq ||
-           node->op() == Expr::Op::kSelectNeq) {
-      conditions.push_back(Cond{node->op() == Expr::Op::kSelectEq,
-                                &node->attr_a(), &node->attr_b()});
-      node = node->child().get();
-    }
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t l, Emit(node->left()));
-    SETREC_ASSIGN_OR_RETURN(std::uint32_t r, Emit(node->right()));
-    const RelationScheme& ls = schemes_.at(node->left().get());
-    SETREC_ASSIGN_OR_RETURN(
-        RelationScheme scheme,
-        ProductScheme(ls, schemes_.at(node->right().get())));
-    const std::size_t lw = ls.arity();
-    Insn join;
-    join.op = Op::kHashJoin;
-    join.origin = e.get();
-    join.dst = reg;
-    join.a = l;
-    join.b = r;
-    join.scheme = scheme;
-    for (const Cond& c : conditions) {
-      SETREC_ASSIGN_OR_RETURN(std::size_t ga, scheme.IndexOf(*c.a));
-      SETREC_ASSIGN_OR_RETURN(std::size_t gb, scheme.IndexOf(*c.b));
-      if (scheme.attribute(ga).domain != scheme.attribute(gb).domain) {
-        return Status::InvalidArgument(
-            "selection compares attributes of different domains");
-      }
-      Insn::JoinCond rc;
-      rc.equal = c.equal;
-      rc.a_left = ga < lw;
-      rc.b_left = gb < lw;
-      rc.ia = static_cast<std::uint32_t>(rc.a_left ? ga : ga - lw);
-      rc.ib = static_cast<std::uint32_t>(rc.b_left ? gb : gb - lw);
-      if (rc.a_left && rc.b_left) {
-        join.local_left.push_back(rc);
-      } else if (!rc.a_left && !rc.b_left) {
-        join.local_right.push_back(rc);
-      } else if (rc.equal) {
-        join.join_keys.emplace_back(rc.a_left ? rc.ia : rc.ib,
-                                    rc.a_left ? rc.ib : rc.ia);
-      } else {
-        join.cross.push_back(rc);
-      }
-    }
-    Push(std::move(join));
-    return scheme;
-  }
-
-  const Database* database_;
   std::vector<Insn> code_;
   std::uint32_t num_regs_ = 0;
-  std::unordered_map<const Expr*, RelationScheme> schemes_;
-  std::unordered_set<const Expr*> available_;
-  std::vector<std::vector<const Expr*>> regions_;
+  std::unordered_set<const PhysicalNode*> available_;
+  std::vector<std::vector<const PhysicalNode*>> regions_;
 };
 
 }  // namespace
-
-bool Covers(const Expr& expr) {
-  switch (expr.op()) {
-    case Expr::Op::kRelation:
-      return true;
-    case Expr::Op::kUnion:
-    case Expr::Op::kDifference:
-    case Expr::Op::kProduct:
-      return Covers(*expr.left()) && Covers(*expr.right());
-    case Expr::Op::kSelectEq:
-    case Expr::Op::kSelectNeq:
-    case Expr::Op::kProject:
-    case Expr::Op::kRename:
-      return Covers(*expr.child());
-  }
-  return false;
-}
 
 std::size_t EstimatedInputRows(const Expr& expr, const Database& database) {
   std::size_t total = 0;
@@ -377,9 +155,9 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
     std::unordered_map<const Expr*, EvalNodeStats>* stats) {
   auto pit = programs_.find(root.get());
   if (pit == programs_.end()) {
-    Compiler compiler(database_);
-    SETREC_ASSIGN_OR_RETURN(Program program, compiler.Compile(root));
-    pit = programs_.emplace(root.get(), std::move(program)).first;
+    // Type errors surface here, before any budget is charged.
+    SETREC_ASSIGN_OR_RETURN(const PhysicalNode* plan, plan_.LowerRoot(root));
+    pit = programs_.emplace(root.get(), Compiler().Compile(*plan)).first;
   }
   const Program& program = pit->second;
   join_stats_ = stats;
@@ -401,12 +179,13 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
   };
   auto finish = [&](const Insn& in, std::shared_ptr<const ColumnTable> table,
                     std::shared_ptr<const Relation> rel) {
+    const Expr* origin = in.node->expr;
     regs[in.dst] = table;
     if (stats != nullptr) {
-      EvalNodeStats& s = (*stats)[in.origin];
+      EvalNodeStats& s = (*stats)[origin];
       s.rows = table->rows;
       s.backend = in.op == Op::kHashJoin ? "bytecode" : "vectorized";
-      if (!open.empty() && open.back().first == in.origin) {
+      if (!open.empty() && open.back().first == origin) {
         s.wall_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 Clock::now() - open.back().second)
@@ -414,7 +193,7 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
         open.pop_back();
       }
     }
-    memo_[in.origin] = MemoEntry{std::move(table), std::move(rel)};
+    memo_[origin] = MemoEntry{std::move(table), std::move(rel)};
   };
 
   std::size_t pc = 0;
@@ -422,23 +201,23 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
     const Insn& in = program.code[pc];
     switch (in.op) {
       case Op::kMemoCheck: {
-        auto m = memo_.find(in.origin);
+        auto m = memo_.find(in.node->expr);
         if (m != memo_.end()) {
           regs[in.dst] = m->second.table;
-          if (stats != nullptr) ++(*stats)[in.origin].cache_hits;
+          if (stats != nullptr) ++(*stats)[in.node->expr].cache_hits;
           pc = in.target;
           continue;
         }
-        if (stats != nullptr) open.emplace_back(in.origin, Clock::now());
+        if (stats != nullptr) open.emplace_back(in.node->expr, Clock::now());
         break;
       }
       case Op::kMemoLoad: {
-        auto m = memo_.find(in.origin);
+        auto m = memo_.find(in.node->expr);
         if (m == memo_.end()) {
           return fail(Status::Internal("vectorized memo missing an operand"));
         }
         regs[in.dst] = m->second.table;
-        if (stats != nullptr) ++(*stats)[in.origin].cache_hits;
+        if (stats != nullptr) ++(*stats)[in.node->expr].cache_hits;
         break;
       }
       case Op::kJump:
@@ -451,16 +230,17 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
         }
         break;
       case Op::kLoad: {
+        const std::string& name = in.node->expr->relation_name();
         Result<std::shared_ptr<const Relation>> rel =
-            database_->FindShared(in.name);
+            database_->FindShared(name);
         if (!rel.ok()) return fail(rel.status());
         std::shared_ptr<const ColumnTable> table;
-        auto lit = loads_.find(in.name);
+        auto lit = loads_.find(name);
         if (lit != loads_.end()) {
           table = lit->second;
         } else {
           table = std::make_shared<const ColumnTable>(FromRelation(**rel));
-          loads_.emplace(in.name, table);
+          loads_.emplace(name, table);
         }
         finish(in, std::move(table), std::move(*rel));
         break;
@@ -476,7 +256,7 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
     ++pc;
   }
 
-  MemoEntry& entry = memo_[program.root.get()];
+  MemoEntry& entry = memo_[program.root];
   if (entry.table == nullptr) {
     return Status::Internal("vectorized program produced no result");
   }
@@ -489,13 +269,14 @@ Result<std::shared_ptr<const Relation>> Engine::Execute(
 Result<ColumnTable> Engine::RunOp(
     const Insn& in,
     const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
+  const PhysicalNode& node = *in.node;
   switch (in.op) {
     case Op::kMakeEmpty:
-      return MakeTable(in.scheme);
+      return MakeTable(*node.scheme);
     case Op::kRename: {
       const ColumnTable& c = *regs[in.a];
       ColumnTable out;
-      out.scheme = in.scheme;
+      out.scheme = *node.scheme;
       out.columns = c.columns;
       out.rows = c.rows;
       return out;
@@ -503,25 +284,25 @@ Result<ColumnTable> Engine::RunOp(
     case Op::kSelect: {
       const ColumnTable& c = *regs[in.a];
       std::vector<std::uint8_t> mask(c.rows, 1);
-      AndEqualityMask(c, in.ia, in.ib, in.want_equal, mask);
+      AndEqualityMask(c, node.ia, node.ib, node.equal, mask);
       const std::vector<std::uint32_t> sel = MaskToSelection(mask);
-      return Gather(c, AllColumns(c.arity()), sel, in.scheme);
+      return Gather(c, AllColumns(c.arity()), sel, *node.scheme);
     }
     case Op::kProject: {
       const ColumnTable& c = *regs[in.a];
-      ColumnTable out = MakeTable(in.scheme);
+      ColumnTable out = MakeTable(*node.scheme);
       const std::vector<std::uint32_t> out_cols = AllColumns(out.arity());
       RowHashTable dedup(&out, out_cols);
       dedup.Reserve(c.rows);
       std::vector<std::uint64_t> h;
-      HashRows(c, in.cols, h);
+      HashRows(c, node.cols, h);
       for (std::size_t i = 0; i < c.rows; ++i) {
-        if (dedup.Find(c, in.cols, static_cast<std::uint32_t>(i), h[i]) !=
+        if (dedup.Find(c, node.cols, static_cast<std::uint32_t>(i), h[i]) !=
             RowHashTable::kNone) {
           continue;
         }
         for (std::size_t k = 0; k < out_cols.size(); ++k) {
-          out.columns[k].push_back(c.columns[in.cols[k]][i]);
+          out.columns[k].push_back(c.columns[node.cols[k]][i]);
         }
         ++out.rows;
         dedup.Insert(static_cast<std::uint32_t>(out.rows - 1), h[i]);
@@ -532,7 +313,7 @@ Result<ColumnTable> Engine::RunOp(
       const ColumnTable& l = *regs[in.a];
       const ColumnTable& r = *regs[in.b];
       ColumnTable out;
-      out.scheme = in.scheme;
+      out.scheme = *node.scheme;
       out.columns = l.columns;
       out.rows = l.rows;
       const std::vector<std::uint32_t> all = AllColumns(out.arity());
@@ -576,16 +357,16 @@ Result<ColumnTable> Engine::RunOp(
           sel.push_back(static_cast<std::uint32_t>(i));
         }
       }
-      return Gather(l, all, sel, in.scheme);
+      return Gather(l, all, sel, *node.scheme);
     }
     case Op::kProduct: {
       const ColumnTable& l = *regs[in.a];
       const ColumnTable& r = *regs[in.b];
       const std::uint64_t tuple_bytes =
-          static_cast<std::uint64_t>(in.scheme.arity()) * sizeof(ObjectId);
+          static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
       TraceSpan span = StartSpan(*ctx_, "evaluator/product");
       MetricsRegistry* metrics = ctx_->metrics();
-      ColumnTable out = MakeTable(in.scheme);
+      ColumnTable out = MakeTable(*node.scheme);
       const std::size_t la = l.arity(), ra = r.arity();
       for (std::size_t i = 0; i < l.rows; ++i) {
         std::size_t j = 0;
@@ -624,20 +405,22 @@ Result<ColumnTable> Engine::RunOp(
 Result<ColumnTable> Engine::RunHashJoin(
     const Insn& in,
     const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
+  const PhysicalNode& node = *in.node;
   const ColumnTable& left = *regs[in.a];
   const ColumnTable& right = *regs[in.b];
   TraceSpan join_span = StartSpan(*ctx_, "evaluator/join");
   MetricsRegistry* metrics = ctx_->metrics();
   const std::size_t la = left.arity(), ra = right.arity();
   const std::uint64_t tuple_bytes =
-      static_cast<std::uint64_t>(in.scheme.arity()) * sizeof(ObjectId);
-  std::vector<std::uint32_t> left_keys, right_keys;
-  left_keys.reserve(in.join_keys.size());
-  right_keys.reserve(in.join_keys.size());
-  for (const auto& [l, r] : in.join_keys) {
-    left_keys.push_back(l);
-    right_keys.push_back(r);
-  }
+      static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
+  // Folds the conditions of one role into a row mask.
+  auto mask_of = [&node](const ColumnTable& side, JoinCond::Role role) {
+    std::vector<std::uint8_t> mask(side.rows, 1);
+    for (const JoinCond& c : node.conds) {
+      if (c.role == role) AndEqualityMask(side, c.ia, c.ib, c.equal, mask);
+    }
+    return mask;
+  };
 
   // Build: filter the right side with its local conditions, gather the
   // survivors into a dense build table, index it by the join keys. The
@@ -646,16 +429,13 @@ Result<ColumnTable> Engine::RunHashJoin(
   std::optional<RowHashTable> index;
   {
     TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
-    std::vector<std::uint8_t> mask(right.rows, 1);
-    for (const Insn::JoinCond& c : in.local_right) {
-      AndEqualityMask(right, c.ia, c.ib, c.equal, mask);
-    }
-    const std::vector<std::uint32_t> sel = MaskToSelection(mask);
+    const std::vector<std::uint32_t> sel =
+        MaskToSelection(mask_of(right, JoinCond::Role::kBuildFilter));
     build = Gather(right, AllColumns(ra), sel, right.scheme);
-    index.emplace(&build, right_keys);
+    index.emplace(&build, node.right_key);
     index->Reserve(build.rows);
     std::vector<std::uint64_t> bh;
-    HashRows(build, right_keys, bh);
+    HashRows(build, node.right_key, bh);
     for (std::size_t i = 0; i < build.rows; ++i) {
       index->Insert(static_cast<std::uint32_t>(i), bh[i]);
     }
@@ -663,25 +443,23 @@ Result<ColumnTable> Engine::RunHashJoin(
       metrics->engine.eval_join_build_rows.Add(build.rows);
     }
     if (join_stats_ != nullptr) {
-      (*join_stats_)[in.origin].build_rows += build.rows;
+      (*join_stats_)[node.expr].build_rows += build.rows;
     }
   }
 
   // Probe: every left row counts as a probe (worker- and backend-invariant);
   // key-matched pairs are charged in batches before residual cross
   // conditions run, exactly the interpreter's per-pair charging order.
-  ColumnTable out = MakeTable(in.scheme);
+  ColumnTable out = MakeTable(*node.scheme);
   TraceSpan probe_span = StartSpan(*ctx_, "evaluator/join-probe");
   if (metrics != nullptr) metrics->engine.eval_join_probes.Add(left.rows);
   if (join_stats_ != nullptr) {
-    (*join_stats_)[in.origin].probe_rows += left.rows;
+    (*join_stats_)[node.expr].probe_rows += left.rows;
   }
-  std::vector<std::uint8_t> lmask(left.rows, 1);
-  for (const Insn::JoinCond& c : in.local_left) {
-    AndEqualityMask(left, c.ia, c.ib, c.equal, lmask);
-  }
+  const std::vector<std::uint8_t> lmask =
+      mask_of(left, JoinCond::Role::kProbeFilter);
   std::vector<std::uint64_t> lh;
-  HashRows(left, left_keys, lh);
+  HashRows(left, node.left_key, lh);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   pairs.reserve(kBatchWidth);
   auto flush = [&]() -> Status {
@@ -693,7 +471,8 @@ Result<ColumnTable> Engine::RunHashJoin(
     std::uint64_t kept = 0;
     for (const auto& [li, ri] : pairs) {
       bool ok = true;
-      for (const Insn::JoinCond& c : in.cross) {
+      for (const JoinCond& c : node.conds) {
+        if (c.role != JoinCond::Role::kResidual) continue;
         const PackedValue va =
             c.a_left ? left.columns[c.ia][li] : build.columns[c.ia][ri];
         const PackedValue vb =
@@ -719,8 +498,8 @@ Result<ColumnTable> Engine::RunHashJoin(
   };
   for (std::size_t li = 0; li < left.rows; ++li) {
     if (!lmask[li]) continue;
-    std::uint32_t row =
-        index->Find(left, left_keys, static_cast<std::uint32_t>(li), lh[li]);
+    std::uint32_t row = index->Find(left, node.left_key,
+                                    static_cast<std::uint32_t>(li), lh[li]);
     while (row != RowHashTable::kNone) {
       pairs.emplace_back(static_cast<std::uint32_t>(li), row);
       if (pairs.size() == kBatchWidth) SETREC_RETURN_IF_ERROR(flush());

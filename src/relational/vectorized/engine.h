@@ -5,22 +5,16 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/exec_context.h"
 #include "relational/evaluator.h"
 #include "relational/expression.h"
+#include "relational/plan.h"
 #include "relational/relation.h"
 #include "relational/vectorized/batch.h"
 
 namespace setrec::vectorized {
-
-/// True when every operator in `expr` has a vectorized implementation. All
-/// eight algebra operators are covered today; the predicate is the seam that
-/// lets future operators land interpreter-first and graduate later (the
-/// evaluator falls back per expression when this returns false).
-bool Covers(const Expr& expr);
 
 /// Sum of the sizes of the base relations `expr` references (unknown names
 /// count zero). The kAuto backend policy compares this against a threshold:
@@ -37,49 +31,35 @@ std::size_t EstimatedInputRows(const Expr& expr, const Database& database);
 /// its cache-hit counts, while the per-operator work runs columnwise.
 struct Insn {
   enum class Op : std::uint8_t {
-    kMemoCheck,   // if memo[origin]: dst = it, ++hits, jump `target`
-    kMemoLoad,    // dst = memo[origin] (must exist), ++hits
+    kMemoCheck,   // if memo[node]: dst = it, ++hits, jump `target`
+    kMemoLoad,    // dst = memo[node] (must exist), ++hits
     kJump,        // pc = target
     kJumpIfEmpty, // if regs[a] has no rows: pc = target (π_∅ guards)
-    kLoad,        // dst = columnar form of base relation `name`
+    kLoad,        // dst = columnar form of the scanned base relation
     kUnion,       // dst = regs[a] ∪ regs[b]
     kDifference,  // dst = regs[a] − regs[b]
     kProduct,     // dst = regs[a] × regs[b] (row-budget charged)
     kSelect,      // dst = σ_{ia θ ib}(regs[a])
     kProject,     // dst = π_{cols}(regs[a]), deduplicated
-    kRename,      // dst = regs[a] under `scheme`
+    kRename,      // dst = regs[a] under the node's scheme
     kHashJoin,    // dst = fused σ-chain over regs[a] × regs[b]
-    kMakeEmpty,   // dst = empty table over `scheme` (guard short-circuit)
-  };
-
-  /// One selection condition of a fused chain, resolved to side-local
-  /// column indices at compile time.
-  struct JoinCond {
-    bool equal;
-    bool a_left, b_left;
-    std::uint32_t ia, ib;
+    kMakeEmpty,   // dst = empty table over the node's scheme (guard)
   };
 
   Op op;
-  const Expr* origin = nullptr;  // node this instruction belongs to
+  /// The plan node this instruction belongs to (null for jumps). Its
+  /// expression is the memo and statistics key; it carries the operator
+  /// payload: output scheme, columns, join conditions.
+  const PhysicalNode* node = nullptr;
   std::uint32_t dst = 0, a = 0, b = 0;
   std::uint32_t target = 0;  // jump destination (instruction index)
-
-  // Compile-time payloads (empty where not applicable).
-  std::string name;                    // kLoad: relation name
-  RelationScheme scheme;               // materializers: output scheme
-  bool want_equal = false;             // kSelect
-  std::uint32_t ia = 0, ib = 0;        // kSelect: column indices
-  std::vector<std::uint32_t> cols;     // kProject: source columns
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> join_keys;  // (l, r)
-  std::vector<JoinCond> local_left, local_right, cross;            // kHashJoin
 };
 
-/// A compiled expression: flat code plus the register budget. Holds the root
-/// ExprPtr so node pointers baked into the code stay valid for the program's
-/// lifetime.
+/// A compiled expression: flat code plus the register budget. The engine's
+/// plan keeps the root expression, and so every node the code points into,
+/// alive.
 struct Program {
-  ExprPtr root;
+  const Expr* root = nullptr;
   std::vector<Insn> code;
   std::uint32_t num_regs = 0;
 };
@@ -87,10 +67,9 @@ struct Program {
 /// The compiled vectorized backend. An Engine is bound to one Database
 /// snapshot and one ExecContext, exactly like the Evaluator that owns it,
 /// and replays the interpreter's observable contract: identical results,
-/// identical error statuses for runtime failures, identical logical metrics
-/// (evaluator.rows / join_probes / join_build_rows), identical memo
-/// cache-hit counts and EvalNodeStats shape. Type errors are the one
-/// deliberate divergence: compilation surfaces them before any charging.
+/// identical error statuses (type errors come from the same lowering, before
+/// any charging), identical logical metrics (evaluator.rows / join_probes /
+/// join_build_rows), identical memo cache-hit counts and EvalNodeStats shape.
 ///
 /// Three caches with different lifetimes:
 ///  - programs_: per root node, survives ClearResultMemo (compile once),
@@ -101,10 +80,11 @@ struct Program {
 class Engine {
  public:
   Engine(const Database* database, ExecContext* ctx)
-      : database_(database), ctx_(ctx) {}
+      : database_(database), ctx_(ctx), plan_(*database) {}
 
-  /// Compiles `root` (cached) and runs it. `stats` may be null; when given
-  /// it receives the same per-node statistics the interpreter records.
+  /// Lowers and compiles `root` (cached) and runs it. `stats` may be null;
+  /// when given it receives the same per-node statistics the interpreter
+  /// records.
   Result<std::shared_ptr<const Relation>> Execute(
       const ExprPtr& root,
       std::unordered_map<const Expr*, EvalNodeStats>* stats);
@@ -131,6 +111,7 @@ class Engine {
 
   const Database* database_;
   ExecContext* ctx_;
+  PhysicalPlan plan_;  // the nodes programs_ point into
   // Stats sink of the Execute in flight (kHashJoin tallies build/probe rows
   // mid-operator, before its node finishes); null when stats are detached.
   std::unordered_map<const Expr*, EvalNodeStats>* join_stats_ = nullptr;

@@ -209,7 +209,7 @@ class DrinkersOracle : public ::testing::Test {
 
   DrinkersSchema ds_;
   std::unique_ptr<AlgebraicUpdateMethod> method_;
-  Instance instance_{nullptr};
+  Instance instance_{&ds_.schema};
   std::vector<Receiver> receivers_;
 };
 

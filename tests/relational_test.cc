@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include "algebraic/method_library.h"
 #include "core/instance_generator.h"
+#include "incremental/view_cache.h"
+#include "objrel/encoding.h"
+#include "obs/explain.h"
 #include "relational/builder.h"
 #include "relational/dependencies.h"
 #include "relational/evaluator.h"
 #include "relational/expression.h"
 #include "relational/relation.h"
+#include "text/parser.h"
 
 namespace setrec {
 namespace {
@@ -154,6 +159,67 @@ TEST_F(AlgebraTest, InferSchemeAgreesWithEvaluation) {
   EXPECT_EQ(inferred, evaluated.scheme());
   // Unknown relation.
   EXPECT_FALSE(InferScheme(*ra::Rel("nope"), catalog).ok());
+
+  // Every reader of an ill-typed expression over the drinkers encoding
+  // reports InferScheme's code and message: both evaluation backends,
+  // EXPLAIN and the view cache.
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  const Catalog drinkers = std::move(EncodeCatalog(ds.schema)).value();
+  const Instance instance = std::move(ParseInstance(R"(
+    instance { object D(1); object D(2); object Ba(1); object Ba(2); }
+  )",
+                                                    &ds.schema))
+                                .value();
+  const Database db = std::move(EncodeInstance(instance)).value();
+  const ExprPtr df = ra::Rel("Df");
+  const std::vector<std::pair<std::string, ExprPtr>> cases = {
+      {"Union(D, Ba)", ra::Union(ra::Rel("D"), ra::Rel("Ba"))},
+      {"Product(Df, Dl)", ra::Product(df, ra::Rel("Dl"))},
+      {"σ[D=f](Df)", ra::SelectEq(df, "D", "f")},
+      {"σ[D=x](Df)", ra::SelectEq(df, "D", "x")},
+      {"π[D,D](Df)", ra::Project(df, {"D", "D"})},
+      {"ρ[D→f](Df)", ra::Rename(df, "D", "f")},
+      {"Nope", ra::Rel("Nope")},
+      {"σ[D=Ba](D × Ba)",
+       ra::SelectEq(ra::Product(ra::Rel("D"), ra::Rel("Ba")), "D", "Ba")},
+  };
+  auto expect_same = [](const Status& got, const Status& want,
+                        const std::string& who) {
+    EXPECT_EQ(got.code(), want.code()) << who;
+    EXPECT_EQ(got.message(), want.message()) << who;
+  };
+  for (const auto& [label, expr] : cases) {
+    SCOPED_TRACE(label);
+    const Status want = InferScheme(*expr, drinkers).status();
+    ASSERT_FALSE(want.ok());
+    for (const ExecBackend backend :
+         {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+      ExecOptions options;
+      options.backend = backend;
+      expect_same(Evaluate(expr, db, options).status(), want,
+                  backend == ExecBackend::kInterpreter ? "interpreter"
+                                                       : "vectorized");
+    }
+    expect_same(ExplainExpression(expr, drinkers).status(), want, "EXPLAIN");
+    ViewCache cache(&ds.schema);
+    expect_same(cache.Register("v", expr), want, "ViewCache::Register");
+  }
+
+  // A type error wins over the row budget under both backends: it is found
+  // before the first product row is charged.
+  const ExprPtr budgeted =
+      ra::Union(ra::Product(ra::Rel("D"), ra::Rel("Ba")), ra::Rel("D"));
+  for (const ExecBackend backend :
+       {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+    ExecContext::Limits limits;
+    limits.max_rows = 1;
+    ExecContext ctx(limits);
+    ExecOptions options;
+    options.ctx = &ctx;
+    options.backend = backend;
+    EXPECT_EQ(Evaluate(budgeted, db, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(AlgebraTest, PositivityAndReferencedRelations) {
@@ -230,11 +296,12 @@ TEST_F(AlgebraTest, DependencySatisfaction) {
       std::move(Satisfies(db2, DisjointnessDependency{"A", "B"})).value());
 }
 
-/// Differential test for the evaluator's join fusion: selection chains over
-/// a product must agree with the unfused reference (product first, filters
-/// applied one at a time), across mixes of cross-side equalities (join
+/// Differential test for join fusion: selection chains over a product must
+/// agree with the unfused reference (product first, filters applied one at
+/// a time, all in test code), across mixes of cross-side equalities (join
 /// keys), same-side conditions (local filters) and cross non-equalities
-/// (residual filters).
+/// (residual filters). Both backends read the one join classification of
+/// the lowering, so each is checked against this independent reference.
 class JoinFusionTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(JoinFusionTest, FusedChainMatchesUnfusedReference) {
@@ -278,30 +345,40 @@ TEST_P(JoinFusionTest, FusedChainMatchesUnfusedReference) {
     conds.emplace_back(a, b);
     equals.push_back(eq);
   }
-  Relation fused = std::move(Evaluate(chain, db)).value();
-
   // Reference: materialize the product, then filter tuple by tuple.
-  Relation product =
-      std::move(Evaluate(ra::Product(ra::Rel("L"), ra::Rel("R2")), db))
-          .value();
-  Relation reference(fused.scheme());
-  for (const Tuple& t : product) {
-    bool keep = true;
-    for (std::size_t i = 0; i < conds.size(); ++i) {
-      const std::size_t ia =
-          std::move(product.scheme().IndexOf(conds[i].first)).value();
-      const std::size_t ib =
-          std::move(product.scheme().IndexOf(conds[i].second)).value();
-      if ((t.at(ia) == t.at(ib)) != equals[i]) {
-        keep = false;
-        break;
+  const Relation& l = *std::move(db.Find("L")).value();
+  const Relation& r = *std::move(db.Find("R2")).value();
+  std::vector<Attribute> attrs = l.scheme().attributes();
+  for (const Attribute& a : r.scheme().attributes()) attrs.push_back(a);
+  Relation reference(MakeScheme(std::move(attrs)));
+  for (const Tuple& lt : l) {
+    for (const Tuple& rt : r) {
+      const Tuple t = lt.Concat(rt);
+      bool keep = true;
+      for (std::size_t i = 0; i < conds.size(); ++i) {
+        const std::size_t ia =
+            std::move(reference.scheme().IndexOf(conds[i].first)).value();
+        const std::size_t ib =
+            std::move(reference.scheme().IndexOf(conds[i].second)).value();
+        if ((t.at(ia) == t.at(ib)) != equals[i]) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) {
+        ASSERT_TRUE(reference.Insert(t).ok());
       }
     }
-    if (keep) {
-      ASSERT_TRUE(reference.Insert(t).ok());
-    }
   }
-  EXPECT_EQ(fused, reference);
+  for (const ExecBackend backend :
+       {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+    ExecOptions options;
+    options.backend = backend;
+    Relation fused = std::move(Evaluate(chain, db, options)).value();
+    EXPECT_EQ(fused, reference)
+        << (backend == ExecBackend::kInterpreter ? "interpreter"
+                                                  : "vectorized");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinFusionTest,
