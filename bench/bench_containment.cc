@@ -81,8 +81,10 @@ void BM_PathContainment(benchmark::State& state) {
                        {PathQuery(k + 1, false)}};
   PositiveQuery shorter{std::move(RelationScheme::Make({{"x", kP}})).value(),
                         {PathQuery(k, false)}};
+  ExecContext ctx;
   for (auto _ : state) {
-    Result<bool> contained = ContainedUnder(longer, shorter, none, catalog);
+    Result<bool> contained =
+        ContainedUnder(longer, shorter, none, catalog, ctx);
     if (!contained.ok() || !*contained) {
       state.SkipWithError("path containment should hold");
     }
@@ -103,8 +105,9 @@ void BM_UnionSelfEquivalence(benchmark::State& state) {
   for (std::int64_t i = 0; i < width; ++i) {
     q.disjuncts.push_back(PathQuery(1 + (i % 3), i % 2 == 0));
   }
+  ExecContext ctx;
   for (auto _ : state) {
-    Result<bool> eq = EquivalentUnder(q, q, none, catalog);
+    Result<bool> eq = EquivalentUnder(q, q, none, catalog, ctx);
     if (!eq.ok() || !*eq) state.SkipWithError("self-equivalence must hold");
     benchmark::DoNotOptimize(eq);
   }

@@ -103,7 +103,7 @@ void BM_FromScratchViewUpdate(benchmark::State& state) {
       state.SkipWithError("encoding failed");
       return;
     }
-    Result<Relation> view = Evaluate(w.view, *db, benchobs::ObsContext());
+    Result<Relation> view = Evaluate(w.view, *db, benchobs::ObsOptions());
     if (!view.ok()) {
       state.SkipWithError("evaluation failed");
       return;

@@ -75,9 +75,8 @@ void BM_Sequential(benchmark::State& state) {
 void BM_ParallelOneShard(benchmark::State& state) {
   Workload w = BuildWorkload(state.range(0));
   for (auto _ : state) {
-    Result<Instance> out =
-        ParallelApply(*w.method, w.instance, w.receivers,
-                      ParallelOptions{1, nullptr}, benchobs::ObsContext());
+    Result<Instance> out = ParallelApply(*w.method, w.instance, w.receivers,
+                                         benchobs::ObsOptions());
     if (!out.ok()) state.SkipWithError("parallel application failed");
     benchmark::DoNotOptimize(out);
   }

@@ -72,7 +72,7 @@ void BM_ParallelApplication(benchmark::State& state) {
   Workload w = BuildWorkload(state.range(0));
   for (auto _ : state) {
     Result<Instance> out = ParallelApply(*w.method, w.instance, w.receivers,
-                                         benchobs::ObsContext());
+                                         benchobs::ObsOptions());
     if (!out.ok()) state.SkipWithError("parallel application failed");
     benchmark::DoNotOptimize(out);
   }
@@ -91,12 +91,15 @@ BENCHMARK(BM_ParallelApplication)
 void BM_SingletonParity(benchmark::State& state) {
   Workload w = BuildWorkload(8);
   std::vector<Receiver> one = {w.receivers[0]};
-  Instance seq = std::move(ApplySequence(*w.method, w.instance, one)).value();
+  Instance seq =
+      std::move(ApplySequence(*w.method, w.instance, one,
+                              benchobs::ObsContext()))
+          .value();
   Instance par = std::move(ParallelApply(*w.method, w.instance, one)).value();
   if (!(seq == par)) state.SkipWithError("Proposition 6.3 violated");
   for (auto _ : state) {
     Result<Instance> out =
-        ParallelApply(*w.method, w.instance, one, benchobs::ObsContext());
+        ParallelApply(*w.method, w.instance, one, benchobs::ObsOptions());
     benchmark::DoNotOptimize(out);
   }
 }

@@ -111,8 +111,9 @@ int main() {
   std::vector<Receiver> conflict = {
       Receiver::Unchecked({ObjectId(worker, 0), ObjectId(task, 1)}),
       Receiver::Unchecked({ObjectId(worker, 0), ObjectId(task, 2)})};
+  ExecContext ctx;
   auto outcome =
-      Unwrap(OrderIndependentOn(*steal, instance, conflict), "outcome");
+      Unwrap(OrderIndependentOn(*steal, instance, conflict, ctx), "outcome");
   std::printf("two steals by the same worker agree across orders: %s\n\n",
               outcome.order_independent ? "yes" : "no");
 

@@ -43,6 +43,7 @@ void PrintSalaries(const PayrollSchema& ps, const Instance& db,
 }  // namespace
 
 int main() {
+  ExecContext ctx;  // permissive: governs every statement below
   PayrollSchema ps = Unwrap(MakePayrollSchema(), "schema");
 
   // --- Scenario 1: simple delete --------------------------------------------
@@ -52,12 +53,12 @@ int main() {
         {1, 100, {}}, {2, 200, {}}, {3, 100, {}}, {4, 300, {}}};
     Instance db = Unwrap(
         BuildPayrollInstance(ps, employees, {{100, 300}}, {}), "build");
-    auto report = Unwrap(TestCursorDeleteOrders(db, ps.emp, SalaryInFire(ps)),
-                         "orders");
+    auto report = Unwrap(
+        TestCursorDeleteOrders(db, ps.emp, SalaryInFire(ps), 6, ctx), "orders");
     std::printf("cursor order independent: %s (all 4! visit orders agree)\n",
                 report.order_independent ? "yes" : "no");
     Instance set_based =
-        Unwrap(SetOrientedDelete(db, ps.emp, SalaryInFire(ps)), "delete");
+        Unwrap(SetOrientedDelete(db, ps.emp, SalaryInFire(ps), ctx), "delete");
     std::printf("survivors: ");
     for (std::uint32_t id : EmployeeIds(ps, set_based)) {
       std::printf("%u ", id);
@@ -73,14 +74,15 @@ int main() {
     Instance db = Unwrap(
         BuildPayrollInstance(ps, employees, {{100, 200}}, {}), "build");
     auto report = Unwrap(
-        TestCursorDeleteOrders(db, ps.emp, ManagerSalaryInFire(ps)),
+        TestCursorDeleteOrders(db, ps.emp, ManagerSalaryInFire(ps), 6, ctx),
         "orders");
     std::printf(
         "cursor order independent: %s  (Employee is colored both d and u: "
         "Theorem 4.23 no longer applies)\n",
         report.order_independent ? "yes" : "no");
     Instance set_based = Unwrap(
-        SetOrientedDelete(db, ps.emp, ManagerSalaryInFire(ps)), "delete");
+        SetOrientedDelete(db, ps.emp, ManagerSalaryInFire(ps), ctx),
+        "delete");
     std::printf("set-oriented survivors: ");
     for (std::uint32_t id : EmployeeIds(ps, set_based)) {
       std::printf("%u ", id);
@@ -124,7 +126,8 @@ int main() {
     receivers.push_back(Receiver::Unchecked(
         {ObjectId(ps.emp, id), ObjectId(ps.val, salary)}));
   }
-  Instance after_b = Unwrap(CursorUpdate(*update_b, db, receivers), "B");
+  Instance after_b =
+      Unwrap(CursorUpdate(*update_b, db, receivers, ctx), "B");
   PrintSalaries(ps, after_b, "== after cursor update (B) ==");
 
   // The Theorem 6.5 improvement: emit the set-oriented statement.
@@ -147,10 +150,12 @@ int main() {
   Receiver e2 = Receiver::Unchecked({ObjectId(ps.emp, 2)});
   Receiver e3 = Receiver::Unchecked({ObjectId(ps.emp, 3)});
   Instance c_fwd =
-      Unwrap(CursorUpdate(*update_c, db, std::vector<Receiver>{e1, e2, e3}),
+      Unwrap(CursorUpdate(*update_c, db, std::vector<Receiver>{e1, e2, e3},
+                          ctx),
              "C fwd");
   Instance c_rev =
-      Unwrap(CursorUpdate(*update_c, db, std::vector<Receiver>{e3, e2, e1}),
+      Unwrap(CursorUpdate(*update_c, db, std::vector<Receiver>{e3, e2, e1},
+                          ctx),
              "C rev");
   PrintSalaries(ps, c_fwd, "\n== cursor update (C), order 1-2-3 ==");
   PrintSalaries(ps, c_rev, "== cursor update (C), order 3-2-1 ==");

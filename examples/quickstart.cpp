@@ -30,6 +30,7 @@ T Unwrap(Result<T> result, const char* what) {
 }  // namespace
 
 int main() {
+  ExecContext ctx;  // permissive: governs every application below
   DrinkersSchema ds = Unwrap(MakeDrinkersSchema(), "schema");
   std::printf("== Schema (Example 2.3, abbreviated names) ==\n%s\n\n",
               SchemaToString(ds.schema).c_str());
@@ -64,15 +65,15 @@ int main() {
   // {[D1,Ba1], [D1,Ba3]} disagree.
   std::vector<Receiver> receivers = {r1, Receiver::Unchecked({drinker1, bar3})};
   Instance fig5 = Unwrap(
-      ApplySequence(*favorite_bar, figure2, receivers), "sequence r1,r3");
+      ApplySequence(*favorite_bar, figure2, receivers, ctx), "sequence r1,r3");
   std::printf(
       "== favorite_bar(I, [D1,Ba1], [D1,Ba3]) (Figure 5) ==\n%s\n\n",
       InstanceToString(fig5).c_str());
 
   OrderIndependenceOutcome fav_outcome = Unwrap(
-      OrderIndependentOn(*favorite_bar, figure2, receivers), "OI test");
+      OrderIndependentOn(*favorite_bar, figure2, receivers, ctx), "OI test");
   OrderIndependenceOutcome add_outcome =
-      Unwrap(OrderIndependentOn(*add_bar, figure2, receivers), "OI test");
+      Unwrap(OrderIndependentOn(*add_bar, figure2, receivers, ctx), "OI test");
   std::printf("favorite_bar order independent on (I, T): %s\n",
               fav_outcome.order_independent ? "yes" : "no");
   std::printf("add_bar      order independent on (I, T): %s\n\n",

@@ -82,8 +82,10 @@ void Analyze(const AlgebraicUpdateMethod& method, const Schema& schema) {
   options.min_objects_per_class = 2;
   options.max_objects_per_class = 3;
   options.edge_probability = 0.35;
-  auto witness = Unwrap(
-      SearchOrderDependenceWitness(method, schema, 5, 6, options), "search");
+  ExecContext ctx;
+  auto witness = Unwrap(SearchOrderDependenceWitness(method, schema, 5, 6,
+                                                     options, false, ctx),
+                        "search");
   if (witness.has_value()) {
     std::printf("  refuter: order dependence witnessed on\n%s\n",
                 InstanceToString(witness->instance).c_str());
@@ -130,9 +132,10 @@ int main() {
   options.min_objects_per_class = 3;
   options.max_objects_per_class = 4;
   options.edge_probability = 0.15;
+  ExecContext ctx;
   auto witness =
       Unwrap(SearchOrderDependenceWitness(*conditional, ps.schema, 3, 20,
-                                          options),
+                                          options, false, ctx),
              "search");
   std::printf("  refuter: order dependence witness %s\n",
               witness.has_value() ? "found" : "not found");

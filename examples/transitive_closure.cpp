@@ -58,8 +58,9 @@ int main() {
 
   // Sequential: iterate passes to the fixpoint.
   Instance current = graph;
+  ExecContext ctx;
   for (int round = 1; round <= static_cast<int>(kN); ++round) {
-    Instance next = Unwrap(ApplySequence(*method, current, all), "pass");
+    Instance next = Unwrap(ApplySequence(*method, current, all, ctx), "pass");
     std::printf("sequential pass %d:      %zu tc-edges\n", round,
                 next.edges(tc.tc).size());
     if (next == current) break;

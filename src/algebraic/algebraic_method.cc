@@ -33,15 +33,9 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> AlgebraicUpdateMethod::Make(
       std::move(context), std::move(name), std::move(statements)));
 }
 
-Result<Instance> AlgebraicUpdateMethod::Apply(const Instance& instance,
-                                              const Receiver& receiver) const {
-  Instance out = instance;
-  SETREC_RETURN_IF_ERROR(ApplyInPlace(out, receiver));
-  return out;
-}
-
 Status AlgebraicUpdateMethod::ApplyInPlace(Instance& instance,
-                                           const Receiver& receiver) const {
+                                           const Receiver& receiver,
+                                           ExecContext& ctx) const {
   SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
   SETREC_ASSIGN_OR_RETURN(Database db,
                           EncodeInstance(instance, ReadRelations()));
@@ -51,7 +45,7 @@ Status AlgebraicUpdateMethod::ApplyInPlace(Instance& instance,
   // Evaluate every right-hand side against the *pre-update* instance first
   // (all statements of one method application see the same snapshot), then
   // splice the results in.
-  Evaluator evaluator(&db);
+  Evaluator evaluator(&db, ctx);
   std::vector<Relation> results;
   results.reserve(statements_.size());
   for (const UpdateStatement& s : statements_) {

@@ -30,16 +30,12 @@ class AlgebraicUpdateMethod final : public UpdateMethod {
       const Schema* schema, MethodSignature signature, std::string name,
       std::vector<UpdateStatement> statements);
 
-  /// A copy of `instance` updated by ApplyInPlace.
-  Result<Instance> Apply(const Instance& instance,
-                         const Receiver& receiver) const override;
-
   /// Evaluates every statement's right-hand side against the pre-update
-  /// instance, encoding only the relations the statements read, and only
-  /// then splices the result edges in. A failure therefore leaves
+  /// instance under `ctx`, encoding only the relations the statements read,
+  /// and only then splices the result edges in. A failure therefore leaves
   /// `instance` untouched.
-  Status ApplyInPlace(Instance& instance,
-                      const Receiver& receiver) const override;
+  Status ApplyInPlace(Instance& instance, const Receiver& receiver,
+                      ExecContext& ctx) const override;
 
   const std::vector<UpdateStatement>& statements() const {
     return statements_;

@@ -284,7 +284,8 @@ Result<std::vector<Receiver>> ReceiversFromQuery(
     const MethodSignature& signature, ExecContext& ctx) {
   SETREC_ASSIGN_OR_RETURN(
       Database db, EncodeInstance(instance, ReferencedRelations(*query)));
-  SETREC_ASSIGN_OR_RETURN(Relation result, Evaluate(query, db, ctx));
+  SETREC_ASSIGN_OR_RETURN(Relation result,
+                          Evaluate(query, db, {.ctx = &ctx}));
   if (result.scheme().arity() != signature.size()) {
     return Status::InvalidArgument(
         "query result arity does not match the method signature");

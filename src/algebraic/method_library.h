@@ -155,8 +155,7 @@ Result<std::vector<Receiver>> ReceiversFromQuery(const ExprPtr& query,
                                                  const Instance& instance,
                                                  const MethodSignature&
                                                      signature,
-                                                 ExecContext& ctx =
-                                                     ExecContext::Default());
+                                                 ExecContext& ctx);
 
 }  // namespace setrec
 

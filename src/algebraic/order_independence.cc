@@ -179,57 +179,25 @@ Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
   return out;
 }
 
-Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
-                                     OrderIndependenceKind kind,
-                                     ExecContext& ctx) {
+namespace {
+
+/// The Theorem 5.12 reduction loop behind DecideOrderIndependence and
+/// DecideOrderIndependenceDetailed: per updated property, translate both
+/// sides of the reduction into positive queries, prune them, and test
+/// equivalence under the method's dependencies. With `stop_at_difference`
+/// the loop returns at the first inequivalent property (the boolean
+/// verdict needs no more); otherwise every property is reported.
+Result<DecisionReport> RunDecision(const AlgebraicUpdateMethod& method,
+                                   OrderIndependenceKind kind,
+                                   bool stop_at_difference,
+                                   const ExecOptions& options) {
   if (!method.IsPositiveMethod()) {
     return Status::InvalidArgument(
         "order independence is only decidable for positive methods "
         "(Theorem 5.12 / Corollary 5.7); use SearchOrderDependenceWitness");
   }
-  TraceSpan span = StartSpan(ctx, "decide/order-independence");
-  SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
-                          BuildOrderIndependenceReduction(method, kind));
-  const MethodContext& mctx = method.context();
-  for (const ReductionExpressions& r : reductions) {
-    SETREC_RETURN_IF_ERROR(ctx.CheckPoint("decision/property"));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q1,
-        TranslateToPositiveQuery(r.e_tt, mctx.reduction_catalog));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q2,
-        TranslateToPositiveQuery(r.e_ts, mctx.reduction_catalog));
-    const PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
-    const PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
-    SETREC_ASSIGN_OR_RETURN(bool equivalent,
-                            EquivalentSimplified(p1, p2, mctx, ctx));
-    if (!equivalent) return false;
-  }
-  return true;
-}
-
-Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx) {
-  Result<bool> decided = DecideOrderIndependence(method, kind, ctx);
-  if (decided.ok()) {
-    return *decided ? OrderIndependenceVerdict::kIndependent
-                    : OrderIndependenceVerdict::kDependent;
-  }
-  if (decided.status().IsRetryable()) {
-    return OrderIndependenceVerdict::kUnknown;
-  }
-  return decided.status();
-}
-
-Result<DecisionReport> DecideOrderIndependenceDetailed(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx) {
-  if (!method.IsPositiveMethod()) {
-    return Status::InvalidArgument(
-        "order independence is only decidable for positive methods "
-        "(Theorem 5.12 / Corollary 5.7)");
-  }
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "decide/order-independence");
   SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
                           BuildOrderIndependenceReduction(method, kind));
@@ -248,37 +216,50 @@ Result<DecisionReport> DecideOrderIndependenceDetailed(
     detail.property = r.property;
     detail.raw_disjuncts_tt = q1.disjuncts.size();
     detail.raw_disjuncts_ts = q2.disjuncts.size();
-    PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
-    PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
+    const PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
+    const PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
     detail.pruned_disjuncts_tt = p1.disjuncts.size();
     detail.pruned_disjuncts_ts = p2.disjuncts.size();
     SETREC_ASSIGN_OR_RETURN(detail.equivalent,
                             EquivalentSimplified(p1, p2, mctx, ctx));
-    if (!detail.equivalent) report.order_independent = false;
     report.properties.push_back(detail);
+    if (!detail.equivalent) {
+      report.order_independent = false;
+      if (stop_at_difference) break;
+    }
   }
   return report;
 }
 
+}  // namespace
+
 Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
                                      OrderIndependenceKind kind,
                                      const ExecOptions& options) {
-  ExecScope scope(options);
-  return DecideOrderIndependence(method, kind, scope.ctx());
+  SETREC_ASSIGN_OR_RETURN(
+      DecisionReport report,
+      RunDecision(method, kind, /*stop_at_difference=*/true, options));
+  return report.order_independent;
 }
 
 Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
     const ExecOptions& options) {
-  ExecScope scope(options);
-  return DecideOrderIndependenceBounded(method, kind, scope.ctx());
+  Result<bool> decided = DecideOrderIndependence(method, kind, options);
+  if (decided.ok()) {
+    return *decided ? OrderIndependenceVerdict::kIndependent
+                    : OrderIndependenceVerdict::kDependent;
+  }
+  if (decided.status().IsRetryable()) {
+    return OrderIndependenceVerdict::kUnknown;
+  }
+  return decided.status();
 }
 
 Result<DecisionReport> DecideOrderIndependenceDetailed(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
     const ExecOptions& options) {
-  ExecScope scope(options);
-  return DecideOrderIndependenceDetailed(method, kind, scope.ctx());
+  return RunDecision(method, kind, /*stop_at_difference=*/false, options);
 }
 
 namespace {

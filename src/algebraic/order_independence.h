@@ -46,38 +46,28 @@ Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
 /// — the problem is undecidable there (Corollary 5.7); use
 /// SearchOrderDependenceWitness for refutation instead.
 ///
-/// The underlying containment tests run under `ctx`; with a step budget or
-/// deadline the call returns kResourceExhausted / kDeadlineExceeded. Use
+/// The underlying containment tests run under the context `options`
+/// resolves to; with a step budget or deadline the call returns
+/// kResourceExhausted / kDeadlineExceeded. Use
 /// DecideOrderIndependenceBounded for the three-valued wrapper that turns
 /// those into a sound kUnknown verdict.
 Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
                                      OrderIndependenceKind kind,
-                                     ExecContext& ctx =
-                                         ExecContext::Default());
-
-/// Unified form over ExecOptions (context + observability sinks).
-Result<bool> DecideOrderIndependence(const AlgebraicUpdateMethod& method,
-                                     OrderIndependenceKind kind,
-                                     const ExecOptions& options);
+                                     const ExecOptions& options = {});
 
 /// Three-valued verdict for the bounded decision procedure. kUnknown means
 /// "not decided within the budget" — it is sound to treat such a method as
 /// potentially order dependent, never as independent.
 enum class OrderIndependenceVerdict { kIndependent, kDependent, kUnknown };
 
-/// Runs DecideOrderIndependence under `ctx` and degrades retryable
+/// Runs DecideOrderIndependence under `options` and degrades retryable
 /// governance failures (step budget, deadline, row/memory caps) to
 /// kUnknown instead of an error. Cancellation and genuine errors still
 /// propagate: a cancelled run decided nothing and should not be reported as
 /// a verdict.
 Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx = ExecContext::Default());
-
-/// Unified form over ExecOptions (context + observability sinks).
-Result<OrderIndependenceVerdict> DecideOrderIndependenceBounded(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options);
+    const ExecOptions& options = {});
 
 /// A detailed account of one decision run: per updated property, the union
 /// widths of the two reduction sides before and after disjunct-subsumption
@@ -100,12 +90,7 @@ struct DecisionReport {
 /// exit) and reports the reduction statistics.
 Result<DecisionReport> DecideOrderIndependenceDetailed(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    ExecContext& ctx = ExecContext::Default());
-
-/// Unified form over ExecOptions (context + observability sinks).
-Result<DecisionReport> DecideOrderIndependenceDetailed(
-    const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
-    const ExecOptions& options);
+    const ExecOptions& options = {});
 
 /// Provenance of one containment test the decision procedure attempted: the
 /// direction, the verdict, the budget it spent (context steps plus the
@@ -184,7 +169,7 @@ struct OrderDependenceWitness {
 Result<std::optional<OrderDependenceWitness>> SearchOrderDependenceWitness(
     const UpdateMethod& method, const Schema& schema, std::uint64_t seed,
     int trials, const InstanceGenerator::Options& options,
-    bool key_pairs_only = false, ExecContext& ctx = ExecContext::Default());
+    bool key_pairs_only, ExecContext& ctx);
 
 /// A refutation of Q-order independence: an instance whose full receiver
 /// set Q(I) admits two disagreeing enumerations (witnessed inside
@@ -205,8 +190,8 @@ SearchQueryOrderDependenceWitness(const UpdateMethod& method,
                                   const ExprPtr& query, const Schema& schema,
                                   std::uint64_t seed, int trials,
                                   const InstanceGenerator::Options& options,
-                                  std::size_t max_set_size = 5,
-                                  ExecContext& ctx = ExecContext::Default());
+                                  std::size_t max_set_size,
+                                  ExecContext& ctx);
 
 }  // namespace setrec
 

@@ -311,48 +311,18 @@ Result<Instance> RunParallelApply(
   return out;
 }
 
-namespace {
-
-/// Shared body of the ParallelApply overloads. When `sink` is set, the
-/// merge runs under a journal whose delta is published to it.
-Result<Instance> ParallelApplyImpl(const AlgebraicUpdateMethod& method,
-                                   const Instance& instance,
-                                   std::span<const Receiver> receivers,
-                                   ExecBackend backend, ExecContext& ctx,
-                                   DeltaSink* sink) {
-  TraceSpan apply_span = StartSpan(ctx, "parallel/apply");
-  SETREC_ASSIGN_OR_RETURN(
-      ParallelPlan plan,
-      PrepareParallelApply(method, instance, receivers, ctx));
-  return RunParallelApply(method, instance, plan, backend, ctx,
-                          /*node_stats=*/nullptr, sink);
-}
-
-}  // namespace
-
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               const ParallelOptions& options,
-                               ExecContext& ctx) {
-  return ParallelApplyImpl(method, instance, receivers, options.backend, ctx,
-                           nullptr);
-}
-
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> receivers,
                                const ExecOptions& options) {
   ExecScope scope(options);
-  return ParallelApplyImpl(method, instance, receivers, options.backend,
-                           scope.ctx(), options.view_cache);
-}
-
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               ExecContext& ctx) {
-  return ParallelApply(method, instance, receivers, ParallelOptions{}, ctx);
+  ExecContext& ctx = scope.ctx();
+  TraceSpan apply_span = StartSpan(ctx, "parallel/apply");
+  SETREC_ASSIGN_OR_RETURN(
+      ParallelPlan plan,
+      PrepareParallelApply(method, instance, receivers, ctx));
+  return RunParallelApply(method, instance, plan, options.backend, ctx,
+                          /*node_stats=*/nullptr, options.view_cache);
 }
 
 }  // namespace setrec

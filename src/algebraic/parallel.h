@@ -8,7 +8,6 @@
 #include "algebraic/algebraic_method.h"
 #include "core/exec_context.h"
 #include "core/exec_options.h"
-#include "core/thread_pool.h"
 #include "relational/evaluator.h"
 
 namespace setrec {
@@ -52,20 +51,6 @@ Result<Catalog> ParCatalog(const MethodContext& context);
 /// rejected with kInvalidArgument — the attribute is reserved.
 Result<ExprPtr> ParTransform(const ExprPtr& expr, const MethodContext& context);
 
-/// Execution options for parallel application.
-struct ParallelOptions {
-  /// Unused: ParallelApply evaluates each par(E) once, on the calling
-  /// thread. With the probes of its joins partitioned across a pool it ran
-  /// slower than on one thread (EXPERIMENTS.md E25). Kept so existing
-  /// callers compile; scheduled for removal (ROADMAP.md).
-  std::size_t num_workers = 1;
-  /// Unused, like num_workers.
-  ThreadPool* pool = nullptr;
-  /// Evaluation backend for the par(E) evaluation (core/exec_backend.h).
-  /// Results and logical evaluator counters are backend-invariant.
-  ExecBackend backend = ExecBackend::kAuto;
-};
-
 /// What one parallel application evaluates, prepared from its inputs.
 /// ParallelApply and EXPLAIN ANALYZE both build it with
 /// PrepareParallelApply, so the analyzed evaluation is the executed one.
@@ -106,8 +91,10 @@ Result<Instance> RunParallelApply(
 /// statement, and replaces, for every receiving object occurring in T, its
 /// a-edges by the objects par(E) links to it. Every receiver must be valid
 /// over `instance`. Duplicate receivers are deduplicated (T is a set).
-/// The par(E) evaluations and the edge-replacement loops run under `ctx`
-/// (row/memory budgets apply to the joins the rewriting introduces).
+/// The par(E) evaluations (under options.backend) and the
+/// edge-replacement loops run under the context `options` resolves to
+/// (row/memory budgets apply to the joins the rewriting introduces); its
+/// view cache, when set, receives the delta.
 ///
 /// Each par(E) is evaluated exactly once per call, on the calling thread,
 /// and edge replacements are applied there in canonical receiver order.
@@ -117,23 +104,7 @@ Result<Instance> RunParallelApply(
 Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> receivers,
-                               const ParallelOptions& options,
-                               ExecContext& ctx = ExecContext::Default());
-
-/// Unified entry point: ExecOptions carries the governing context, the
-/// observability sinks and the backend in one struct (its num_workers and
-/// pool are ignored here, as above). Prefer this overload; the
-/// ParallelOptions form above is the compat shim predating ExecOptions.
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               const ExecOptions& options);
-
-/// Classic single-threaded entry point (options = 1 worker).
-Result<Instance> ParallelApply(const AlgebraicUpdateMethod& method,
-                               const Instance& instance,
-                               std::span<const Receiver> receivers,
-                               ExecContext& ctx = ExecContext::Default());
+                               const ExecOptions& options = {});
 
 }  // namespace setrec
 

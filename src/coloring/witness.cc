@@ -92,10 +92,10 @@ TestedItems ComputeTestedItems(const Schema& schema, const Coloring& k,
   return tested;
 }
 
-/// The witness method. Tests are evaluated against the *input* instance;
-/// mutations are accumulated onto a copy, so the actions of different items
-/// (which involve pairwise distinct fixed objects) commute, and the
-/// create/remove pair of a {c,d,u} edge acts as a presence toggle.
+/// The witness method. Tests are evaluated against a copy of the *input*
+/// instance while the actions mutate the instance itself, so the actions of
+/// different items (which involve pairwise distinct fixed objects) commute,
+/// and the create/remove pair of a {c,d,u} edge acts as a presence toggle.
 class WitnessMethod final : public UpdateMethod {
  public:
   WitnessMethod(const Schema* schema, Coloring coloring,
@@ -107,9 +107,11 @@ class WitnessMethod final : public UpdateMethod {
         objects_(*schema),
         tested_(ComputeTestedItems(*schema, coloring_, ax)) {}
 
-  Result<Instance> Apply(const Instance& in,
-                         const Receiver& receiver) const override {
-    SETREC_RETURN_IF_ERROR(CheckReceiver(in, receiver));
+  Status ApplyInPlace(Instance& instance, const Receiver& receiver,
+                      ExecContext&) const override {
+    SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
+    const Instance in = instance;
+    Instance& out = instance;
     const Schema& schema = *schema_;
     const bool infl = ax_ == UseAxiomatization::kInflationary;
 
@@ -129,7 +131,6 @@ class WitnessMethod final : public UpdateMethod {
       }
     }
 
-    Instance out = in;
     // Node actions.
     for (ClassId x = 0; x < schema.num_classes(); ++x) {
       ColorSet cs = coloring_.GetClass(x);
@@ -213,7 +214,7 @@ class WitnessMethod final : public UpdateMethod {
         }
       }
     }
-    return out;
+    return Status::OK();
   }
 
  private:

@@ -37,7 +37,7 @@ namespace setrec {
 Result<ConjunctiveQuery> ChaseQuery(ConjunctiveQuery query,
                                     const DependencySet& deps,
                                     const Catalog& catalog,
-                                    ExecContext& ctx = ExecContext::Default());
+                                    ExecContext& ctx);
 
 }  // namespace setrec
 

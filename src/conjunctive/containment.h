@@ -50,9 +50,8 @@ Result<ContainmentResult> CheckContainment(const PositiveQuery& q1,
                                            const PositiveQuery& q2,
                                            const DependencySet& deps,
                                            const Catalog& catalog,
-                                           bool simplify = true,
-                                           ExecContext& ctx =
-                                               ExecContext::Default());
+                                           bool simplify,
+                                           ExecContext& ctx);
 
 /// Semantic-preserving pruning of a union of conjunctive queries:
 /// trivially-false disjuncts are dropped, and a disjunct q_j is dropped
@@ -66,18 +65,18 @@ Result<ContainmentResult> CheckContainment(const PositiveQuery& q1,
 /// subsumption test simply leave that disjunct unpruned (conservative and
 /// sound) rather than failing the caller.
 PositiveQuery SimplifyPositiveQuery(PositiveQuery query,
-                                    ExecContext& ctx = ExecContext::Default());
+                                    ExecContext& ctx);
 
 /// Convenience: the boolean verdict of CheckContainment.
 Result<bool> ContainedUnder(const PositiveQuery& q1, const PositiveQuery& q2,
                             const DependencySet& deps, const Catalog& catalog,
-                            ExecContext& ctx = ExecContext::Default());
+                            ExecContext& ctx);
 
 /// q1 ≡_Σ q2 (mutual containment).
 Result<bool> EquivalentUnder(const PositiveQuery& q1, const PositiveQuery& q2,
                              const DependencySet& deps,
                              const Catalog& catalog,
-                             ExecContext& ctx = ExecContext::Default());
+                             ExecContext& ctx);
 
 }  // namespace setrec
 

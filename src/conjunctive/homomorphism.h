@@ -28,28 +28,25 @@ namespace setrec {
 Result<Relation> EvaluateConjunctiveQuery(const ConjunctiveQuery& query,
                                           const RelationScheme& scheme,
                                           const Database& database,
-                                          ExecContext& ctx =
-                                              ExecContext::Default());
+                                          ExecContext& ctx);
 
 /// Membership test s ∈ q(I) without materializing q(I): binds the summary
 /// variables to `s` first, then searches for an extension. This is the inner
 /// loop of the Klug containment test (Theorem A.1).
 Result<bool> TupleInConjunctiveQuery(const ConjunctiveQuery& query,
                                      const Tuple& s, const Database& database,
-                                     ExecContext& ctx =
-                                         ExecContext::Default());
+                                     ExecContext& ctx);
 
 /// Membership in a positive query: s ∈ Q(I) iff s ∈ q'(I) for some disjunct
 /// q' (Sagiv–Yannakakis).
 Result<bool> TupleInPositiveQuery(const PositiveQuery& query, const Tuple& s,
                                   const Database& database,
-                                  ExecContext& ctx = ExecContext::Default());
+                                  ExecContext& ctx);
 
 /// Evaluates a positive query (union of its disjuncts' results).
 Result<Relation> EvaluatePositiveQuery(const PositiveQuery& query,
                                        const Database& database,
-                                       ExecContext& ctx =
-                                           ExecContext::Default());
+                                       ExecContext& ctx);
 
 /// Classical homomorphism test (Chandra–Merlin): is there a mapping ψ from
 /// `from`'s variables to `to`'s variables with ψ(conjuncts(from)) ⊆
@@ -65,7 +62,7 @@ Result<Relation> EvaluatePositiveQuery(const PositiveQuery& query,
 /// when `strict_neq` is false.
 Result<bool> HasHomomorphism(const ConjunctiveQuery& from,
                              const ConjunctiveQuery& to, bool strict_neq,
-                             ExecContext& ctx = ExecContext::Default());
+                             ExecContext& ctx);
 
 // -- The valuation search kernel ---------------------------------------------
 //

@@ -61,12 +61,15 @@ Status ForEachRepresentativeValuation(
 
 std::size_t CountRepresentativeValuations(const ConjunctiveQuery& query) {
   std::size_t count = 0;
-  // The default (permissive) context never fires, so the Status is always OK.
-  Status s =
-      ForEachRepresentativeValuation(query, [&](const std::vector<VarId>&) {
+  // A permissive context never fires, so the Status is always OK.
+  ExecContext ctx;
+  Status s = ForEachRepresentativeValuation(
+      query,
+      [&](const std::vector<VarId>&) {
         ++count;
         return true;
-      });
+      },
+      ctx);
   (void)s;
   return count;
 }

@@ -33,7 +33,7 @@ namespace setrec {
 Status ForEachRepresentativeValuation(
     const ConjunctiveQuery& query,
     const std::function<bool(const std::vector<VarId>& block_of)>& fn,
-    ExecContext& ctx = ExecContext::Default());
+    ExecContext& ctx);
 
 /// Counts the representative valuations of `query` (bench support).
 std::size_t CountRepresentativeValuations(const ConjunctiveQuery& query);

@@ -2,13 +2,6 @@
 
 namespace setrec {
 
-ExecContext& ExecContext::Default() {
-  // One permissive context per thread: mutation of its step counter from
-  // concurrently running computations on different threads never races.
-  thread_local ExecContext ctx;
-  return ctx;
-}
-
 ExecContext ExecContext::Fork() {
   if (shared_ == nullptr) {
     // First fork: migrate this context's accumulated accounting into shared

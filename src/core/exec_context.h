@@ -31,12 +31,14 @@ namespace setrec {
 ///                            external std::atomic<bool>, so another thread
 ///                            or a signal handler can abort a computation)
 ///
-/// A default-constructed context is fully permissive; every governed entry
-/// point takes `ExecContext& ctx = ExecContext::Default()` so existing
-/// callers keep working unchanged. Checks are cooperative: a context only
-/// observes the work that is reported to it, and aborting never corrupts
-/// state — all governed code paths unwind through Status propagation (the
-/// fault-injection tests prove this at every probe point).
+/// A default-constructed context is fully permissive. Every governed entry
+/// point takes the caller's context, either as a required `ExecContext&` or
+/// through `ExecOptions::ctx` (null there means a fresh permissive context
+/// for that call); there is no shared fallback context. Checks are
+/// cooperative: a context only observes the work that is reported to it,
+/// and aborting never corrupts state — all governed code paths unwind
+/// through Status propagation (the fault-injection tests prove this at
+/// every probe point).
 ///
 /// A context is single-owner mutable state (counters); do not share one
 /// between concurrently running computations. The cancellation flag is the
@@ -105,11 +107,6 @@ class ExecContext {
   /// class comment). The child shares limits, deadline, fault injector and
   /// cancellation with its parent; counters become family-global.
   ExecContext Fork();
-
-  /// The shared permissive default, one per thread. Used as the default
-  /// argument of every governed API. Do not attach limits or injectors to
-  /// it — construct a local context instead.
-  static ExecContext& Default();
 
   /// Convenience limit builders.
   static Limits StepBudget(std::uint64_t max_steps) {

@@ -47,11 +47,11 @@ using CommitHook = std::function<Status(const InstanceDelta& delta)>;
 
 /// The one options struct every governed entry point accepts. It bundles
 /// the parameters that used to accrete one by one on each signature
-/// (ExecContext*, CommitHook, ParallelOptions, and now Tracer* /
-/// MetricsRegistry*), so adding an execution concern never changes an API
-/// again. All fields are optional; a default-constructed ExecOptions means
-/// "permissive, unobserved, single-threaded, commit unconditionally" —
-/// exactly the old default-argument behavior.
+/// (ExecContext*, CommitHook, backend, Tracer* / MetricsRegistry*), so
+/// adding an execution concern never changes an API again. All fields are
+/// optional; a default-constructed ExecOptions means "permissive,
+/// unobserved, single-threaded, commit unconditionally". A caller that
+/// holds a context passes it as `{.ctx = &ctx}`.
 ///
 /// Everything here is borrowed, not owned; the referents must outlive the
 /// call.
@@ -74,9 +74,10 @@ struct ExecOptions {
   FlightRecorder* recorder = nullptr;
 
   /// Multi-core runtime. `pool` (borrowed) runs the partitioned join probe
-  /// of an Evaluator built from these options and of EXPLAIN ANALYZE over
-  /// an expression or a set-oriented update. num_workers is read by
-  /// nothing, and ParallelApply ignores both fields; see ParallelOptions.
+  /// of Evaluate and of EXPLAIN ANALYZE over an expression or a
+  /// set-oriented update. num_workers is read by nothing, and ParallelApply
+  /// ignores both fields: it evaluates each par(E) once, on the calling
+  /// thread.
   std::size_t num_workers = 1;
   ThreadPool* pool = nullptr;
 
@@ -96,7 +97,7 @@ struct ExecOptions {
 
   /// Commit interposition for the in-place SQL statements; ignored by
   /// read-only entry points.
-  CommitHook commit_hook;
+  CommitHook commit_hook = {};
 
   /// Incremental view cache (or any delta sink) to keep in sync with the
   /// call's effects. Mutating entry points publish the committed delta to

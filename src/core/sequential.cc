@@ -51,7 +51,7 @@ Status ApplySequenceInPlace(const UpdateMethod& method, Instance& instance,
           "sequence is undefined: receiver not valid over intermediate "
           "instance");
     }
-    SETREC_RETURN_IF_ERROR(method.ApplyInPlace(instance, t));
+    SETREC_RETURN_IF_ERROR(method.ApplyInPlace(instance, t, ctx));
   }
   return Status::OK();
 }
@@ -141,15 +141,14 @@ Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
   return outcome;
 }
 
-namespace {
-
-/// Shared body of the SequentialApply overloads. When `sink` is set, the
-/// result's journal yields the delta published to it.
-Result<Instance> SequentialApplyImpl(const UpdateMethod& method,
-                                     const Instance& instance,
-                                     std::span<const Receiver> receivers,
-                                     bool verify_order_independence,
-                                     ExecContext& ctx, DeltaSink* sink) {
+Result<Instance> SequentialApply(const UpdateMethod& method,
+                                 const Instance& instance,
+                                 std::span<const Receiver> receivers,
+                                 const ExecOptions& options,
+                                 bool verify_order_independence) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
+  DeltaSink* sink = options.view_cache;
   std::vector<Receiver> set = CanonicalReceiverSet(receivers);
   if (verify_order_independence) {
     SETREC_ASSIGN_OR_RETURN(OrderIndependenceOutcome outcome,
@@ -171,28 +170,6 @@ Result<Instance> SequentialApplyImpl(const UpdateMethod& method,
     result.EndJournal();
   }
   return result;
-}
-
-}  // namespace
-
-Result<Instance> SequentialApply(const UpdateMethod& method,
-                                 const Instance& instance,
-                                 std::span<const Receiver> receivers,
-                                 bool verify_order_independence,
-                                 ExecContext& ctx) {
-  return SequentialApplyImpl(method, instance, receivers,
-                             verify_order_independence, ctx, nullptr);
-}
-
-Result<Instance> SequentialApply(const UpdateMethod& method,
-                                 const Instance& instance,
-                                 std::span<const Receiver> receivers,
-                                 const ExecOptions& options,
-                                 bool verify_order_independence) {
-  ExecScope scope(options);
-  return SequentialApplyImpl(method, instance, receivers,
-                             verify_order_independence, scope.ctx(),
-                             options.view_cache);
 }
 
 }  // namespace setrec

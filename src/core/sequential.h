@@ -17,11 +17,12 @@ namespace setrec {
 /// Applies M to a *sequence* of distinct receivers: M(I, t1 ... tn) =
 /// M(M(I, t1), t2, ..., tn) (Section 3). The value is undefined (an error
 /// status is returned) as soon as some ti is not a receiver over the evolving
-/// instance or M itself fails. `ctx` governs the per-receiver loop.
+/// instance or M itself fails. `ctx` governs the per-receiver loop and
+/// every application in it.
 Result<Instance> ApplySequence(const UpdateMethod& method,
                                const Instance& instance,
                                std::span<const Receiver> sequence,
-                               ExecContext& ctx = ExecContext::Default());
+                               ExecContext& ctx);
 
 /// In-place form of ApplySequence: each receiver's update is applied
 /// directly to `instance` (UpdateMethod::ApplyInPlace), so the sequence
@@ -63,8 +64,8 @@ struct OrderIndependenceOutcome {
 /// attempted and the context decides how far they get.
 Result<OrderIndependenceOutcome> OrderIndependentOn(
     const UpdateMethod& method, const Instance& instance,
-    std::span<const Receiver> receivers,
-    ExecContext& ctx = ExecContext::Default(), std::size_t max_set_size = 7);
+    std::span<const Receiver> receivers, ExecContext& ctx,
+    std::size_t max_set_size = 7);
 
 /// The Lemma 3.3 test: checks M(M(I,t),t') = M(M(I,t'),t) for every
 /// unordered pair {t, t'} from `receivers`. For testing *global* order
@@ -73,25 +74,19 @@ Result<OrderIndependenceOutcome> OrderIndependentOn(
 /// full test above remains the ground truth for a single pair (I, T).
 Result<OrderIndependenceOutcome> PairwiseOrderIndependentOn(
     const UpdateMethod& method, const Instance& instance,
-    std::span<const Receiver> receivers,
-    ExecContext& ctx = ExecContext::Default());
+    std::span<const Receiver> receivers, ExecContext& ctx);
 
 /// Sequential application M_seq(I, T) (Definition 3.1): picks an arbitrary
 /// (here: sorted) enumeration of T. When `verify_order_independence` is set,
 /// first runs the exhaustive test and fails with FailedPrecondition if M is
-/// not order independent on (I, T).
+/// not order independent on (I, T). Every application runs under the
+/// context `options` resolves to; its view cache, when set, receives the
+/// result's delta.
 Result<Instance> SequentialApply(const UpdateMethod& method,
                                  const Instance& instance,
                                  std::span<const Receiver> receivers,
-                                 const ExecOptions& options,
+                                 const ExecOptions& options = {},
                                  bool verify_order_independence = false);
-
-/// Compat shim predating ExecOptions; prefer the overload above.
-Result<Instance> SequentialApply(const UpdateMethod& method,
-                                 const Instance& instance,
-                                 std::span<const Receiver> receivers,
-                                 bool verify_order_independence = false,
-                                 ExecContext& ctx = ExecContext::Default());
 
 /// Deduplicates and sorts a receiver list into a canonical set enumeration.
 std::vector<Receiver> CanonicalReceiverSet(std::span<const Receiver> receivers);

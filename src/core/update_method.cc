@@ -12,9 +12,20 @@ Status UpdateMethod::CheckReceiver(const Instance& instance,
   return Status::OK();
 }
 
-Status UpdateMethod::ApplyInPlace(Instance& instance,
-                                  const Receiver& receiver) const {
-  SETREC_ASSIGN_OR_RETURN(Instance out, Apply(instance, receiver));
+Result<Instance> UpdateMethod::Apply(const Instance& instance,
+                                     const Receiver& receiver,
+                                     const ExecOptions& options) const {
+  Instance out = instance;
+  ExecScope scope(options);
+  SETREC_RETURN_IF_ERROR(ApplyInPlace(out, receiver, scope.ctx()));
+  return out;
+}
+
+Status FunctionalUpdateMethod::ApplyInPlace(Instance& instance,
+                                            const Receiver& receiver,
+                                            ExecContext&) const {
+  SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
+  SETREC_ASSIGN_OR_RETURN(Instance out, body_(instance, receiver));
   instance = std::move(out);
   return Status::OK();
 }

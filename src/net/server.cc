@@ -631,8 +631,11 @@ Response Server::HandleUpdate(
         if (trace.active()) ctx.set_trace_id(trace.trace_id);
         // The cache serves phase one (receiver set) when present; the
         // store's own hook publication keeps it in lockstep afterwards.
-        return SetOrientedUpdateInPlace(instance, prop, receiver_query, ctx,
-                                        hook, tenant.view_cache.get());
+        return SetOrientedUpdateInPlace(
+            instance, prop, receiver_query,
+            {.ctx = &ctx,
+             .commit_hook = hook,
+             .view_cache = tenant.view_cache.get()});
       },
       RequestLimits(tenant, deadline));
   if (!committed.ok()) return ErrorResponse(committed);
@@ -718,7 +721,7 @@ Response Server::HandleQuery(Tenant& tenant, const Request& request,
   Result<Database> database = EncodeInstance(state);
   if (!database.ok()) return ErrorResponse(database.status());
 
-  Result<Relation> result = Evaluate(*query, *database, ctx);
+  Result<Relation> result = Evaluate(*query, *database, {.ctx = &ctx});
   if (!result.ok()) return ErrorResponse(result.status());
 
   Response response = OkResponse();

@@ -13,13 +13,6 @@ Evaluator::Evaluator(const Database* database, ExecContext& ctx,
                      ThreadPool* pool)
     : database_(database), plan_(*database), ctx_(&ctx), pool_(pool) {}
 
-Evaluator::Evaluator(const Database* database, const ExecOptions& options)
-    : database_(database), plan_(*database), scope_(std::in_place, options) {
-  ctx_ = &scope_->ctx();
-  pool_ = options.pool;
-  backend_ = options.backend;
-}
-
 Evaluator::~Evaluator() = default;
 
 Result<Relation> Evaluator::Eval(const ExprPtr& expr) {
@@ -337,14 +330,10 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
 }
 
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
-                          ExecContext& ctx) {
-  Evaluator evaluator(&database, ctx);
-  return evaluator.Eval(expr);
-}
-
-Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
                           const ExecOptions& options) {
-  Evaluator evaluator(&database, options);
+  ExecScope scope(options);
+  Evaluator evaluator(&database, scope.ctx(), options.pool);
+  evaluator.set_backend(options.backend);
   return evaluator.Eval(expr);
 }
 

@@ -67,17 +67,10 @@ class Evaluator {
   /// exact globally), and partition outputs are merged in partition order —
   /// the result is identical to the sequential probe. The pool is borrowed,
   /// not owned.
-  explicit Evaluator(const Database* database,
-                     ExecContext& ctx = ExecContext::Default(),
-                     ThreadPool* pool = nullptr);
+  Evaluator(const Database* database, ExecContext& ctx,
+            ThreadPool* pool = nullptr);
 
-  /// Unified form: resolves ExecOptions (context, observability sinks,
-  /// probe-parallelism pool) for the evaluator's lifetime. The scope is
-  /// held by the evaluator, so a borrowed context is restored when the
-  /// evaluator is destroyed.
-  Evaluator(const Database* database, const ExecOptions& options);
-
-  // Constructors and destructor are out of line: the vectorized engine
+  // The constructor and destructor are out of line: the vectorized engine
   // member is incomplete here.
   ~Evaluator();
 
@@ -135,9 +128,8 @@ class Evaluator {
 
   const Database* database_;
   PhysicalPlan plan_;  // the interpreter's lowering; unused by the engine
-  std::optional<ExecScope> scope_;
-  ExecContext* ctx_ = nullptr;
-  ThreadPool* pool_ = nullptr;
+  ExecContext* ctx_;
+  ThreadPool* pool_;
   ExecBackend backend_ = ExecBackend::kAuto;
   std::optional<bool> auto_vectorize_;  // kAuto decision, latched
   std::unique_ptr<vectorized::Engine> engine_;  // lazily built
@@ -145,17 +137,13 @@ class Evaluator {
   std::unordered_map<const Expr*, EvalNodeStats>* node_stats_ = nullptr;
 };
 
-/// One-shot evaluation. The single ExecOptions entry point: backend
-/// selection, governing context, observability sinks and the probe pool all
-/// arrive through `options` (a default-constructed ExecOptions means
-/// permissive, unobserved, single-threaded, kAuto backend).
+/// One-shot evaluation: backend selection, governing context,
+/// observability sinks and the probe pool all arrive through `options` (a
+/// default-constructed ExecOptions means permissive, unobserved,
+/// single-threaded, kAuto backend; a caller holding a context passes
+/// `{.ctx = &ctx}`).
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
                           const ExecOptions& options = {});
-
-/// Compatibility shim for borrowed-context callers; equivalent to passing
-/// ExecOptions{.ctx = &ctx}. Prefer the ExecOptions form.
-Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
-                          ExecContext& ctx);
 
 }  // namespace setrec
 

@@ -38,13 +38,16 @@ Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
                                    const RowPredicate& pred,
                                    ExecContext& ctx) {
   Instance out = instance;
-  SETREC_RETURN_IF_ERROR(SetOrientedDeleteInPlace(out, cls, pred, ctx));
+  SETREC_RETURN_IF_ERROR(
+      SetOrientedDeleteInPlace(out, cls, pred, {.ctx = &ctx}));
   return out;
 }
 
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
-                                const RowPredicate& pred, ExecContext& ctx,
-                                const CommitHook& commit_hook) {
+                                const RowPredicate& pred,
+                                const ExecOptions& options) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "sql/set-delete");
   // Phase one: identify every doomed row against the input state. No
   // mutation has happened yet, so errors here need no rollback.
@@ -57,16 +60,24 @@ Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
   // Phase two: remove them all together, all-or-nothing. The commit hook is
   // part of the statement: a veto (e.g. a WAL write failure) unwinds exactly
   // like an in-memory fault.
-  return RunJournaled(
-      instance,
-      [&]() -> Status {
-        for (ObjectId row : doomed) {
-          SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/delete/row"));
-          SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
-        }
-        return Status::OK();
-      },
-      commit_hook);
+  auto remove = [&]() -> Status {
+    for (ObjectId row : doomed) {
+      SETREC_RETURN_IF_ERROR(ctx.CheckPoint("sql/delete/row"));
+      SETREC_RETURN_IF_ERROR(instance.RemoveObject(row));
+    }
+    return Status::OK();
+  };
+  InstanceDelta delta;
+  SETREC_RETURN_IF_ERROR(
+      RunJournaled(instance, remove, options.commit_hook, &delta));
+  // Deletes have no receiver-query phase to serve from the cache, but their
+  // effects must still reach it or dependent views go permanently stale.
+  // Post-commit, advisory: the sink fails closed on its own when it cannot
+  // absorb the delta.
+  if (options.view_cache != nullptr) {
+    (void)options.view_cache->ApplyDelta(delta);
+  }
+  return Status::OK();
 }
 
 Result<CursorOrderReport> TestCursorDeleteOrders(const Instance& instance,
@@ -153,45 +164,21 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
       {UpdateStatement{property, Expr::Relation("arg1")}});
 }
 
-Result<Instance> SetOrientedUpdate(const Instance& instance,
-                                   PropertyId property,
-                                   const ExprPtr& receiver_query,
-                                   ExecContext& ctx) {
-  const Schema* schema = &instance.schema();
-  SETREC_ASSIGN_OR_RETURN(std::unique_ptr<AlgebraicUpdateMethod> assign,
-                          MakeAssignArgMethod(schema, property));
-  // Phase one: compute the receiver set against the input instance.
-  SETREC_ASSIGN_OR_RETURN(
-      std::vector<Receiver> receivers,
-      ReceiversFromQuery(receiver_query, instance, assign->signature(), ctx));
-  if (!IsKeySet(receivers)) {
-    return Status::FailedPrecondition(
-        "set-oriented update would assign two values to one row; the "
-        "receiver query must produce a key set");
-  }
-  // Phase two: apply the trivial key-order independent update.
-  return ApplySequence(*assign, instance, receivers, ctx);
-}
-
-namespace {
-
-/// Shared body of the two public SetOrientedUpdateInPlace overloads. When
-/// `sink` is a ViewCache, phase one reads the receiver set out of the cache
-/// (incrementally maintained) instead of evaluating from scratch, falling
-/// back to ReceiversFromQuery on any cache error; either way a successful
-/// commit publishes its delta to the sink. The caller is responsible for
-/// having fed the cache every prior mutation of `instance` — the per-row
-/// validity check below still rejects receivers that do not exist in the
-/// instance, but cannot detect a stale-but-valid receiver set.
-Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
-                             const ExprPtr& receiver_query, ExecContext& ctx,
-                             const CommitHook& commit_hook, DeltaSink* sink) {
+Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
+                                const ExprPtr& receiver_query,
+                                const ExecOptions& options) {
+  ExecScope scope(options);
+  ExecContext& ctx = scope.ctx();
+  DeltaSink* sink = options.view_cache;
   TraceSpan span = StartSpan(ctx, "sql/set-update");
   const Schema* schema = &instance.schema();
   SETREC_ASSIGN_OR_RETURN(std::unique_ptr<AlgebraicUpdateMethod> assign,
                           MakeAssignArgMethod(schema, property));
   // Phase one: compute the receiver key set against the input state. No
-  // mutation has happened yet, so errors here need no rollback.
+  // mutation has happened yet, so errors here need no rollback. A cached
+  // receiver set is only as fresh as the deltas the caller fed the cache:
+  // the per-row validity check below still rejects receivers that do not
+  // exist in the instance, but cannot detect a stale-but-valid set.
   std::vector<Receiver> receivers;
   bool from_cache = false;
   if (ViewCache* cache = sink != nullptr ? sink->AsViewCache() : nullptr) {
@@ -235,7 +222,8 @@ Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
     return Status::OK();
   };
   InstanceDelta delta;
-  SETREC_RETURN_IF_ERROR(RunJournaled(instance, rewrite, commit_hook, &delta));
+  SETREC_RETURN_IF_ERROR(
+      RunJournaled(instance, rewrite, options.commit_hook, &delta));
   if (sink != nullptr) {
     // Post-commit, advisory: the sink fails closed on its own when it
     // cannot absorb the delta.
@@ -244,49 +232,14 @@ Status SetOrientedUpdateImpl(Instance& instance, PropertyId property,
   return Status::OK();
 }
 
-}  // namespace
-
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query, ExecContext& ctx,
-                                const CommitHook& commit_hook) {
-  return SetOrientedUpdateImpl(instance, property, receiver_query, ctx,
-                               commit_hook, /*sink=*/nullptr);
-}
-
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query, ExecContext& ctx,
-                                const CommitHook& commit_hook,
-                                DeltaSink* view_cache) {
-  return SetOrientedUpdateImpl(instance, property, receiver_query, ctx,
-                               commit_hook, view_cache);
-}
-
-Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
-                                const RowPredicate& pred,
-                                const ExecOptions& options) {
-  ExecScope scope(options);
-  // Deletes have no receiver-query phase to serve from the cache, but their
-  // effects must still reach it or dependent views go permanently stale.
-  // Publication rides the commit hook, which receives the journaled delta;
-  // it runs after the caller's own hook accepted the commit (a veto
-  // publishes nothing).
-  CommitHook hook = options.commit_hook;
-  if (DeltaSink* sink = options.view_cache; sink != nullptr) {
-    hook = [inner = std::move(hook), sink](const InstanceDelta& delta) {
-      if (inner) SETREC_RETURN_IF_ERROR(inner(delta));
-      (void)sink->ApplyDelta(delta);
-      return Status::OK();
-    };
-  }
-  return SetOrientedDeleteInPlace(instance, cls, pred, scope.ctx(), hook);
-}
-
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                const ExecOptions& options) {
-  ExecScope scope(options);
-  return SetOrientedUpdateImpl(instance, property, receiver_query, scope.ctx(),
-                               options.commit_hook, options.view_cache);
+Result<Instance> SetOrientedUpdate(const Instance& instance,
+                                   PropertyId property,
+                                   const ExprPtr& receiver_query,
+                                   const ExecOptions& options) {
+  Instance out = instance;
+  SETREC_RETURN_IF_ERROR(
+      SetOrientedUpdateInPlace(out, property, receiver_query, options));
+  return out;
 }
 
 }  // namespace setrec

@@ -23,8 +23,8 @@ using RowPredicate =
 /// inspecting the next row.
 Result<Instance> CursorDelete(const Instance& instance, ClassId cls,
                               const RowPredicate& pred,
-                              std::span<const ObjectId> order = {},
-                              ExecContext& ctx = ExecContext::Default());
+                              std::span<const ObjectId> order,
+                              ExecContext& ctx);
 
 /// CursorDelete applied directly to `instance`. On failure `instance`
 /// holds the rows deleted so far; callers that need all-or-nothing run it
@@ -38,24 +38,18 @@ Status CursorDeleteInPlace(Instance& instance, ClassId cls,
 /// semantics of the standalone SQL statement.
 Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
                                    const RowPredicate& pred,
-                                   ExecContext& ctx = ExecContext::Default());
+                                   ExecContext& ctx);
 
 /// In-place set-oriented DELETE with all-or-nothing semantics: removes the
 /// doomed rows incrementally under the instance's mutation journal, hands
-/// the journaled delta to `commit_hook`, and on ANY failure (governance,
-/// injected fault, structural error, or a hook veto) rolls the journal
-/// back, so a failed statement leaves `instance` bit-identical to its
-/// pre-statement state.
+/// the journaled delta to `options.commit_hook`, and on ANY failure
+/// (governance, injected fault, structural error, or a hook veto) rolls the
+/// journal back, so a failed statement leaves `instance` bit-identical to
+/// its pre-statement state. A committed delta is then published to
+/// `options.view_cache`, when set.
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
                                 const RowPredicate& pred,
-                                ExecContext& ctx = ExecContext::Default(),
-                                const CommitHook& commit_hook = {});
-
-/// Unified form: ExecOptions carries the context, the observability sinks,
-/// and the commit hook in one struct. Prefer this overload.
-Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
-                                const RowPredicate& pred,
-                                const ExecOptions& options);
+                                const ExecOptions& options = {});
 
 /// Runs CursorDelete under every permutation of the rows (bounded by
 /// `max_rows`!) and reports whether all outcomes agree; when they do not,
@@ -67,7 +61,7 @@ struct CursorOrderReport {
 };
 Result<CursorOrderReport> TestCursorDeleteOrders(
     const Instance& instance, ClassId cls, const RowPredicate& pred,
-    std::size_t max_rows = 6, ExecContext& ctx = ExecContext::Default());
+    std::size_t max_rows, ExecContext& ctx);
 
 /// Section 7 predicates over the payroll tables.
 /// "Salary in table Fire" — used by the correct cursor delete.
@@ -83,7 +77,7 @@ RowPredicate ManagerSalaryInFire(const PayrollSchema& schema);
 Result<Instance> CursorUpdate(const AlgebraicUpdateMethod& method,
                               const Instance& instance,
                               std::span<const Receiver> order,
-                              ExecContext& ctx = ExecContext::Default());
+                              ExecContext& ctx);
 
 /// CursorUpdate applied directly to `instance` (ApplySequenceInPlace). On
 /// failure `instance` holds the receivers applied so far; callers that
@@ -98,43 +92,30 @@ Status CursorUpdateInPlace(const AlgebraicUpdateMethod& method,
 Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
     const Schema* schema, PropertyId property);
 
-/// Set-oriented UPDATE: computes the receiver key set with `receiver_query`
-/// against the input instance (phase one), then applies `a := arg1` to it
-/// (phase two). `receiver_query`'s scheme must be (receiving class, target
-/// class of `property`).
+/// In-place set-oriented UPDATE with all-or-nothing semantics: computes the
+/// receiver key set with `receiver_query` against the input state (phase
+/// one), then rewrites the a-edges of every receiving row incrementally
+/// under the instance's mutation journal and hands the journaled delta to
+/// `options.commit_hook` (phase two) — the effect of applying `a := arg1`
+/// to the key set. `receiver_query`'s scheme must be (receiving class,
+/// target class of `property`). On ANY failure — a governance stop, an
+/// injected fault at any probe point, a structural error, or a hook veto —
+/// the journal is rolled back before the error returns, so `instance` is
+/// bit-identical to its pre-statement state.
+///
+/// When `options.view_cache` is an incremental view cache
+/// (incremental/view_cache.h), phase one is served from it, falling back to
+/// from-scratch receiver evaluation on any cache error; a committed delta
+/// is published to it either way.
+Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
+                                const ExprPtr& receiver_query,
+                                const ExecOptions& options = {});
+
+/// Set-oriented UPDATE on a copy of `instance` (SetOrientedUpdateInPlace).
 Result<Instance> SetOrientedUpdate(const Instance& instance,
                                    PropertyId property,
                                    const ExprPtr& receiver_query,
-                                   ExecContext& ctx = ExecContext::Default());
-
-/// In-place set-oriented UPDATE with all-or-nothing semantics: computes the
-/// receiver key set (phase one), then applies the edge rewrites
-/// incrementally under the instance's mutation journal and hands the
-/// journaled delta to `commit_hook` (phase two). On ANY failure — a
-/// governance stop, an injected fault at any probe point, a structural
-/// error, or a hook veto — the journal is rolled back before the error
-/// returns, so `instance` is bit-identical to its pre-statement state.
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                ExecContext& ctx = ExecContext::Default(),
-                                const CommitHook& commit_hook = {});
-
-/// As above, but additionally serving phase one from — and publishing the
-/// committed delta to — an incremental view cache (the
-/// ExecOptions::view_cache contract; see incremental/view_cache.h). Any
-/// cache error falls back to from-scratch receiver evaluation. `view_cache`
-/// may be null, which is exactly the overload above.
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                ExecContext& ctx,
-                                const CommitHook& commit_hook,
-                                DeltaSink* view_cache);
-
-/// Unified form: ExecOptions carries the context, the observability sinks,
-/// and the commit hook in one struct. Prefer this overload.
-Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
-                                const ExprPtr& receiver_query,
-                                const ExecOptions& options);
+                                   const ExecOptions& options = {});
 
 }  // namespace setrec
 

@@ -386,15 +386,16 @@ Status DurableStore::Update(PropertyId property,
                             const ExprPtr& receiver_query) {
   return Commit([&](Instance& instance, ExecContext& ctx,
                     const CommitHook& commit) {
-    return SetOrientedUpdateInPlace(instance, property, receiver_query, ctx,
-                                    commit);
+    return SetOrientedUpdateInPlace(instance, property, receiver_query,
+                                    {.ctx = &ctx, .commit_hook = commit});
   });
 }
 
 Status DurableStore::Delete(ClassId cls, const RowPredicate& pred) {
   return Commit(
       [&](Instance& instance, ExecContext& ctx, const CommitHook& commit) {
-        return SetOrientedDeleteInPlace(instance, cls, pred, ctx, commit);
+        return SetOrientedDeleteInPlace(instance, cls, pred,
+                                        {.ctx = &ctx, .commit_hook = commit});
       });
 }
 

@@ -430,11 +430,9 @@ Status TxnManager::Update(PropertyId property, const ExprPtr& receiver_query) {
   // shared receiver, the exact shape absolute order independence excludes.
   Bump(&Stats::mvcc_admissions, "txn.admit_mvcc");
   return RunWithRetries("update txn", [&] {
-    return AttemptMvcc([&](Instance& instance, ExecContext& ctx) -> Status {
-      ExecOptions opts;
-      opts.ctx = &ctx;
+    return AttemptMvcc([&](Instance& instance, ExecContext& ctx) {
       return SetOrientedUpdateInPlace(instance, property, receiver_query,
-                                      opts);
+                                      {.ctx = &ctx});
     });
   });
 }

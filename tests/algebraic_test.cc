@@ -56,31 +56,35 @@ TEST_F(DrinkersTest, FavoriteBarMatchesFigure4) {
 }
 
 TEST_F(DrinkersTest, FavoriteBarSequenceMatchesFigure5) {
+  ExecContext ctx;
   auto favorite = std::move(MakeFavoriteBar(ds_)).value();
   std::vector<Receiver> order = {Receiver::Unchecked({drinker1_, bar1_}),
                                  Receiver::Unchecked({drinker1_, bar3_})};
-  Instance figure5 = std::move(ApplySequence(*favorite, *figure2_, order))
+  Instance figure5 = std::move(ApplySequence(*favorite, *figure2_, order, ctx))
                          .value();
   EXPECT_EQ(Frequented(figure5), (std::vector<ObjectId>{bar3_}));
   // The reverse order ends at bar1 (Example 3.2): order dependent.
   std::vector<Receiver> reversed = {order[1], order[0]};
-  Instance other = std::move(ApplySequence(*favorite, *figure2_, reversed))
+  Instance other = std::move(ApplySequence(*favorite, *figure2_, reversed, ctx))
                        .value();
   EXPECT_EQ(Frequented(other), (std::vector<ObjectId>{bar1_}));
   EXPECT_FALSE(figure5 == other);
 }
 
 TEST_F(DrinkersTest, ExhaustiveOrderIndependenceOnFigure2) {
+  ExecContext ctx;
   auto add_bar = std::move(MakeAddBar(ds_)).value();
   auto favorite = std::move(MakeFavoriteBar(ds_)).value();
   std::vector<Receiver> receivers = {Receiver::Unchecked({drinker1_, bar1_}),
                                      Receiver::Unchecked({drinker1_, bar3_})};
   auto add_outcome =
-      std::move(OrderIndependentOn(*add_bar, *figure2_, receivers)).value();
+      std::move(OrderIndependentOn(*add_bar, *figure2_, receivers, ctx))
+          .value();
   EXPECT_TRUE(add_outcome.order_independent);
   ASSERT_TRUE(add_outcome.result.has_value());
   auto fav_outcome =
-      std::move(OrderIndependentOn(*favorite, *figure2_, receivers)).value();
+      std::move(OrderIndependentOn(*favorite, *figure2_, receivers, ctx))
+          .value();
   EXPECT_FALSE(fav_outcome.order_independent);
   ASSERT_TRUE(fav_outcome.result_a.has_value());
   ASSERT_TRUE(fav_outcome.result_b.has_value());
@@ -197,6 +201,7 @@ TEST(MethodLibraryTest, TransitiveClosureStepMatchesExample64) {
 }
 
 TEST(MethodLibraryTest, ReceiversFromQueryChecksSchemes) {
+  ExecContext ctx;
   PairSchema ps = std::move(MakePairSchema()).value();
   Instance instance(&ps.schema);
   const ObjectId n0(ps.c, 0), n1(ps.c, 1);
@@ -206,7 +211,7 @@ TEST(MethodLibraryTest, ReceiversFromQueryChecksSchemes) {
 
   MethodSignature sig({ps.c, ps.c});
   auto receivers =
-      ReceiversFromQuery(Expr::Relation("Cb"), instance, sig);
+      ReceiversFromQuery(Expr::Relation("Cb"), instance, sig, ctx);
   ASSERT_TRUE(receivers.ok());
   ASSERT_EQ(receivers->size(), 1u);
   EXPECT_EQ((*receivers)[0].receiving_object(), n0);
@@ -214,7 +219,8 @@ TEST(MethodLibraryTest, ReceiversFromQueryChecksSchemes) {
 
   // Arity mismatch.
   MethodSignature wide({ps.c, ps.c, ps.c});
-  EXPECT_FALSE(ReceiversFromQuery(Expr::Relation("Cb"), instance, wide).ok());
+  EXPECT_FALSE(
+      ReceiversFromQuery(Expr::Relation("Cb"), instance, wide, ctx).ok());
 }
 
 }  // namespace

@@ -31,6 +31,7 @@ Catalog GraphCatalog() {
 }
 
 TEST(ChaseTest, FdRuleMergesVariables) {
+  ExecContext ctx;
   // q(y1, y2) :- E(x, y1), E(x, y2) under E: x→y collapses y1 = y2.
   ConjunctiveQuery q;
   VarId x = q.NewVar(kP), y1 = q.NewVar(kP), y2 = q.NewVar(kP);
@@ -40,7 +41,7 @@ TEST(ChaseTest, FdRuleMergesVariables) {
   DependencySet deps;
   deps.fds.push_back(FunctionalDependency{"E", {"x"}, "y"});
   ConjunctiveQuery chased =
-      std::move(ChaseQuery(q, deps, GraphCatalog())).value();
+      std::move(ChaseQuery(q, deps, GraphCatalog(), ctx)).value();
   ASSERT_FALSE(chased.trivially_false());
   EXPECT_EQ(chased.num_vars(), 2u);
   EXPECT_EQ(chased.conjuncts().size(), 1u);
@@ -48,6 +49,7 @@ TEST(ChaseTest, FdRuleMergesVariables) {
 }
 
 TEST(ChaseTest, FdRuleDetectsContradiction) {
+  ExecContext ctx;
   // Same query plus y1 ≠ y2: the chase must report ⊥.
   ConjunctiveQuery q;
   VarId x = q.NewVar(kP), y1 = q.NewVar(kP), y2 = q.NewVar(kP);
@@ -58,11 +60,12 @@ TEST(ChaseTest, FdRuleDetectsContradiction) {
   DependencySet deps;
   deps.fds.push_back(FunctionalDependency{"E", {"x"}, "y"});
   ConjunctiveQuery chased =
-      std::move(ChaseQuery(q, deps, GraphCatalog())).value();
+      std::move(ChaseQuery(q, deps, GraphCatalog(), ctx)).value();
   EXPECT_TRUE(chased.trivially_false());
 }
 
 TEST(ChaseTest, EmptyLhsFdMergesEverything) {
+  ExecContext ctx;
   // ∅ → v over V: all V-variables merge (the Theorem 5.6 singleton trick).
   ConjunctiveQuery q;
   VarId a = q.NewVar(kP), b = q.NewVar(kP), c = q.NewVar(kP);
@@ -73,12 +76,13 @@ TEST(ChaseTest, EmptyLhsFdMergesEverything) {
   DependencySet deps;
   deps.fds.push_back(FunctionalDependency{"V", {}, "v"});
   ConjunctiveQuery chased =
-      std::move(ChaseQuery(q, deps, GraphCatalog())).value();
+      std::move(ChaseQuery(q, deps, GraphCatalog(), ctx)).value();
   EXPECT_EQ(chased.num_vars(), 1u);
   EXPECT_EQ(chased.conjuncts().size(), 1u);
 }
 
 TEST(ChaseTest, IndRuleAddsConjunctsAndTerminates) {
+  ExecContext ctx;
   // E[x] ⊆ V and E[y] ⊆ V: each E conjunct spawns V conjuncts, then the
   // process stops (full inds add no fresh variables).
   ConjunctiveQuery q;
@@ -89,16 +93,17 @@ TEST(ChaseTest, IndRuleAddsConjunctsAndTerminates) {
   deps.inds.push_back(InclusionDependency{"E", {"x"}, "V"});
   deps.inds.push_back(InclusionDependency{"E", {"y"}, "V"});
   ConjunctiveQuery chased =
-      std::move(ChaseQuery(q, deps, GraphCatalog())).value();
+      std::move(ChaseQuery(q, deps, GraphCatalog(), ctx)).value();
   EXPECT_EQ(chased.conjuncts().size(), 3u);
   EXPECT_EQ(chased.num_vars(), 2u);
   // Idempotent: chasing again changes nothing.
   ConjunctiveQuery again =
-      std::move(ChaseQuery(chased, deps, GraphCatalog())).value();
+      std::move(ChaseQuery(chased, deps, GraphCatalog(), ctx)).value();
   EXPECT_EQ(again.conjuncts().size(), 3u);
 }
 
 TEST(ChaseTest, DistinguishedVariablesSurviveMerges) {
+  ExecContext ctx;
   // The fd rule keeps the least variable under the "distinguished first"
   // ordering; the summary variable must survive.
   ConjunctiveQuery q;
@@ -109,7 +114,7 @@ TEST(ChaseTest, DistinguishedVariablesSurviveMerges) {
   DependencySet deps;
   deps.fds.push_back(FunctionalDependency{"E", {"x"}, "y"});
   ConjunctiveQuery chased =
-      std::move(ChaseQuery(q, deps, GraphCatalog())).value();
+      std::move(ChaseQuery(q, deps, GraphCatalog(), ctx)).value();
   ASSERT_EQ(chased.summary().size(), 1u);
   // The summary variable still appears in the conjunct.
   ASSERT_EQ(chased.conjuncts().size(), 1u);
@@ -117,6 +122,7 @@ TEST(ChaseTest, DistinguishedVariablesSurviveMerges) {
 }
 
 TEST(ChaseTest, ChurchRosserOnConjunctOrder) {
+  ExecContext ctx;
   // Building the same query with conjuncts in different insertion orders
   // yields identical chase results (after compaction).
   DependencySet deps;
@@ -137,8 +143,10 @@ TEST(ChaseTest, ChurchRosserOnConjunctOrder) {
     q2.AddConjunct("E", {a, b});
     q2.set_summary({a});
   }
-  ConjunctiveQuery c1 = std::move(ChaseQuery(q1, deps, GraphCatalog())).value();
-  ConjunctiveQuery c2 = std::move(ChaseQuery(q2, deps, GraphCatalog())).value();
+  ConjunctiveQuery c1 =
+      std::move(ChaseQuery(q1, deps, GraphCatalog(), ctx)).value();
+  ConjunctiveQuery c2 =
+      std::move(ChaseQuery(q2, deps, GraphCatalog(), ctx)).value();
   EXPECT_EQ(c1.ToString(), c2.ToString());
 }
 
@@ -148,6 +156,7 @@ class ChaseEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(ChaseEquivalenceTest, ChasedQueryIsSigmaEquivalent) {
+  ExecContext ctx;
   SplitMix64 rng(GetParam());
   Catalog catalog = GraphCatalog();
   DependencySet deps;
@@ -171,7 +180,8 @@ TEST_P(ChaseEquivalenceTest, ChasedQueryIsSigmaEquivalent) {
   }
   q.set_summary({vars[0]});
 
-  ConjunctiveQuery chased = std::move(ChaseQuery(q, deps, catalog)).value();
+  ConjunctiveQuery chased =
+      std::move(ChaseQuery(q, deps, catalog, ctx)).value();
 
   // Random Σ-satisfying database: a function graph (x→f(x)) over 4 values.
   Database db;
@@ -190,9 +200,10 @@ TEST_P(ChaseEquivalenceTest, ChasedQueryIsSigmaEquivalent) {
   ASSERT_TRUE(std::move(SatisfiesAll(db, deps)).value());
 
   RelationScheme scheme = MakeScheme({{"x", kP}});
-  Relation before = std::move(EvaluateConjunctiveQuery(q, scheme, db)).value();
+  Relation before =
+      std::move(EvaluateConjunctiveQuery(q, scheme, db, ctx)).value();
   Relation after =
-      std::move(EvaluateConjunctiveQuery(chased, scheme, db)).value();
+      std::move(EvaluateConjunctiveQuery(chased, scheme, db, ctx)).value();
   EXPECT_EQ(before, after);
 }
 

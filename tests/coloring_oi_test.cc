@@ -22,6 +22,7 @@ class SimpleWitnessTest : public ::testing::TestWithParam<UseAxiomatization> {
 };
 
 TEST_P(SimpleWitnessTest, SimpleSoundColoringsYieldOrderIndependentMethods) {
+  ExecContext ctx;
   const UseAxiomatization ax = GetParam();
   const bool inflationary = ax == UseAxiomatization::kInflationary;
   PairSchema ps = std::move(MakePairSchema()).value();
@@ -49,7 +50,7 @@ TEST_P(SimpleWitnessTest, SimpleSoundColoringsYieldOrderIndependentMethods) {
         // witness on random instances.
         auto dependence = std::move(SearchOrderDependenceWitness(
                                         *witness, ps.schema, 17, 3,
-                                        gen_options))
+                                        gen_options, false, ctx))
                               .value();
         EXPECT_FALSE(dependence.has_value()) << k.ToString();
 
@@ -91,6 +92,7 @@ class CounterexampleTest
     : public ::testing::TestWithParam<CounterexampleCase> {};
 
 TEST_P(CounterexampleTest, DemonstrationSetRefutesOrderIndependence) {
+  ExecContext ctx;
   PairSchema ps = std::move(MakePairSchema()).value();
   const CounterexampleCase which = GetParam();
   const bool node_case = which == CounterexampleCase::kNodeUD ||
@@ -101,7 +103,7 @@ TEST_P(CounterexampleTest, DemonstrationSetRefutesOrderIndependence) {
   Counterexample ce =
       std::move(MakeCounterexample(&ps.schema, which, item)).value();
   auto outcome = std::move(OrderIndependentOn(*ce.method, ce.instance,
-                                              ce.receivers))
+                                              ce.receivers, ctx))
                      .value();
   EXPECT_FALSE(outcome.order_independent);
 }

@@ -44,6 +44,7 @@ TEST_F(CombinationTest, EmptyReceiverSetIsIdentity) {
 }
 
 TEST_F(CombinationTest, UnionCombinationCollectsAllAdditions) {
+  ExecContext ctx;
   auto add_bar = std::move(MakeAddBar(ds_)).value();
   std::vector<Receiver> receivers = {Receiver::Unchecked({d_, b1_}),
                                      Receiver::Unchecked({d_, b2_})};
@@ -55,7 +56,7 @@ TEST_F(CombinationTest, UnionCombinationCollectsAllAdditions) {
   // For the inflationary add_bar, union combination equals sequential
   // application.
   Instance sequential =
-      std::move(ApplySequence(*add_bar, *instance_, receivers)).value();
+      std::move(ApplySequence(*add_bar, *instance_, receivers, ctx)).value();
   EXPECT_EQ(combined, sequential);
 }
 
@@ -76,6 +77,7 @@ TEST_F(CombinationTest, UnionCombinationLosesDeletions) {
 }
 
 TEST_F(CombinationTest, RefinedCombinationAgreesOnDeletes) {
+  ExecContext ctx;
   // delete_bar: D1 deletes b0, D2 deletes nothing (b1 not frequented).
   // Refined: (D1 ∩ D2) ∪ (D1 − D) ∪ (D2 − D): the deletion of b0 sticks
   // (b0-edge ∉ D1), and nothing is spuriously added — matching the
@@ -87,7 +89,7 @@ TEST_F(CombinationTest, RefinedCombinationAgreesOnDeletes) {
       std::move(ApplyCombinationRefined(*delete_bar, *instance_, receivers))
           .value();
   Instance sequential =
-      std::move(ApplySequence(*delete_bar, *instance_, receivers)).value();
+      std::move(ApplySequence(*delete_bar, *instance_, receivers, ctx)).value();
   EXPECT_EQ(refined, sequential);
   EXPECT_TRUE(refined.Targets(d_, ds_.frequents).empty());
 
@@ -105,6 +107,7 @@ class RefinedCombinationProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RefinedCombinationProperty, MatchesSequentialOnKeySets) {
+  ExecContext ctx;
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   InstanceGenerator gen(&ds.schema, GetParam());
   InstanceGenerator::Options options;
@@ -121,7 +124,7 @@ TEST_P(RefinedCombinationProperty, MatchesSequentialOnKeySets) {
     std::vector<Receiver> keys =
         gen.RandomKeySet(instance, method->signature(), 3);
     Instance sequential =
-        std::move(ApplySequence(*method, instance, keys)).value();
+        std::move(ApplySequence(*method, instance, keys, ctx)).value();
     Instance refined =
         std::move(ApplyCombinationRefined(*method, instance, keys)).value();
     EXPECT_EQ(sequential, refined) << method->name();

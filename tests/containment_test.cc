@@ -87,6 +87,7 @@ class TranslationSemanticsTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TranslationSemanticsTest, QueryEvaluationMatchesAlgebra) {
+  ExecContext ctx;
   Catalog catalog = GraphCatalog();
   SplitMix64 rng(GetParam());
   Database db;
@@ -115,7 +116,7 @@ TEST_P(TranslationSemanticsTest, QueryEvaluationMatchesAlgebra) {
 
   Relation direct = std::move(Evaluate(expr, db)).value();
   PositiveQuery q = Translate(expr, GraphCatalog());
-  Relation via_query = std::move(EvaluatePositiveQuery(q, db)).value();
+  Relation via_query = std::move(EvaluatePositiveQuery(q, db, ctx)).value();
   EXPECT_EQ(direct, via_query);
 }
 
@@ -123,6 +124,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TranslationSemanticsTest,
                          ::testing::Range<std::uint64_t>(1, 11));
 
 TEST(HomomorphismTest, ChandraMerlinClassics) {
+  ExecContext ctx;
   // q_path(x) :- E(x,y), E(y,z)   vs   q_loop(x) :- E(x,x).
   ConjunctiveQuery path;
   VarId x = path.NewVar(kP), y = path.NewVar(kP), z = path.NewVar(kP);
@@ -136,12 +138,13 @@ TEST(HomomorphismTest, ChandraMerlinClassics) {
   loop.set_summary({w});
 
   // hom path → loop exists (collapse): so loop ⊆ path.
-  EXPECT_TRUE(std::move(HasHomomorphism(path, loop, false)).value());
+  EXPECT_TRUE(std::move(HasHomomorphism(path, loop, false, ctx)).value());
   // hom loop → path does not: path ⊄ loop.
-  EXPECT_FALSE(std::move(HasHomomorphism(loop, path, false)).value());
+  EXPECT_FALSE(std::move(HasHomomorphism(loop, path, false, ctx)).value());
 }
 
 TEST(KlugTest, NonEqualityBreaksTheHomomorphismTheorem) {
+  ExecContext ctx;
   // Klug's phenomenon: with ≠, containment cannot be decided by one
   // canonical database. q1(x) :- E(x,y). q2(x) :- E(x,y), y≠x... q1 ⊄ q2
   // (loops), but the homomorphism q2 → q1 exists if ≠ is ignored.
@@ -151,12 +154,13 @@ TEST(KlugTest, NonEqualityBreaksTheHomomorphismTheorem) {
   PositiveQuery q1 = Translate(q1e, catalog);
   PositiveQuery q2 = Translate(q2e, catalog);
   DependencySet none;
-  EXPECT_FALSE(std::move(ContainedUnder(q1, q2, none, catalog)).value());
-  EXPECT_TRUE(std::move(ContainedUnder(q2, q1, none, catalog)).value());
+  EXPECT_FALSE(std::move(ContainedUnder(q1, q2, none, catalog, ctx)).value());
+  EXPECT_TRUE(std::move(ContainedUnder(q2, q1, none, catalog, ctx)).value());
 
   // The representative-set counterexample: the valuation collapsing x and y
   // (a loop) satisfies q1 but not q2.
-  auto result = std::move(CheckContainment(q1, q2, none, catalog)).value();
+  auto result =
+      std::move(CheckContainment(q1, q2, none, catalog, true, ctx)).value();
   ASSERT_TRUE(result.counterexample.has_value());
   const Relation* edges = std::move(result.counterexample->Find("E")).value();
   ASSERT_EQ(edges->size(), 1u);
@@ -187,6 +191,7 @@ TEST(KlugTest, RepresentativeValuationCounts) {
 }
 
 TEST(UnionContainmentTest, SagivYannakakis) {
+  ExecContext ctx;
   Catalog catalog = GraphCatalog();
   DependencySet none;
   // E ⊆ E ∪ loops, and loops ⊆ E, but E ⊄ loops.
@@ -195,16 +200,18 @@ TEST(UnionContainmentTest, SagivYannakakis) {
   PositiveQuery q_all = Translate(all, catalog);
   PositiveQuery q_loops = Translate(loops, catalog);
   PositiveQuery q_union = Translate(ra::Union(all, loops), catalog);
-  EXPECT_TRUE(std::move(ContainedUnder(q_all, q_union, none, catalog)).value());
   EXPECT_TRUE(
-      std::move(ContainedUnder(q_loops, q_all, none, catalog)).value());
+      std::move(ContainedUnder(q_all, q_union, none, catalog, ctx)).value());
+  EXPECT_TRUE(
+      std::move(ContainedUnder(q_loops, q_all, none, catalog, ctx)).value());
   EXPECT_FALSE(
-      std::move(ContainedUnder(q_all, q_loops, none, catalog)).value());
+      std::move(ContainedUnder(q_all, q_loops, none, catalog, ctx)).value());
   EXPECT_TRUE(
-      std::move(EquivalentUnder(q_all, q_union, none, catalog)).value());
+      std::move(EquivalentUnder(q_all, q_union, none, catalog, ctx)).value());
 }
 
 TEST(DependencyContainmentTest, FunctionalDependencyEnablesContainment) {
+  ExecContext ctx;
   // Under E: x→y, "two successors" implies they coincide:
   // q1() :- E(x,y1), E(x,y2), y1 ≠ y2 is unsatisfiable, hence contained in
   // anything — but only under the FD.
@@ -222,13 +229,16 @@ TEST(DependencyContainmentTest, FunctionalDependencyEnablesContainment) {
   ASSERT_TRUE(q_empty.disjuncts.empty());
 
   DependencySet none;
-  EXPECT_FALSE(std::move(ContainedUnder(q_two, q_empty, none, catalog)).value());
+  EXPECT_FALSE(
+      std::move(ContainedUnder(q_two, q_empty, none, catalog, ctx)).value());
   DependencySet fd;
   fd.fds.push_back(FunctionalDependency{"E", {"x"}, "y"});
-  EXPECT_TRUE(std::move(ContainedUnder(q_two, q_empty, fd, catalog)).value());
+  EXPECT_TRUE(
+      std::move(ContainedUnder(q_two, q_empty, fd, catalog, ctx)).value());
 }
 
 TEST(DependencyContainmentTest, InclusionDependencyEnablesContainment) {
+  ExecContext ctx;
   // Under E[x] ⊆ V, π_x(E) ⊆ V holds.
   Catalog catalog = GraphCatalog();
   ExprPtr sources = ra::Rename(ra::Project(ra::Rel("E"), {"x"}), "x", "v");
@@ -236,13 +246,15 @@ TEST(DependencyContainmentTest, InclusionDependencyEnablesContainment) {
   PositiveQuery q_src = Translate(sources, catalog);
   PositiveQuery q_v = Translate(verts, catalog);
   DependencySet none;
-  EXPECT_FALSE(std::move(ContainedUnder(q_src, q_v, none, catalog)).value());
+  EXPECT_FALSE(
+      std::move(ContainedUnder(q_src, q_v, none, catalog, ctx)).value());
   DependencySet ind;
   ind.inds.push_back(InclusionDependency{"E", {"x"}, "V"});
-  EXPECT_TRUE(std::move(ContainedUnder(q_src, q_v, ind, catalog)).value());
+  EXPECT_TRUE(std::move(ContainedUnder(q_src, q_v, ind, catalog, ctx)).value());
 }
 
 TEST(DependencyContainmentTest, FdFilterOnRepresentativeInstances) {
+  ExecContext ctx;
   // Completeness of the FD filter: under ∅→v (V is a singleton),
   // V × V ⊆ "the diagonal". Without the filter the valuation putting two
   // distinct values into V would wrongly refute containment.
@@ -254,13 +266,15 @@ TEST(DependencyContainmentTest, FdFilterOnRepresentativeInstances) {
   DependencySet singleton;
   singleton.fds.push_back(FunctionalDependency{"V", {}, "v"});
   EXPECT_TRUE(
-      std::move(ContainedUnder(q_all, q_diag, singleton, catalog)).value());
+      std::move(ContainedUnder(q_all, q_diag, singleton, catalog, ctx))
+          .value());
   DependencySet none;
   EXPECT_FALSE(
-      std::move(ContainedUnder(q_all, q_diag, none, catalog)).value());
+      std::move(ContainedUnder(q_all, q_diag, none, catalog, ctx)).value());
 }
 
 TEST(SimplifyTest, PrunesSubsumedAndFalseDisjuncts) {
+  ExecContext ctx;
   Catalog catalog = GraphCatalog();
   // Union of E(x,y) and the self-loop query σ_{x=y}(E): the loop disjunct
   // maps homomorphically into... no — the general disjunct maps into the
@@ -269,22 +283,23 @@ TEST(SimplifyTest, PrunesSubsumedAndFalseDisjuncts) {
   ExprPtr loops = ra::SelectEq(ra::Rel("E"), "x", "y");
   PositiveQuery u = Translate(ra::Union(all, loops), catalog);
   ASSERT_EQ(u.disjuncts.size(), 2u);
-  PositiveQuery pruned = SimplifyPositiveQuery(u);
+  PositiveQuery pruned = SimplifyPositiveQuery(u, ctx);
   EXPECT_EQ(pruned.disjuncts.size(), 1u);
 
   // Identical disjuncts collapse to one.
   PositiveQuery dup = Translate(ra::Union(all, all), catalog);
-  EXPECT_EQ(SimplifyPositiveQuery(dup).disjuncts.size(), 1u);
+  EXPECT_EQ(SimplifyPositiveQuery(dup, ctx).disjuncts.size(), 1u);
 
   // Pruning preserves semantics under containment both ways.
   DependencySet none;
-  EXPECT_TRUE(std::move(EquivalentUnder(u, pruned, none, catalog)).value());
+  EXPECT_TRUE(
+      std::move(EquivalentUnder(u, pruned, none, catalog, ctx)).value());
 
   // A ≠-guarded disjunct is NOT subsumed by the plain one (the plain
   // disjunct's homomorphism cannot satisfy strictness), nor vice versa.
   PositiveQuery mixed = Translate(
       ra::Union(loops, ra::SelectNeq(ra::Rel("E"), "x", "y")), catalog);
-  EXPECT_EQ(SimplifyPositiveQuery(mixed).disjuncts.size(), 2u);
+  EXPECT_EQ(SimplifyPositiveQuery(mixed, ctx).disjuncts.size(), 2u);
 }
 
 /// Ground-truth sweep: the decision agrees with brute-force evaluation over
@@ -318,7 +333,9 @@ TEST_P(ContainmentGroundTruthTest, AgreesWithExhaustiveSmallModels) {
   PositiveQuery q1 = Translate(e1, catalog);
   PositiveQuery q2 = Translate(e2, catalog);
   DependencySet none;
-  auto verdict = std::move(CheckContainment(q1, q2, none, catalog)).value();
+  ExecContext ctx;
+  auto verdict =
+      std::move(CheckContainment(q1, q2, none, catalog, true, ctx)).value();
 
   if (!verdict.contained) {
     // A "not contained" verdict must come with a genuine counterexample:
@@ -484,11 +501,12 @@ void ExpectReductionsMatchReference(const AlgebraicUpdateMethod& method,
   auto reductions =
       std::move(BuildOrderIndependenceReduction(method, kind)).value();
   ASSERT_FALSE(reductions.empty());
+  ExecContext ctx;
   for (const ReductionExpressions& r : reductions) {
     const PositiveQuery tt = SimplifyPositiveQuery(
-        Translate(r.e_tt, mctx.reduction_catalog));
+        Translate(r.e_tt, mctx.reduction_catalog), ctx);
     const PositiveQuery ts = SimplifyPositiveQuery(
-        Translate(r.e_ts, mctx.reduction_catalog));
+        Translate(r.e_ts, mctx.reduction_catalog), ctx);
     const std::string property = label + " property " +
                                  std::to_string(r.property);
     ExpectSameAsReference(tt, ts, mctx.reduction_deps, mctx.reduction_catalog,
@@ -571,6 +589,7 @@ ConjunctiveQuery RandomGraphQuery(SplitMix64& rng) {
 }
 
 TEST(ContainmentDifferentialTest, RandomQueriesUnderFdsMatchTheReference) {
+  ExecContext ctx;
   const Catalog catalog = GraphCatalog();
   const RelationScheme scheme = MakeScheme({{"v", kP}});
   std::uint64_t fd_rejected = 0;
@@ -592,7 +611,7 @@ TEST(ContainmentDifferentialTest, RandomQueriesUnderFdsMatchTheReference) {
     fd_rejected += ExpectSameAsReference(q1, q2, deps, catalog,
                                          "seed " + std::to_string(seed));
     auto verdict =
-        std::move(CheckContainment(q1, q2, deps, catalog, false)).value();
+        std::move(CheckContainment(q1, q2, deps, catalog, false, ctx)).value();
     ++(verdict.contained ? contained : refuted);
   }
   // The FD filter rejects valuations here (no E13 valuation is rejected),
@@ -603,6 +622,7 @@ TEST(ContainmentDifferentialTest, RandomQueriesUnderFdsMatchTheReference) {
 }
 
 TEST(ContainmentDifferentialTest, MalformedInputsFailAsTheReferenceDoes) {
+  ExecContext ctx;
   const Catalog catalog = GraphCatalog();
   const RelationScheme scheme = MakeScheme({{"v", kP}});
   auto query = [](std::vector<std::pair<std::string, std::vector<VarId>>>
@@ -655,8 +675,9 @@ TEST(ContainmentDifferentialTest, MalformedInputsFailAsTheReferenceDoes) {
     const PositiveQuery q1{scheme, {c.q1}};
     const PositiveQuery q2{scheme, {c.q2}};
     ExpectSameAsReference(q1, q2, c.deps, catalog, c.label);
-    EXPECT_EQ(CheckContainment(q1, q2, c.deps, catalog, false).status().code(),
-              c.code)
+    EXPECT_EQ(
+        CheckContainment(q1, q2, c.deps, catalog, false, ctx).status().code(),
+        c.code)
         << c.label;
   }
 }

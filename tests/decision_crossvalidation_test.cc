@@ -21,6 +21,7 @@ class DecisionCrossValidation
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DecisionCrossValidation, VerdictMatchesSampledSemantics) {
+  ExecContext ctx;
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   ExprPtr e = CorpusExpression(GetParam());
   auto method_or = AlgebraicUpdateMethod::Make(
@@ -49,14 +50,14 @@ TEST_P(DecisionCrossValidation, VerdictMatchesSampledSemantics) {
   options.edge_probability = 0.45;
   auto witness = std::move(SearchOrderDependenceWitness(*method, ds.schema,
                                                         GetParam(), 30,
-                                                        options))
+                                                        options, false, ctx))
                      .value();
   EXPECT_EQ(witness.has_value(), !absolute) << ExprToString(*e);
 
   auto key_witness = std::move(SearchOrderDependenceWitness(
                                    *method, ds.schema, GetParam(), 30,
                                    options,
-                                   /*key_pairs_only=*/true))
+                                   /*key_pairs_only=*/true, ctx))
                          .value();
   EXPECT_EQ(key_witness.has_value(), !key_order) << ExprToString(*e);
 }

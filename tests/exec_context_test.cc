@@ -1,8 +1,9 @@
 // Tests for cooperative resource governance (core/exec_context.h): step
 // budgets, wall-clock deadlines, row and memory caps, cancellation — and
 // their end-to-end effect on the worst-case-exponential kernels: the chase,
-// the Klug containment test, the permutation oracle, and the Theorem 5.12
-// decision procedure (which must degrade to a sound kUnknown).
+// the Klug containment test, the permutation oracle, the Theorem 5.12
+// decision procedure (which must degrade to a sound kUnknown), and every
+// single method application inside a sequential one.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "conjunctive/containment.h"
 #include "core/exec_context.h"
 #include "core/sequential.h"
+#include "sql/table.h"
 #include "text/parser.h"
 
 namespace setrec {
@@ -131,7 +133,8 @@ TEST(GovernedKernelsTest, ChaseStopsOnStepBudget) {
   EXPECT_EQ(chased.status().code(), StatusCode::kResourceExhausted);
 
   // The same input finishes under a permissive context.
-  EXPECT_TRUE(ChaseQuery(q, deps, GraphCatalog()).ok());
+  ExecContext permissive;
+  EXPECT_TRUE(ChaseQuery(q, deps, GraphCatalog(), permissive).ok());
 }
 
 /// A chain query with `n` same-domain variables: the representative-set
@@ -217,8 +220,9 @@ TEST_F(DrinkersOracle, OversizedSetFailsUpFrontWithoutALimit) {
   // 8 receivers > the default guard of 7: with a permissive context the
   // |T|! enumeration is refused up front — uniformly as kResourceExhausted,
   // not as an argument error.
+  ExecContext permissive;
   Result<OrderIndependenceOutcome> r =
-      OrderIndependentOn(*method_, instance_, receivers_);
+      OrderIndependentOn(*method_, instance_, receivers_, permissive);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(r.status().message().find("step budget or deadline"),
@@ -244,6 +248,45 @@ TEST_F(DrinkersOracle, TinyBudgetStopsThePermutationOracle) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
+// -- Method application under the caller's context --------------------------
+
+TEST(GovernedApplicationTest, SequentialApplyChargesEachApplicationsRows) {
+  // Section 7's B' over 16 employees: every M(I, t) joins its salary with
+  // NewSal, one row per receiver. The caller's row budget governs M_seq, so
+  // it must govern those joins too and stop the second one.
+  PayrollSchema ps = std::move(MakePayrollSchema()).value();
+  std::vector<EmployeeRow> employees;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    employees.push_back(EmployeeRow{i, 1000 + (i % 4), std::nullopt});
+  }
+  std::vector<NewSalRow> raises;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    raises.push_back(NewSalRow{1000 + s, 2000 + s});
+  }
+  const Instance instance =
+      std::move(BuildPayrollInstance(ps, employees, {}, raises)).value();
+  auto method = std::move(MakeSalaryFromNewSal(ps)).value();
+  const auto salaries = std::move(ReadSalaries(ps, instance)).value();
+  std::vector<Receiver> receivers;
+  for (auto [id, salary] : salaries) {
+    receivers.push_back(Receiver::Unchecked(
+        {ObjectId(ps.emp, id), ObjectId(ps.val, salary)}));
+  }
+  ASSERT_EQ(receivers.size(), 16u);
+
+  ExecContext::Limits limits;
+  limits.max_rows = 1;
+  ExecContext ctx(limits);
+  Result<Instance> out =
+      SequentialApply(*method, instance, receivers, {.ctx = &ctx});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(out.status().message().find("evaluator/join-row"),
+            std::string::npos)
+      << out.status().ToString();
+  EXPECT_EQ(ctx.rows(), 2u);
+}
+
 // -- Three-valued decision (sound degradation) -------------------------------
 
 TEST(BoundedDecisionTest, DecidesWhenTheBudgetSuffices) {
@@ -252,7 +295,7 @@ TEST(BoundedDecisionTest, DecidesWhenTheBudgetSuffices) {
   ExecContext permissive;
   EXPECT_EQ(std::move(DecideOrderIndependenceBounded(
                           *add_bar, OrderIndependenceKind::kAbsolute,
-                          permissive))
+                          {.ctx = &permissive}))
                 .value(),
             OrderIndependenceVerdict::kIndependent);
 
@@ -260,7 +303,7 @@ TEST(BoundedDecisionTest, DecidesWhenTheBudgetSuffices) {
   ExecContext permissive2;
   EXPECT_EQ(std::move(DecideOrderIndependenceBounded(
                           *favorite, OrderIndependenceKind::kAbsolute,
-                          permissive2))
+                          {.ctx = &permissive2}))
                 .value(),
             OrderIndependenceVerdict::kDependent);
 }
@@ -272,7 +315,8 @@ TEST(BoundedDecisionTest, ExhaustedBudgetIsUnknownNotAVerdict) {
   auto add_bar = std::move(MakeAddBar(ds)).value();
   ExecContext ctx(ExecContext::StepBudget(50));
   EXPECT_EQ(std::move(DecideOrderIndependenceBounded(
-                          *add_bar, OrderIndependenceKind::kAbsolute, ctx))
+                          *add_bar, OrderIndependenceKind::kAbsolute,
+                          {.ctx = &ctx}))
                 .value(),
             OrderIndependenceVerdict::kUnknown);
 }
@@ -283,7 +327,7 @@ TEST(BoundedDecisionTest, CancellationIsNotFoldedIntoUnknown) {
   ExecContext ctx;
   ctx.RequestCancel();
   Result<OrderIndependenceVerdict> r = DecideOrderIndependenceBounded(
-      *add_bar, OrderIndependenceKind::kAbsolute, ctx);
+      *add_bar, OrderIndependenceKind::kAbsolute, {.ctx = &ctx});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -302,7 +346,7 @@ TEST(BoundedDecisionTest, NonPositiveMethodsStillErrorNotUnknown) {
                       .value();
   ExecContext ctx(ExecContext::StepBudget(50));
   Result<OrderIndependenceVerdict> r = DecideOrderIndependenceBounded(
-      *negative, OrderIndependenceKind::kAbsolute, ctx);
+      *negative, OrderIndependenceKind::kAbsolute, {.ctx = &ctx});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }

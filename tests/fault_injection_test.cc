@@ -184,7 +184,8 @@ TEST_F(PayrollFaults, SetOrientedUpdateRollsBackAtEveryProbePoint) {
   ExecContext observe_ctx;
   observe_ctx.set_fault_injector(&observer);
   ASSERT_TRUE(
-      SetOrientedUpdateInPlace(clean, ps_.salary, query, observe_ctx).ok());
+      SetOrientedUpdateInPlace(clean, ps_.salary, query, {.ctx = &observe_ctx})
+          .ok());
   EXPECT_FALSE(clean == original);
   const std::uint64_t n_probes = observer.probes_seen();
   ASSERT_GT(n_probes, 0u);
@@ -206,7 +207,8 @@ TEST_F(PayrollFaults, SetOrientedUpdateRollsBackAtEveryProbePoint) {
       FaultInjector inj = FaultInjector::FireAtNthProbe(k, code);
       ExecContext ctx;
       ctx.set_fault_injector(&inj);
-      Status s = SetOrientedUpdateInPlace(attempt, ps_.salary, query, ctx);
+      Status s =
+          SetOrientedUpdateInPlace(attempt, ps_.salary, query, {.ctx = &ctx});
       ASSERT_FALSE(s.ok()) << "probe " << k;
       EXPECT_EQ(s.code(), code) << "probe " << k;
       EXPECT_TRUE(attempt == original)
@@ -224,7 +226,8 @@ TEST_F(PayrollFaults, SetOrientedDeleteRollsBackAtEveryProbePoint) {
   ExecContext observe_ctx;
   observe_ctx.set_fault_injector(&observer);
   ASSERT_TRUE(
-      SetOrientedDeleteInPlace(clean, ps_.emp, pred, observe_ctx).ok());
+      SetOrientedDeleteInPlace(clean, ps_.emp, pred, {.ctx = &observe_ctx})
+          .ok());
   EXPECT_FALSE(clean == original);  // salary 100 is in Fire: rows deleted
   const std::uint64_t n_probes = observer.probes_seen();
   ASSERT_GT(n_probes, 0u);
@@ -236,7 +239,8 @@ TEST_F(PayrollFaults, SetOrientedDeleteRollsBackAtEveryProbePoint) {
       FaultInjector inj = FaultInjector::FireAtNthProbe(k, code);
       ExecContext ctx;
       ctx.set_fault_injector(&inj);
-      Status s = SetOrientedDeleteInPlace(attempt, ps_.emp, pred, ctx);
+      Status s =
+          SetOrientedDeleteInPlace(attempt, ps_.emp, pred, {.ctx = &ctx});
       ASSERT_FALSE(s.ok()) << "probe " << k;
       EXPECT_EQ(s.code(), code) << "probe " << k;
       EXPECT_TRUE(attempt == original)

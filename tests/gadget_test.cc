@@ -61,6 +61,7 @@ class GadgetTest : public ::testing::Test {
 };
 
 TEST_F(GadgetTest, InequivalentExpressionsGiveOrderDependence) {
+  ExecContext ctx;
   // e1 = ∅-test on Pe; e2 = test on P itself. On an instance with P-objects
   // but no e-edges they disagree about emptiness.
   EquivalenceGadget gadget =
@@ -80,7 +81,7 @@ TEST_F(GadgetTest, InequivalentExpressionsGiveOrderDependence) {
       std::move(MakeGadgetDemonstration(gadget, base_instance)).value();
   std::vector<Receiver> receivers = {demo.first, demo.second};
   auto outcome = std::move(OrderIndependentOn(*gadget.method, demo.instance,
-                                              receivers))
+                                              receivers, ctx))
                      .value();
   EXPECT_FALSE(outcome.order_independent);
 
@@ -95,6 +96,7 @@ TEST_F(GadgetTest, InequivalentExpressionsGiveOrderDependence) {
 }
 
 TEST_F(GadgetTest, EquivalentExpressionsGiveOrderIndependence) {
+  ExecContext ctx;
   // Syntactically different but equivalent: Pe vs Pe ∪ Pe.
   ExprPtr pe = ra::Rel("Pe");
   EquivalenceGadget gadget =
@@ -112,7 +114,7 @@ TEST_F(GadgetTest, EquivalentExpressionsGiveOrderIndependence) {
         std::move(MakeGadgetDemonstration(gadget, base_instance)).value();
     std::vector<Receiver> receivers = {demo.first, demo.second};
     auto outcome = std::move(OrderIndependentOn(*gadget.method,
-                                                demo.instance, receivers))
+                                                demo.instance, receivers, ctx))
                        .value();
     EXPECT_TRUE(outcome.order_independent) << "with_edge=" << with_edge;
   }
@@ -124,7 +126,7 @@ TEST_F(GadgetTest, EquivalentExpressionsGiveOrderIndependence) {
   options.edge_probability = 0.5;
   auto witness = std::move(SearchOrderDependenceWitness(
                                *gadget.method, *gadget.schema, 21, 6,
-                               options))
+                               options, false, ctx))
                      .value();
   EXPECT_FALSE(witness.has_value());
 }

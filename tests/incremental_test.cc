@@ -562,8 +562,8 @@ TEST_F(ViewCacheTest, SetOrientedUpdateThroughTheCacheMatchesThePlainPath) {
   // Plain path: no cache anywhere.
   Instance plain = start;
   ExecContext plain_ctx;
-  ASSERT_TRUE(SetOrientedUpdateInPlace(plain, ds_.frequents, query, plain_ctx,
-                                       CommitHook{})
+  ASSERT_TRUE(SetOrientedUpdateInPlace(plain, ds_.frequents, query,
+                                       {.ctx = &plain_ctx})
                   .ok());
 
   // Cached path: the receiver set comes out of the view cache and the

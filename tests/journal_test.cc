@@ -350,8 +350,9 @@ TEST_F(JournalTest, InPlaceApplicationMatchesApplyAndCopiesOnce) {
         reference = std::move(method->Apply(reference, t)).value();
       }
       const std::uint64_t copies = InstanceCosts().copies.value();
+      ExecContext ctx;
       Result<Instance> sequenced =
-          ApplySequence(*method, instance, receivers, ExecContext::Default());
+          ApplySequence(*method, instance, receivers, ctx);
       EXPECT_EQ(InstanceCosts().copies.value() - copies, 1u)
           << "ApplySequence copies once per call";
       ASSERT_TRUE(sequenced.ok()) << "seed " << seed;
@@ -361,12 +362,13 @@ TEST_F(JournalTest, InPlaceApplicationMatchesApplyAndCopiesOnce) {
 }
 
 TEST_F(JournalTest, FailedInPlaceApplicationLeavesTheInstanceUntouched) {
+  ExecContext ctx;
   const auto add_bar = std::move(MakeAddBar(ds_)).value();
   Instance instance = Generate(8);
   const Instance before = instance;
   const Receiver absent = Receiver::Unchecked(
       {ObjectId(ds_.drinker, 999), ObjectId(ds_.bar, 0)});
-  EXPECT_FALSE(add_bar->ApplyInPlace(instance, absent).ok());
+  EXPECT_FALSE(add_bar->ApplyInPlace(instance, absent, ctx).ok());
   EXPECT_TRUE(instance == before);
 }
 

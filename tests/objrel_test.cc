@@ -253,6 +253,7 @@ TEST(ReadSetEncodingTest, MatchesTheFullEncodingOnTheDrinkersCorpus) {
 }
 
 TEST(ReadSetEncodingTest, MatchesTheFullEncodingOnPayroll) {
+  ExecContext ctx;
   PayrollSchema ps = std::move(MakePayrollSchema()).value();
   std::vector<EmployeeRow> employees;
   std::vector<NewSalRow> raises;
@@ -296,7 +297,7 @@ TEST(ReadSetEncodingTest, MatchesTheFullEncodingOnPayroll) {
       std::move(Evaluate(update_query, EncodeInstance(instance).value()))
           .value();
   const auto receivers = std::move(ReceiversFromQuery(
-      update_query, instance, b->signature())).value();
+      update_query, instance, b->signature(), ctx)).value();
   ASSERT_EQ(receivers.size(), full.size());
   std::size_t i = 0;
   for (const Tuple* t : full.SortedTuples()) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -404,6 +405,36 @@ TEST(ObsDeterminismTest, SequentialApplyReportsReceiversAndSpans) {
   const auto totals = tracer.StageTotals();
   ASSERT_TRUE(totals.contains("sequential/apply"));
   EXPECT_EQ(totals.at("sequential/apply").count, 1u);
+}
+
+TEST(ObsDeterminismTest, SequentialApplyNestsEvaluatorSpansUnderApply) {
+  // Each M(I, t) of a traced M_seq evaluates under the caller's context:
+  // its join spans nest under sequential/apply and its rows reach the
+  // caller's registry.
+  const PayrollWorkload w = BuildPayroll(16);
+  Tracer tracer;
+  MetricsRegistry metrics;
+  ASSERT_TRUE(SequentialApply(*w.method, w.instance, w.receivers,
+                              {.tracer = &tracer, .metrics = &metrics})
+                  .ok());
+  EXPECT_GT(metrics.engine.eval_rows.value(), 0u);
+
+  const std::vector<SpanEvent> events = tracer.Events();
+  std::map<std::uint64_t, const SpanEvent*> by_id;
+  for (const SpanEvent& e : events) by_id[e.id] = &e;
+  std::size_t joins = 0;
+  for (const SpanEvent& e : events) {
+    if (std::string(e.name) != "evaluator/join") continue;
+    ++joins;
+    const SpanEvent* ancestor = &e;
+    while (ancestor->parent != 0 &&
+           std::string(ancestor->name) != "sequential/apply") {
+      ancestor = by_id.at(ancestor->parent);
+    }
+    EXPECT_STREQ(ancestor->name, "sequential/apply");
+  }
+  // Two joins per application: NewSal's NSOld ⋈ NSNew, then arg1 with it.
+  EXPECT_EQ(joins, 2 * w.receivers.size());
 }
 
 // -- ExecOptions overloads of the SQL statements -----------------------------

@@ -85,42 +85,45 @@ TEST(DecisionTest, RejectsNonPositiveMethods) {
 }
 
 TEST(RefuterTest, FindsWitnessForFavoriteBar) {
+  ExecContext ctx;
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   auto favorite = std::move(MakeFavoriteBar(ds)).value();
   InstanceGenerator::Options options;
   options.max_objects_per_class = 3;
   auto witness = std::move(SearchOrderDependenceWitness(
-                               *favorite, ds.schema, 7, 4, options))
+                               *favorite, ds.schema, 7, 4, options, false, ctx))
                      .value();
   ASSERT_TRUE(witness.has_value());
   // The two orders genuinely disagree on the found witness.
   std::vector<Receiver> ab = {witness->first, witness->second};
   std::vector<Receiver> ba = {witness->second, witness->first};
   Instance iab =
-      std::move(ApplySequence(*favorite, witness->instance, ab)).value();
+      std::move(ApplySequence(*favorite, witness->instance, ab, ctx)).value();
   Instance iba =
-      std::move(ApplySequence(*favorite, witness->instance, ba)).value();
+      std::move(ApplySequence(*favorite, witness->instance, ba, ctx)).value();
   EXPECT_FALSE(iab == iba);
   // But never with distinct receiving objects (key pairs commute).
   auto key_witness = std::move(SearchOrderDependenceWitness(
                                    *favorite, ds.schema, 7, 4, options,
-                                   /*key_pairs_only=*/true))
+                                   /*key_pairs_only=*/true, ctx))
                          .value();
   EXPECT_FALSE(key_witness.has_value());
 }
 
 TEST(RefuterTest, FindsNoWitnessForAddBar) {
+  ExecContext ctx;
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   auto add_bar = std::move(MakeAddBar(ds)).value();
   InstanceGenerator::Options options;
   options.max_objects_per_class = 3;
-  auto witness = std::move(SearchOrderDependenceWitness(*add_bar, ds.schema,
-                                                        11, 4, options))
+  auto witness = std::move(SearchOrderDependenceWitness(
+                               *add_bar, ds.schema, 11, 4, options, false, ctx))
                      .value();
   EXPECT_FALSE(witness.has_value());
 }
 
 TEST(RefuterTest, ConditionalDeleteIsOrderDependent) {
+  ExecContext ctx;
   // Proposition 5.14's first method: order dependent in general. The first
   // deletion can push #Ca below the guard threshold, changing what the
   // second receiver does.
@@ -140,7 +143,7 @@ TEST(RefuterTest, ConditionalDeleteIsOrderDependent) {
   std::vector<Receiver> pair = {Receiver::Unchecked({c1, x}),
                                 Receiver::Unchecked({c2, z})};
   auto outcome =
-      std::move(OrderIndependentOn(*method, instance, pair)).value();
+      std::move(OrderIndependentOn(*method, instance, pair, ctx)).value();
   EXPECT_FALSE(outcome.order_independent);
 
   // The randomized refuter finds some witness too (sparser edges make the
@@ -149,8 +152,8 @@ TEST(RefuterTest, ConditionalDeleteIsOrderDependent) {
   options.min_objects_per_class = 3;
   options.max_objects_per_class = 4;
   options.edge_probability = 0.15;
-  auto witness = std::move(SearchOrderDependenceWitness(*method, ps.schema,
-                                                        3, 20, options))
+  auto witness = std::move(SearchOrderDependenceWitness(
+                               *method, ps.schema, 3, 20, options, false, ctx))
                      .value();
   EXPECT_TRUE(witness.has_value());
 }
@@ -199,6 +202,7 @@ class DecisionGroundTruthTest
     : public ::testing::TestWithParam<NamedMethodCase> {};
 
 TEST_P(DecisionGroundTruthTest, MatchesRandomizedSemantics) {
+  ExecContext ctx;
   const NamedMethodCase& c = GetParam();
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   std::unique_ptr<AlgebraicUpdateMethod> method;
@@ -221,13 +225,13 @@ TEST_P(DecisionGroundTruthTest, MatchesRandomizedSemantics) {
             c.key_order);
   InstanceGenerator::Options options;
   options.max_objects_per_class = 3;
-  auto witness = std::move(SearchOrderDependenceWitness(*method, ds.schema,
-                                                        13, 3, options))
+  auto witness = std::move(SearchOrderDependenceWitness(
+                               *method, ds.schema, 13, 3, options, false, ctx))
                      .value();
   EXPECT_EQ(witness.has_value(), !c.absolute);
   auto key_witness = std::move(SearchOrderDependenceWitness(
                                    *method, ds.schema, 13, 3, options,
-                                   /*key_pairs_only=*/true))
+                                   /*key_pairs_only=*/true, ctx))
                          .value();
   EXPECT_EQ(key_witness.has_value(), !c.key_order);
 }

@@ -2,8 +2,9 @@
 // sharing across ExecContext::Fork() families, the hashed relational
 // kernels, the partitioned parallel join probe, and — the load-bearing
 // property — bit-identical determinism of ParallelApply across worker
-// counts (the sharded evaluation computes exactly the self-slices of each
-// shard, so merging shards reproduces the single-threaded result).
+// counts (it evaluates each par(E) once, on the calling thread, whatever
+// ExecOptions::num_workers and ::pool say, so these suites pin that the
+// worker options change nothing).
 
 #include <gtest/gtest.h>
 
@@ -267,13 +268,12 @@ void ExpectWorkerCountInvariant(const AlgebraicUpdateMethod& method,
                                 const Instance& instance,
                                 std::span<const Receiver> receivers,
                                 ThreadPool* pool) {
-  Result<Instance> base =
-      ParallelApply(method, instance, receivers, ParallelOptions{1, nullptr});
+  Result<Instance> base = ParallelApply(method, instance, receivers);
   ASSERT_TRUE(base.ok()) << base.status().message();
   const std::string base_text = InstanceToText(*base);
   for (std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
     Result<Instance> sharded = ParallelApply(
-        method, instance, receivers, ParallelOptions{workers, pool});
+        method, instance, receivers, {.num_workers = workers, .pool = pool});
     ASSERT_TRUE(sharded.ok()) << sharded.status().message();
     EXPECT_EQ(*base, *sharded) << method.name() << " with " << workers
                                << " workers";
@@ -284,8 +284,7 @@ void ExpectWorkerCountInvariant(const AlgebraicUpdateMethod& method,
 
 TEST(ParallelApplyDeterminismTest, PayrollWorkloadIsWorkerCountInvariant) {
   // The Section 7 payroll update: every employee re-salaried through
-  // NewSal. Receivers share no receiving objects, so sharding is free to
-  // cut anywhere; 8 workers over 100 employees exercises uneven shards.
+  // NewSal, 100 receivers with no receiving object in common.
   PayrollSchema schema = std::move(MakePayrollSchema()).value();
   std::vector<EmployeeRow> employees;
   std::vector<NewSalRow> raises;
@@ -315,8 +314,7 @@ class RandomizedDeterminismTest
 TEST_P(RandomizedDeterminismTest, RandomReceiverSetsAreWorkerCountInvariant) {
   // Arbitrary receiver sets — NOT key sets — so receivers sharing a
   // receiving object with different arguments land in the corpus. Those
-  // interact through π_{self,arg}(rec) and are exactly the case the
-  // shard-boundary rule (never split a self-run) exists for.
+  // interact through π_{self,arg}(rec), the join par(E) makes on self.
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   InstanceGenerator gen(&ds.schema, GetParam());
   InstanceGenerator::Options options;
@@ -355,12 +353,11 @@ TEST(ParallelApplyDeterminismTest, TransientPoolMatchesBorrowedPool) {
       gen.RandomReceiverSet(instance, method->signature(), 8);
   ASSERT_FALSE(receivers.empty());
 
-  Result<Instance> seq =
-      ParallelApply(*method, instance, receivers, ParallelOptions{1, nullptr});
+  Result<Instance> seq = ParallelApply(*method, instance, receivers);
   ASSERT_TRUE(seq.ok());
-  // options.pool == nullptr with num_workers > 1 spawns a transient pool.
+  // num_workers > 1 without a pool: still one evaluation on this thread.
   Result<Instance> transient =
-      ParallelApply(*method, instance, receivers, ParallelOptions{3, nullptr});
+      ParallelApply(*method, instance, receivers, {.num_workers = 3});
   ASSERT_TRUE(transient.ok());
   EXPECT_EQ(*seq, *transient);
 }
@@ -387,18 +384,20 @@ TEST(ParallelApplyGovernanceTest, BudgetExhaustionMidFanOutLeavesInputAlone) {
   }
 
   // First measure the unrestricted cost, then set a budget that trips
-  // mid-evaluation (after validation, inside the sharded fan-out).
+  // mid-application (after validation, inside the par(E) evaluation or
+  // the edge merge).
   ThreadPool pool(4);
   ExecContext free_ctx;
   ASSERT_TRUE(ParallelApply(*method, instance, receivers,
-                            ParallelOptions{4, &pool}, free_ctx)
+                            {.ctx = &free_ctx, .num_workers = 4, .pool = &pool})
                   .ok());
   const std::uint64_t full_cost = free_ctx.steps();
   ASSERT_GT(full_cost, 200u);
 
   ExecContext tight{ExecContext::StepBudget(full_cost / 2)};
-  Result<Instance> out = ParallelApply(*method, instance, receivers,
-                                       ParallelOptions{4, &pool}, tight);
+  Result<Instance> out =
+      ParallelApply(*method, instance, receivers,
+                    {.ctx = &tight, .num_workers = 4, .pool = &pool});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
   // The input instance is untouched — governance failures never corrupt.
@@ -421,8 +420,9 @@ TEST(ParallelApplyGovernanceTest, CancellationAbortsTheFanOut) {
   ThreadPool pool(2);
   ExecContext ctx;
   ctx.RequestCancel();
-  Result<Instance> out = ParallelApply(*method, instance, receivers,
-                                       ParallelOptions{2, &pool}, ctx);
+  Result<Instance> out =
+      ParallelApply(*method, instance, receivers,
+                    {.ctx = &ctx, .num_workers = 2, .pool = &pool});
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
 }

@@ -87,6 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SingletonCoincidenceTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(Example64Test, SequentialComputesTransitiveClosureParallelDoesNot) {
+  ExecContext ctx;
   TcSchema tc = std::move(MakeTcSchema()).value();
   auto method = std::move(MakeTransitiveClosureMethod(tc)).value();
 
@@ -118,7 +119,7 @@ TEST(Example64Test, SequentialComputesTransitiveClosureParallelDoesNot) {
   Instance sequential = instance;
   for (std::uint32_t round = 0; round < kN; ++round) {
     sequential =
-        std::move(ApplySequence(*method, sequential, all)).value();
+        std::move(ApplySequence(*method, sequential, all, ctx)).value();
   }
   std::size_t expected_tc = 0;
   for (std::uint32_t i = 0; i < kN; ++i) {
@@ -138,6 +139,7 @@ TEST(Example64Test, SequentialComputesTransitiveClosureParallelDoesNot) {
 class Theorem65Test : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Theorem65Test, SequentialEqualsParallelOnKeySets) {
+  ExecContext ctx;
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   InstanceGenerator gen(&ds.schema, GetParam());
   InstanceGenerator::Options options;
@@ -156,7 +158,7 @@ TEST_P(Theorem65Test, SequentialEqualsParallelOnKeySets) {
         gen.RandomKeySet(instance, method->signature(), 3);
     ASSERT_TRUE(IsKeySet(keys));
     Instance sequential =
-        std::move(ApplySequence(*method, instance, keys)).value();
+        std::move(ApplySequence(*method, instance, keys, ctx)).value();
     Instance parallel =
         std::move(ParallelApply(*method, instance, keys)).value();
     EXPECT_EQ(sequential, parallel) << method->name();
@@ -167,6 +169,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Theorem65Test,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(Theorem65Test, FailsOnNonKeySetsForFavoriteBar) {
+  ExecContext ctx;
   // The theorem's key-set hypothesis is necessary: favorite_bar on a
   // non-key set gives different sequential and parallel results (parallel
   // assigns *all* argument bars at once).
@@ -187,7 +190,7 @@ TEST(Theorem65Test, FailsOnNonKeySetsForFavoriteBar) {
             (std::vector<ObjectId>{b0, b1}));
   // Sequential (either order) leaves exactly one bar.
   Instance sequential =
-      std::move(ApplySequence(*favorite, instance, non_key)).value();
+      std::move(ApplySequence(*favorite, instance, non_key, ctx)).value();
   EXPECT_EQ(sequential.Targets(d, ds.frequents).size(), 1u);
 }
 
@@ -261,6 +264,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Lemma67Test,
                          ::testing::Range<std::uint64_t>(1, 11));
 
 TEST(ParityTest, SequentialApplicationExpressesParity) {
+  ExecContext ctx;
   // Footnote 8: greedy matching via sequential application leaves an
   // unmatched object iff |C| is odd — a query the relational algebra
   // (hence one-shot parallel application) cannot express.
@@ -290,7 +294,7 @@ TEST(ParityTest, SequentialApplicationExpressesParity) {
     orders.push_back(std::move(shuffled));
 
     for (const auto& order : orders) {
-      Instance done = std::move(ApplySequence(*method, instance, order))
+      Instance done = std::move(ApplySequence(*method, instance, order, ctx))
                           .value();
       std::set<ObjectId> matched;
       for (const auto& [src, dst] : done.edges(ps.a)) {
@@ -640,8 +644,7 @@ TEST(ParallelCountsTest, EmptyReceiverSetEvaluatesNothing) {
   MetricsRegistry metrics;
   ExecContext ctx{ExecContext::StepBudget(1)};
   ctx.set_metrics(&metrics);
-  Result<Instance> out = ParallelApply(*method, instance, {},
-                                       ParallelOptions{}, ctx);
+  Result<Instance> out = ParallelApply(*method, instance, {}, {.ctx = &ctx});
   ASSERT_TRUE(out.ok()) << out.status().message();
   EXPECT_TRUE(*out == instance);
   EXPECT_EQ(metrics.engine.eval_rows.value(), 0u);

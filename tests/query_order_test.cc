@@ -24,6 +24,7 @@ class Prop514Test : public ::testing::Test {
 };
 
 TEST_F(Prop514Test, GuardAtLeastCounts) {
+  ExecContext ctx;
   Instance instance(&ps_.schema);
   for (std::uint32_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(instance.AddObject(C(i)).ok());
@@ -32,7 +33,7 @@ TEST_F(Prop514Test, GuardAtLeastCounts) {
     ExprPtr g = std::move(GuardAtLeastTuples("Ca", "C", "a", n)).value();
     auto receivers_or = ReceiversFromQuery(
         ra::Product(Expr::Relation("Cb"), g), instance,
-        MethodSignature({ps_.c, ps_.c}));
+        MethodSignature({ps_.c, ps_.c}), ctx);
     return std::move(receivers_or).value().size();
   };
   // One b-edge so Cb is non-empty; grow Ca and watch the guards flip.
@@ -51,6 +52,7 @@ TEST_F(Prop514Test, GuardAtLeastCounts) {
 /// The if-direction fails: M is order independent on every two-element
 /// subset of Q(I), yet not Q-order independent.
 TEST_F(Prop514Test, IfDirectionCounterexample) {
+  ExecContext ctx;
   auto method = std::move(MakeConditionalDeleteMethod(ps_)).value();
   ExprPtr query = std::move(MakeProp514Query(ps_)).value();
 
@@ -71,7 +73,7 @@ TEST_F(Prop514Test, IfDirectionCounterexample) {
 
   std::vector<Receiver> q_receivers =
       std::move(ReceiversFromQuery(query, instance,
-                                   MethodSignature({ps_.c, ps_.c})))
+                                   MethodSignature({ps_.c, ps_.c}), ctx))
           .value();
   ASSERT_EQ(q_receivers.size(), 3u);  // the three Cb pairs (#Ca = 3)
 
@@ -80,19 +82,21 @@ TEST_F(Prop514Test, IfDirectionCounterexample) {
     for (std::size_t j = i + 1; j < q_receivers.size(); ++j) {
       std::vector<Receiver> pair = {q_receivers[i], q_receivers[j]};
       auto outcome =
-          std::move(OrderIndependentOn(*method, instance, pair)).value();
+          std::move(OrderIndependentOn(*method, instance, pair, ctx)).value();
       EXPECT_TRUE(outcome.order_independent) << i << "," << j;
     }
   }
   // ...but the full three-element Q(I) is not.
   auto full =
-      std::move(OrderIndependentOn(*method, instance, q_receivers)).value();
+      std::move(OrderIndependentOn(*method, instance, q_receivers, ctx))
+          .value();
   EXPECT_FALSE(full.order_independent);
 }
 
 /// The only-if direction fails: M is Q-order independent for Q = C×C×C,
 /// yet some pair of receivers from Q(I) disagrees.
 TEST_F(Prop514Test, OnlyIfDirectionCounterexample) {
+  ExecContext ctx;
   auto method = std::move(MakeCopyExtendMethod(ps_)).value();
   ASSERT_TRUE(method->IsPositiveMethod());
 
@@ -106,8 +110,8 @@ TEST_F(Prop514Test, OnlyIfDirectionCounterexample) {
   Receiver t1 = Receiver::Unchecked({o1, o1, o1});
   Receiver t2 = Receiver::Unchecked({o1, o2, o1});
   std::vector<Receiver> ab = {t1, t2}, ba = {t2, t1};
-  Instance iab = std::move(ApplySequence(*method, instance, ab)).value();
-  Instance iba = std::move(ApplySequence(*method, instance, ba)).value();
+  Instance iab = std::move(ApplySequence(*method, instance, ab, ctx)).value();
+  Instance iba = std::move(ApplySequence(*method, instance, ba, ctx)).value();
   EXPECT_EQ(iab.Targets(o1, ps_.a), (std::vector<ObjectId>{o1}));
   EXPECT_EQ(iba.Targets(o1, ps_.a), (std::vector<ObjectId>{o2}));
   EXPECT_FALSE(iab == iba);
@@ -120,16 +124,16 @@ TEST_F(Prop514Test, OnlyIfDirectionCounterexample) {
   // 8! = 40320 permutations is too many; sample prefixes of the
   // lexicographic enumeration plus reversed and rotated orders.
   Instance reference =
-      std::move(ApplySequence(*method, instance, all)).value();
+      std::move(ApplySequence(*method, instance, all, ctx)).value();
   std::vector<Receiver> reversed(all.rbegin(), all.rend());
-  EXPECT_EQ(std::move(ApplySequence(*method, instance, reversed)).value(),
+  EXPECT_EQ(std::move(ApplySequence(*method, instance, reversed, ctx)).value(),
             reference);
   for (std::size_t rot = 1; rot < all.size(); ++rot) {
     std::vector<Receiver> rotated(all.begin() + static_cast<std::ptrdiff_t>(rot),
                                   all.end());
     rotated.insert(rotated.end(), all.begin(),
                    all.begin() + static_cast<std::ptrdiff_t>(rot));
-    EXPECT_EQ(std::move(ApplySequence(*method, instance, rotated)).value(),
+    EXPECT_EQ(std::move(ApplySequence(*method, instance, rotated, ctx)).value(),
               reference);
   }
   // The expected final state: both o1 and o2 have {o1, o2} as a- and
@@ -141,6 +145,7 @@ TEST_F(Prop514Test, OnlyIfDirectionCounterexample) {
 }
 
 TEST(QueryOrderRefuterTest, FindsAndMissesWitnessesAsExpected) {
+  ExecContext ctx;
   // Q = D × Ba (all receiver pairs). favorite_bar is not Q-order
   // independent (same drinker, different bars); add_bar is.
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
@@ -152,19 +157,20 @@ TEST(QueryOrderRefuterTest, FindsAndMissesWitnessesAsExpected) {
 
   auto favorite = std::move(MakeFavoriteBar(ds)).value();
   auto witness = std::move(SearchQueryOrderDependenceWitness(
-                               *favorite, q, ds.schema, 5, 10, options))
+                               *favorite, q, ds.schema, 5, 10, options, 5, ctx))
                      .value();
   ASSERT_TRUE(witness.has_value());
   EXPECT_FALSE(witness->outcome.order_independent);
 
   auto add_bar = std::move(MakeAddBar(ds)).value();
   auto none = std::move(SearchQueryOrderDependenceWitness(
-                            *add_bar, q, ds.schema, 5, 10, options))
+                            *add_bar, q, ds.schema, 5, 10, options, 5, ctx))
                   .value();
   EXPECT_FALSE(none.has_value());
 }
 
 TEST_F(Prop514Test, QueryOrderRefuterFindsTheProp514Witness) {
+  ExecContext ctx;
   // The paper's M₁/Q pair: the refuter must eventually hit an instance
   // where the full Q(I) has disagreeing enumerations, even though every
   // *pair* from Q(I) agrees.
@@ -175,7 +181,8 @@ TEST_F(Prop514Test, QueryOrderRefuterFindsTheProp514Witness) {
   options.max_objects_per_class = 8;
   options.edge_probability = 0.12;
   auto witness = std::move(SearchQueryOrderDependenceWitness(
-                               *method, query, ps_.schema, 14, 60, options))
+                               *method, query, ps_.schema, 14, 60, options,
+                               5, ctx))
                      .value();
   ASSERT_TRUE(witness.has_value());
   EXPECT_FALSE(witness->outcome.order_independent);

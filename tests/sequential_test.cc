@@ -34,22 +34,26 @@ class SequenceTest : public ::testing::Test {
 };
 
 TEST_F(SequenceTest, EmptySequenceIsIdentity) {
+  ExecContext ctx;
   auto add_bar = std::move(MakeAddBar(ds_)).value();
   Instance out =
-      std::move(ApplySequence(*add_bar, *instance_, {})).value();
+      std::move(ApplySequence(*add_bar, *instance_, {}, ctx)).value();
   EXPECT_EQ(out, *instance_);
 }
 
 TEST_F(SequenceTest, SequenceThreadsIntermediateInstances) {
+  ExecContext ctx;
   auto add_bar = std::move(MakeAddBar(ds_)).value();
   std::vector<Receiver> seq = {Receiver::Unchecked({d_, b0_}),
                                Receiver::Unchecked({d_, b1_})};
-  Instance out = std::move(ApplySequence(*add_bar, *instance_, seq)).value();
+  Instance out =
+      std::move(ApplySequence(*add_bar, *instance_, seq, ctx)).value();
   EXPECT_EQ(out.Targets(d_, ds_.frequents),
             (std::vector<ObjectId>{b0_, b1_}));
 }
 
 TEST_F(SequenceTest, UndefinedWhenReceiverVanishes) {
+  ExecContext ctx;
   // A functional method that deletes the argument bar: the second receiver
   // in the sequence mentions the deleted bar, so the sequence is undefined
   // (footnote 2's situation).
@@ -62,14 +66,14 @@ TEST_F(SequenceTest, UndefinedWhenReceiverVanishes) {
       });
   std::vector<Receiver> seq = {Receiver::Unchecked({d_, b0_}),
                                Receiver::Unchecked({d_, b0_})};
-  Result<Instance> out = ApplySequence(*drop_bar, *instance_, seq);
+  Result<Instance> out = ApplySequence(*drop_bar, *instance_, seq, ctx);
   EXPECT_EQ(out.status().code(), StatusCode::kFailedPrecondition);
 
   // OrderIndependentOn treats "all orders undefined" as agreement.
   std::vector<Receiver> both = {Receiver::Unchecked({d_, b0_}),
                                 Receiver::Unchecked({d_, b0_})};
   auto outcome =
-      std::move(OrderIndependentOn(*drop_bar, *instance_, both)).value();
+      std::move(OrderIndependentOn(*drop_bar, *instance_, both, ctx)).value();
   EXPECT_TRUE(outcome.order_independent);
 
   // But defined-vs-undefined across orders is a disagreement: deleting b0
@@ -80,12 +84,13 @@ TEST_F(SequenceTest, UndefinedWhenReceiverVanishes) {
   std::vector<Receiver> cross = {Receiver::Unchecked({d_, b0_}),
                                  Receiver::Unchecked({d_, b1_})};
   auto cross_outcome =
-      std::move(OrderIndependentOn(*drop_bar, *instance_, cross)).value();
+      std::move(OrderIndependentOn(*drop_bar, *instance_, cross, ctx)).value();
   // Both orders defined and both end with b0, b1 removed: independent.
   EXPECT_TRUE(cross_outcome.order_independent);
 }
 
 TEST_F(SequenceTest, DefinednessMismatchIsOrderDependence) {
+  ExecContext ctx;
   // Deletes the *receiving* drinker if the argument bar is b0: the order
   // that hits [d, b0] first makes the other receiver invalid (undefined),
   // while the other order is defined — footnote 2 calls this dependent.
@@ -101,7 +106,7 @@ TEST_F(SequenceTest, DefinednessMismatchIsOrderDependence) {
   std::vector<Receiver> set = {Receiver::Unchecked({d_, b0_}),
                                Receiver::Unchecked({d_, b1_})};
   auto outcome =
-      std::move(OrderIndependentOn(*drop_self, *instance_, set)).value();
+      std::move(OrderIndependentOn(*drop_self, *instance_, set, ctx)).value();
   EXPECT_FALSE(outcome.order_independent);
   // Exactly one witness order is undefined.
   EXPECT_NE(outcome.result_a.has_value(), outcome.result_b.has_value());
@@ -114,12 +119,13 @@ TEST_F(SequenceTest, SequentialApplyVerificationMode) {
   // Unverified: picks the sorted enumeration and succeeds.
   EXPECT_TRUE(SequentialApply(*favorite, *instance_, set).ok());
   // Verified: refuses because favorite_bar is order dependent on this set.
-  EXPECT_EQ(SequentialApply(*favorite, *instance_, set, true).status().code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      SequentialApply(*favorite, *instance_, set, {}, true).status().code(),
+      StatusCode::kFailedPrecondition);
 
   auto add_bar = std::move(MakeAddBar(ds_)).value();
   Instance verified =
-      std::move(SequentialApply(*add_bar, *instance_, set, true)).value();
+      std::move(SequentialApply(*add_bar, *instance_, set, {}, true)).value();
   EXPECT_EQ(verified.Targets(d_, ds_.frequents),
             (std::vector<ObjectId>{b0_, b1_}));
 }
@@ -142,6 +148,7 @@ TEST_F(SequenceTest, CanonicalReceiverSetDeduplicates) {
 class Lemma33Test : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Lemma33Test, PairwiseAndExhaustiveAgreeForLibraryMethods) {
+  ExecContext ctx;
   DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
   InstanceGenerator gen(&ds.schema, GetParam());
   InstanceGenerator::Options options;
@@ -160,9 +167,10 @@ TEST_P(Lemma33Test, PairwiseAndExhaustiveAgreeForLibraryMethods) {
     std::vector<Receiver> receivers =
         gen.RandomReceiverSet(instance, method->signature(), 4);
     auto exhaustive =
-        std::move(OrderIndependentOn(*method, instance, receivers)).value();
+        std::move(OrderIndependentOn(*method, instance, receivers, ctx))
+            .value();
     auto pairwise =
-        std::move(PairwiseOrderIndependentOn(*method, instance, receivers))
+        std::move(PairwiseOrderIndependentOn(*method, instance, receivers, ctx))
             .value();
     // Exhaustive agreement implies pairwise agreement (the pairs are among
     // the permutations). The converse holds for these methods on these

@@ -41,6 +41,7 @@ TEST_F(PayrollFixture, BuildAndReadBack) {
 }
 
 TEST_F(PayrollFixture, SimpleDeleteIsOrderIndependent) {
+  ExecContext ctx;
   // "delete from Employee where Salary in table Fire": the cursor form is
   // order independent (Employee is only deleted, never used — a simple
   // deflationary coloring, Theorem 4.23), and agrees with the set-oriented
@@ -53,10 +54,10 @@ TEST_F(PayrollFixture, SimpleDeleteIsOrderIndependent) {
           .value();
   RowPredicate pred = SalaryInFire(ps_);
   auto report =
-      std::move(TestCursorDeleteOrders(db, ps_.emp, pred)).value();
+      std::move(TestCursorDeleteOrders(db, ps_.emp, pred, 6, ctx)).value();
   EXPECT_TRUE(report.order_independent);
   Instance set_oriented =
-      std::move(SetOrientedDelete(db, ps_.emp, pred)).value();
+      std::move(SetOrientedDelete(db, ps_.emp, pred, ctx)).value();
   ASSERT_TRUE(report.first.has_value());
   EXPECT_EQ(*report.first, set_oriented);
   EXPECT_EQ(EmployeeIds(ps_, set_oriented),
@@ -64,6 +65,7 @@ TEST_F(PayrollFixture, SimpleDeleteIsOrderIndependent) {
 }
 
 TEST_F(PayrollFixture, ManagerDeleteCursorIsWrong) {
+  ExecContext ctx;
   // "delete employees whose manager's salary is in Fire": the cursor form
   // is order dependent — an employee survives when their manager was
   // deleted before being inspected. The set-oriented form stays correct.
@@ -75,11 +77,11 @@ TEST_F(PayrollFixture, ManagerDeleteCursorIsWrong) {
           .value();
   RowPredicate pred = ManagerSalaryInFire(ps_);
   auto report =
-      std::move(TestCursorDeleteOrders(db, ps_.emp, pred)).value();
+      std::move(TestCursorDeleteOrders(db, ps_.emp, pred, 6, ctx)).value();
   EXPECT_FALSE(report.order_independent);
 
   Instance set_oriented =
-      std::move(SetOrientedDelete(db, ps_.emp, pred)).value();
+      std::move(SetOrientedDelete(db, ps_.emp, pred, ctx)).value();
   // Both 2 (manager 1, salary 100 ∈ Fire) and 3 (manager 2, salary 200 ∈
   // Fire) are identified against the input and deleted; employee 1 stays.
   EXPECT_EQ(EmployeeIds(ps_, set_oriented),
@@ -91,6 +93,7 @@ TEST_F(PayrollFixture, ManagerDeleteCursorIsWrong) {
 }
 
 TEST_F(PayrollFixture, UpdateBViaCursorMatchesSetOrientedA) {
+  ExecContext ctx;
   // Updates (A)/(B): set each salary per NewSal. (B') is key-order
   // independent (Prop 5.8: it reads only NewSal), so cursor order does not
   // matter and the result matches the improved set-oriented form.
@@ -113,7 +116,8 @@ TEST_F(PayrollFixture, UpdateBViaCursorMatchesSetOrientedA) {
         {ObjectId(ps_.emp, id), ObjectId(ps_.val, salary)}));
   }
   ASSERT_TRUE(IsKeySet(receivers));
-  Instance cursor = std::move(CursorUpdate(*method, db, receivers)).value();
+  Instance cursor =
+      std::move(CursorUpdate(*method, db, receivers, ctx)).value();
   auto expected = std::vector<std::pair<std::uint32_t, std::uint32_t>>{
       {1, 150}, {2, 250}, {3, 150}};
   EXPECT_EQ(std::move(ReadSalaries(ps_, cursor)).value(), expected);
@@ -121,7 +125,7 @@ TEST_F(PayrollFixture, UpdateBViaCursorMatchesSetOrientedA) {
   // Reversed order gives the same outcome (key-order independence).
   std::vector<Receiver> reversed(receivers.rbegin(), receivers.rend());
   Instance cursor_rev =
-      std::move(CursorUpdate(*method, db, reversed)).value();
+      std::move(CursorUpdate(*method, db, reversed, ctx)).value();
   EXPECT_EQ(cursor, cursor_rev);
 
   // Theorem 6.5: parallel application coincides on the key set.
@@ -131,6 +135,7 @@ TEST_F(PayrollFixture, UpdateBViaCursorMatchesSetOrientedA) {
 }
 
 TEST_F(PayrollFixture, UpdateCManagerVariantIsOrderDependent) {
+  ExecContext ctx;
   // Update (C): give each employee the manager's new salary. Reads
   // EmpSalary which it updates: order dependent, caught both by Prop 5.8
   // and by the decision procedure, and demonstrated semantically.
@@ -150,8 +155,8 @@ TEST_F(PayrollFixture, UpdateCManagerVariantIsOrderDependent) {
   Receiver e1 = Receiver::Unchecked({ObjectId(ps_.emp, 1)});
   Receiver e2 = Receiver::Unchecked({ObjectId(ps_.emp, 2)});
   std::vector<Receiver> ab = {e1, e2}, ba = {e2, e1};
-  Instance iab = std::move(CursorUpdate(*method, db, ab)).value();
-  Instance iba = std::move(CursorUpdate(*method, db, ba)).value();
+  Instance iab = std::move(CursorUpdate(*method, db, ab, ctx)).value();
+  Instance iba = std::move(CursorUpdate(*method, db, ba, ctx)).value();
   EXPECT_FALSE(iab == iba);
 
   // The correct two-phase form: compute (EmpId, New) pairs first, then
@@ -176,6 +181,7 @@ TEST_F(PayrollFixture, UpdateCManagerVariantIsOrderDependent) {
 }
 
 TEST_F(PayrollFixture, ImproveCursorUpdateEmitsTheSetOrientedForm) {
+  ExecContext ctx;
   // The end-of-Section-7 derivation: improving cursor update (B) emits a
   // query equivalent to "select EmpId, New from Employee, NewSal where
   // Salary = Old", and executing it equals the cursor program.
@@ -202,7 +208,7 @@ TEST_F(PayrollFixture, ImproveCursorUpdateEmitsTheSetOrientedForm) {
         {ObjectId(ps_.emp, id), ObjectId(ps_.val, salary)}));
   }
   Instance via_cursor =
-      std::move(CursorUpdate(*method, db, receivers)).value();
+      std::move(CursorUpdate(*method, db, receivers, ctx)).value();
   EXPECT_EQ(via_improved, via_cursor);
 
   // Improvement refuses order-dependent cursor programs.

@@ -329,6 +329,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TxnInterleavingTest,
 /// statement (Proposition 5.8) plus disjoint write footprints make every
 /// interleaving land on the same final payroll.
 TEST(TxnPayrollTest, DisjointKeyRaisesCommitIdenticallyAtAnyParallelism) {
+  ExecContext ctx;
   PayrollSchema ps = std::move(MakePayrollSchema()).value();
   auto raise = std::move(MakeSalaryFromNewSal(ps)).value();
   std::vector<EmployeeRow> employees = {
@@ -340,7 +341,7 @@ TEST(TxnPayrollTest, DisjointKeyRaisesCommitIdenticallyAtAnyParallelism) {
 
   // The key set {[e, salary(e)]} — one receiver per employee.
   auto receivers = std::move(ReceiversFromQuery(ra::Rel("EmpSalary"), db,
-                                                raise->signature()))
+                                                raise->signature(), ctx))
                        .value();
   ASSERT_EQ(receivers.size(), employees.size());
 
@@ -870,6 +871,49 @@ class TxnCrashMatrixTest : public ::testing::Test {
   std::vector<std::vector<Receiver>> txns_;
   std::vector<Instance> states_;
 };
+
+/// A certified transaction applies its method at the commit point under the
+/// store's per-attempt context, so the store's row budget governs each
+/// method application's evaluation: add_bar's join of drinker 0 with its two
+/// bars exceeds max_rows = 1, and the transaction fails without touching
+/// the instance or the WAL.
+TEST_F(TxnCrashMatrixTest, CertifiedApplyHonorsTheStoreRowBudget) {
+  const std::string dir = MakeTempDir("rows");
+  FlightRecorder recorder;
+  DurableStoreOptions sopt;
+  sopt.limits.max_rows = 1;
+  sopt.recorder = &recorder;
+  auto store = std::move(DurableStore::Open(dir, &ds_.schema, sopt)).value();
+  ASSERT_TRUE(store
+                  ->Mutate([this](Instance& inst, ExecContext&) {
+                    inst = states_[1];
+                    return Status::OK();
+                  })
+                  .ok());
+  const std::uint64_t sequence = store->last_sequence();
+  const std::uintmax_t wal_bytes =
+      std::filesystem::file_size(std::filesystem::path(dir) / "wal.log");
+
+  CommutativityCache cache;
+  TxnOptions topt;
+  topt.recorder = &recorder;
+  TxnManager mgr(store.get(), &cache, topt);
+  const std::vector<Receiver> third_bar = {
+      Receiver::Unchecked({ObjectId(ds_.drinker, 0), ObjectId(ds_.bar, 2)})};
+  Status s = mgr.Apply(*add_bar_, third_bar);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("row budget exhausted"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(mgr.stats().commutative_admissions, 1u);
+  EXPECT_EQ(mgr.stats().commits, 0u);
+  EXPECT_FALSE(store->broken());
+  EXPECT_TRUE(store->SnapshotState() == states_[1]);
+  EXPECT_EQ(store->last_sequence(), sequence);
+  EXPECT_EQ(std::filesystem::file_size(std::filesystem::path(dir) / "wal.log"),
+            wal_bytes);
+  store.reset();
+  EXPECT_TRUE(Recover(dir, nullptr) == states_[1]);
+}
 
 /// Storage faults at every commit of the sequence: the WAL append of
 /// transaction k torn at offset 0, mid-record and full-record, and its fsync
