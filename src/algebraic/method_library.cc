@@ -286,25 +286,7 @@ Result<std::vector<Receiver>> ReceiversFromQuery(
       Database db, EncodeInstance(instance, ReferencedRelations(*query)));
   SETREC_ASSIGN_OR_RETURN(Relation result,
                           Evaluate(query, db, {.ctx = &ctx}));
-  if (result.scheme().arity() != signature.size()) {
-    return Status::InvalidArgument(
-        "query result arity does not match the method signature");
-  }
-  for (std::size_t i = 0; i < signature.size(); ++i) {
-    if (result.scheme().attribute(i).domain != signature.class_at(i)) {
-      return Status::InvalidArgument(
-          "query result domain does not match the signature at position " +
-          std::to_string(i));
-    }
-  }
-  std::vector<Receiver> receivers;
-  receivers.reserve(result.size());
-  // Canonical order: the receiver list is fed to sequential application,
-  // whose result may depend on enumeration order.
-  for (const Tuple* t : result.SortedTuples()) {
-    receivers.push_back(Receiver::Unchecked(t->values()));
-  }
-  return receivers;
+  return ReceiversFromRelation(result, signature);
 }
 
 }  // namespace setrec

@@ -148,9 +148,10 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeSalaryFromManagersNewSal(
 
 /// Evaluates a receiver-producing query over an instance: the expression
 /// must produce a relation whose scheme matches `signature` positionally;
-/// each tuple becomes a receiver. Used for query-order independence
-/// (Definition 3.1(3), Proposition 5.14) and for the Section 7 set-oriented
-/// semantics (compute the receiver set first, then update).
+/// each tuple becomes a receiver (ReceiversFromRelation). Used for
+/// query-order independence (Definition 3.1(3), Proposition 5.14) and for
+/// the Section 7 set-oriented semantics (compute the receiver set first,
+/// then update).
 Result<std::vector<Receiver>> ReceiversFromQuery(const ExprPtr& query,
                                                  const Instance& instance,
                                                  const MethodSignature&

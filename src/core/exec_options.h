@@ -101,10 +101,13 @@ struct ExecOptions {
 
   /// Incremental view cache (or any delta sink) to keep in sync with the
   /// call's effects. Mutating entry points publish the committed delta to
-  /// it after they succeed; the SQL engine's set-oriented update also
-  /// derives its receiver set through the cache (falling back to
-  /// from-scratch evaluation on any cache miss or error). Null = no
-  /// incremental maintenance — the old behavior.
+  /// it after they succeed — unless `commit_hook` is set: a caller that
+  /// passes a hook owns the commit and its publication (DurableStore
+  /// publishes only after the covering fsync), so no statement publishes a
+  /// delta that is not yet durable. The SQL engine's set-oriented update
+  /// also derives its receiver set through the cache either way (falling
+  /// back to from-scratch evaluation on any cache miss or error). Null = no
+  /// incremental maintenance.
   DeltaSink* view_cache = nullptr;
 };
 

@@ -271,8 +271,8 @@ Status ViewCache::ApplyDelta(const InstanceDelta& delta) {
   }
 
   // Normalize against the mirror while applying: adds of present tuples and
-  // removes of absent ones drop out, which is what makes a double-fed delta
-  // (e.g. published by both a store hook and a txn layer) a no-op.
+  // removes of absent ones drop out, so re-feeding an absorbed delta is a
+  // no-op.
   PendingEntry entry;
   // Redo order: remove edges, remove objects, add objects, add edges —
   // matching ApplyDelta on instances.
@@ -886,25 +886,7 @@ Result<std::vector<Receiver>> ReceiversFromView(
     ExecContext* ctx) {
   SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> result,
                           cache.Query(query, ctx));
-  if (result->scheme().arity() != signature.size()) {
-    return Status::InvalidArgument(
-        "query result arity does not match the method signature");
-  }
-  for (std::size_t i = 0; i < signature.size(); ++i) {
-    if (result->scheme().attribute(i).domain != signature.class_at(i)) {
-      return Status::InvalidArgument(
-          "query result domain does not match the signature at position " +
-          std::to_string(i));
-    }
-  }
-  std::vector<Receiver> receivers;
-  receivers.reserve(result->size());
-  // Canonical order, matching ReceiversFromQuery: the receiver list feeds
-  // sequential application, whose result may depend on enumeration order.
-  for (const Tuple* t : result->SortedTuples()) {
-    receivers.push_back(Receiver::Unchecked(t->values()));
-  }
-  return receivers;
+  return ReceiversFromRelation(*result, signature);
 }
 
 }  // namespace setrec

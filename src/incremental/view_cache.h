@@ -205,10 +205,10 @@ class ViewCache : public DeltaSink {
 };
 
 /// Phase-one of a set-oriented update through the cache: evaluates the
-/// receiver query as a (registered-on-demand) view and checks the result
-/// against the method signature, mirroring ReceiversFromQuery. Callers fall
-/// back to the from-scratch path on any error — except governance errors
-/// from `ctx`, which they must propagate.
+/// receiver query as a (registered-on-demand) view and lists its receivers
+/// with ReceiversFromRelation, exactly as ReceiversFromQuery does. Callers
+/// fall back to the from-scratch path on any error — except governance
+/// errors from `ctx`, which they must propagate.
 Result<std::vector<Receiver>> ReceiversFromView(
     ViewCache& cache, const ExprPtr& query, const MethodSignature& signature,
     ExecContext* ctx = nullptr);

@@ -119,6 +119,18 @@ struct Server::Tenant {
   /// tenant has no local directory (replica-backed).
   std::unique_ptr<SlowRequestLog> slowlog;
 
+  /// Stamps `response` with the (applied, leader) sequences: a replica's
+  /// applied position and its leader's, or a store's last sequence as both.
+  void StampSequences(Response& response) const {
+    if (replica != nullptr) {
+      (void)replica->Read(&response.applied_sequence,
+                          &response.leader_sequence);
+    } else if (store != nullptr) {
+      response.applied_sequence = store->last_sequence();
+      response.leader_sequence = response.applied_sequence;
+    }
+  }
+
   void RecordCommitTrace(std::uint64_t sequence, const TraceContext& trace) {
     static constexpr std::size_t kCommitTraceCap = 512;
     if (!trace.active() || sequence == 0) return;
@@ -589,16 +601,30 @@ ExecContext::Limits Server::RequestLimits(
 
 Response Server::HandlePing(Tenant& tenant) {
   Response response = OkResponse();
-  if (tenant.replica != nullptr) {
-    std::uint64_t applied = 0;
-    std::uint64_t leader = 0;
-    (void)tenant.replica->Read(&applied, &leader);
-    response.applied_sequence = applied;
-    response.leader_sequence = leader;
-  } else if (tenant.store != nullptr) {
-    response.applied_sequence = tenant.store->last_sequence();
-    response.leader_sequence = response.applied_sequence;
+  tenant.StampSequences(response);
+  return response;
+}
+
+Response Server::CommitWrite(Tenant& tenant,
+                             const DurableStore::Statement& statement,
+                             std::chrono::steady_clock::time_point deadline,
+                             const TraceContext& trace) {
+  if (tenant.store == nullptr) {
+    return ErrorResponse(Status::FailedPrecondition(
+        "tenant '" + tenant.config.name + "' is a read-only replica"));
   }
+  Status committed = tenant.store->Commit(
+      [&](Instance& instance, ExecContext& ctx, const CommitHook& hook) {
+        // Fan-outs forked from this context must stay in the request's
+        // family even on pool threads where no context is installed.
+        if (trace.active()) ctx.set_trace_id(trace.trace_id);
+        return statement(instance, ctx, hook);
+      },
+      RequestLimits(tenant, deadline));
+  if (!committed.ok()) return ErrorResponse(committed);
+  Response response = OkResponse();
+  tenant.StampSequences(response);
+  tenant.RecordCommitTrace(response.applied_sequence, trace);
   return response;
 }
 
@@ -606,10 +632,6 @@ Response Server::HandleUpdate(
     Tenant& tenant, const Request& request,
     std::chrono::steady_clock::time_point deadline,
     const TraceContext& trace) {
-  if (tenant.store == nullptr) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "tenant '" + tenant.config.name + "' is a read-only replica"));
-  }
   const auto property_it = request.params.find("property");
   if (property_it == request.params.end()) {
     return ErrorResponse(
@@ -620,58 +642,33 @@ Response Server::HandleUpdate(
   if (!property.ok()) return ErrorResponse(property.status());
   Result<ExprPtr> query = ParseExpression(request.body);
   if (!query.ok()) return ErrorResponse(query.status());
-
-  const ExprPtr& receiver_query = *query;
-  const PropertyId prop = *property;
-  Status committed = tenant.store->Commit(
-      [&](Instance& instance, ExecContext& ctx,
-          const CommitHook& hook) -> Status {
-        // Fan-outs forked from this context must stay in the request's
-        // family even on pool threads where no context is installed.
-        if (trace.active()) ctx.set_trace_id(trace.trace_id);
-        // The cache serves phase one (receiver set) when present; the
-        // store's own hook publication keeps it in lockstep afterwards.
+  return CommitWrite(
+      tenant,
+      [&](Instance& instance, ExecContext& ctx, const CommitHook& hook) {
+        // The cache serves phase one (the receiver set); the store
+        // publishes the delta to it once the commit is durable.
         return SetOrientedUpdateInPlace(
-            instance, prop, receiver_query,
+            instance, *property, *query,
             {.ctx = &ctx,
              .commit_hook = hook,
              .view_cache = tenant.view_cache.get()});
       },
-      RequestLimits(tenant, deadline));
-  if (!committed.ok()) return ErrorResponse(committed);
-  Response response = OkResponse();
-  response.applied_sequence = tenant.store->last_sequence();
-  response.leader_sequence = response.applied_sequence;
-  tenant.RecordCommitTrace(response.applied_sequence, trace);
-  return response;
+      deadline, trace);
 }
 
 Response Server::HandleDelta(Tenant& tenant, const Request& request,
                              std::chrono::steady_clock::time_point deadline,
                              const TraceContext& trace) {
-  if (tenant.store == nullptr) {
-    return ErrorResponse(Status::FailedPrecondition(
-        "tenant '" + tenant.config.name + "' is a read-only replica"));
-  }
-  Result<InstanceDelta> delta =
-      ParseDelta(request.body, options_.schema);
+  Result<InstanceDelta> delta = ParseDelta(request.body, options_.schema);
   if (!delta.ok()) return ErrorResponse(delta.status());
-  const InstanceDelta& parsed = *delta;
-  Status committed = tenant.store->Commit(
-      [&](Instance& instance, ExecContext& ctx,
-          const CommitHook& hook) -> Status {
-        if (trace.active()) ctx.set_trace_id(trace.trace_id);
+  return CommitWrite(
+      tenant,
+      [&](Instance& instance, ExecContext& ctx, const CommitHook& hook) {
         SETREC_RETURN_IF_ERROR(ctx.CheckPoint("net/apply-delta"));
         return RunJournaled(
-            instance, [&] { return ApplyDelta(instance, parsed); }, hook);
+            instance, [&] { return ApplyDelta(instance, *delta); }, hook);
       },
-      RequestLimits(tenant, deadline));
-  if (!committed.ok()) return ErrorResponse(committed);
-  Response response = OkResponse();
-  response.applied_sequence = tenant.store->last_sequence();
-  response.leader_sequence = response.applied_sequence;
-  tenant.RecordCommitTrace(response.applied_sequence, trace);
-  return response;
+      deadline, trace);
 }
 
 Response Server::HandleQuery(Tenant& tenant, const Request& request,
@@ -740,16 +737,7 @@ Response Server::HandleExplain(Tenant& tenant, const Request& request) {
   if (!plan.ok()) return ErrorResponse(plan.status());
   Response response = OkResponse();
   response.body = plan->ToText();
-  if (tenant.replica != nullptr) {
-    std::uint64_t applied = 0;
-    std::uint64_t leader = 0;
-    (void)tenant.replica->Read(&applied, &leader);
-    response.applied_sequence = applied;
-    response.leader_sequence = leader;
-  } else if (tenant.store != nullptr) {
-    response.applied_sequence = tenant.store->last_sequence();
-    response.leader_sequence = response.applied_sequence;
-  }
+  tenant.StampSequences(response);
   return response;
 }
 

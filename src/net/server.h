@@ -145,6 +145,13 @@ class Server {
                     const TraceContext& trace);
 
   Response HandlePing(Tenant& tenant);
+  /// The write path of update and delta: refuses replica-backed tenants,
+  /// commits `statement` under RequestLimits with the request's trace id on
+  /// each attempt's context, and answers with the committed sequence,
+  /// recorded as that commit's trace origin.
+  Response CommitWrite(Tenant& tenant, const DurableStore::Statement& statement,
+                       std::chrono::steady_clock::time_point deadline,
+                       const TraceContext& trace);
   Response HandleUpdate(Tenant& tenant, const Request& request,
                         std::chrono::steady_clock::time_point deadline,
                         const TraceContext& trace);

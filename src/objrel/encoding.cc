@@ -132,4 +132,25 @@ Result<Instance> DecodeInstance(const Database& database,
   return instance;
 }
 
+Result<std::vector<Receiver>> ReceiversFromRelation(
+    const Relation& result, const MethodSignature& signature) {
+  if (result.scheme().arity() != signature.size()) {
+    return Status::InvalidArgument(
+        "query result arity does not match the method signature");
+  }
+  for (std::size_t i = 0; i < signature.size(); ++i) {
+    if (result.scheme().attribute(i).domain != signature.class_at(i)) {
+      return Status::InvalidArgument(
+          "query result domain does not match the signature at position " +
+          std::to_string(i));
+    }
+  }
+  std::vector<Receiver> receivers;
+  receivers.reserve(result.size());
+  for (const Tuple* t : result.SortedTuples()) {
+    receivers.push_back(Receiver::Unchecked(t->values()));
+  }
+  return receivers;
+}
+
 }  // namespace setrec

@@ -3,8 +3,10 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/instance.h"
+#include "core/receiver.h"
 #include "core/schema.h"
 #include "relational/dependencies.h"
 #include "relational/relation.h"
@@ -52,6 +54,14 @@ Result<Database> EncodeInstance(const Instance& instance,
 /// with EncodeInstance this realizes Proposition 5.1's exact correspondence.
 Result<Instance> DecodeInstance(const Database& database,
                                 const Schema& schema);
+
+/// The receivers a query result lists for a method of `signature`: checks
+/// the result's arity and column domains against the signature
+/// (kInvalidArgument) and returns its tuples in sorted order — the
+/// canonical order, since sequential application may depend on
+/// enumeration order. Receivers are not checked against any instance.
+Result<std::vector<Receiver>> ReceiversFromRelation(
+    const Relation& result, const MethodSignature& signature);
 
 }  // namespace setrec
 

@@ -319,18 +319,8 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
     evaluator.set_backend(opts.backend);
     evaluator.set_node_stats(&stats);
     SETREC_ASSIGN_OR_RETURN(Relation rows, evaluator.Eval(receiver_query));
-    if (rows.scheme().arity() != assign->signature().size()) {
-      return Status::InvalidArgument(
-          "receiver query scheme does not match the update signature");
-    }
-    std::vector<Receiver> receivers;
-    receivers.reserve(rows.size());
-    for (const Tuple* t : rows.SortedTuples()) {
-      SETREC_ASSIGN_OR_RETURN(
-          Receiver r,
-          Receiver::Make(assign->signature(), t->values(), instance));
-      receivers.push_back(std::move(r));
-    }
+    SETREC_ASSIGN_OR_RETURN(std::vector<Receiver> receivers,
+                            ReceiversFromRelation(rows, assign->signature()));
     if (!IsKeySet(receivers)) {
       return Status::FailedPrecondition(
           "set-oriented update would assign two values to one row; the "

@@ -72,9 +72,10 @@ Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
       RunJournaled(instance, remove, options.commit_hook, &delta));
   // Deletes have no receiver-query phase to serve from the cache, but their
   // effects must still reach it or dependent views go permanently stale.
-  // Post-commit, advisory: the sink fails closed on its own when it cannot
-  // absorb the delta.
-  if (options.view_cache != nullptr) {
+  // A caller that passed a commit hook owns the commit and publishes once
+  // it is durable; otherwise this is the commit. Advisory: the sink fails
+  // closed on its own when it cannot absorb the delta.
+  if (options.view_cache != nullptr && !options.commit_hook) {
     (void)options.view_cache->ApplyDelta(delta);
   }
   return Status::OK();
@@ -224,8 +225,9 @@ Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
   InstanceDelta delta;
   SETREC_RETURN_IF_ERROR(
       RunJournaled(instance, rewrite, options.commit_hook, &delta));
-  if (sink != nullptr) {
-    // Post-commit, advisory: the sink fails closed on its own when it
+  if (sink != nullptr && !options.commit_hook) {
+    // Unhooked, this is the commit; a hook's owner publishes once the
+    // commit is durable. Advisory: the sink fails closed on its own when it
     // cannot absorb the delta.
     (void)sink->ApplyDelta(delta);
   }

@@ -45,8 +45,9 @@ Result<Instance> SetOrientedDelete(const Instance& instance, ClassId cls,
 /// the journaled delta to `options.commit_hook`, and on ANY failure
 /// (governance, injected fault, structural error, or a hook veto) rolls the
 /// journal back, so a failed statement leaves `instance` bit-identical to
-/// its pre-statement state. A committed delta is then published to
-/// `options.view_cache`, when set.
+/// its pre-statement state. Without a commit hook, a committed delta is
+/// then published to `options.view_cache`, when set; with one, the hook's
+/// owner publishes it once the commit is durable.
 Status SetOrientedDeleteInPlace(Instance& instance, ClassId cls,
                                 const RowPredicate& pred,
                                 const ExecOptions& options = {});
@@ -105,8 +106,9 @@ Result<std::unique_ptr<AlgebraicUpdateMethod>> MakeAssignArgMethod(
 ///
 /// When `options.view_cache` is an incremental view cache
 /// (incremental/view_cache.h), phase one is served from it, falling back to
-/// from-scratch receiver evaluation on any cache error; a committed delta
-/// is published to it either way.
+/// from-scratch receiver evaluation on any cache error. Without a commit
+/// hook the committed delta is published to it either way; with one, the
+/// hook's owner publishes it once the commit is durable.
 Status SetOrientedUpdateInPlace(Instance& instance, PropertyId property,
                                 const ExprPtr& receiver_query,
                                 const ExecOptions& options = {});

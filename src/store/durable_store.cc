@@ -199,80 +199,29 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   return store;
 }
 
-Status DurableStore::Commit(const Statement& statement) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return CommitLocked(statement);
-}
-
 Status DurableStore::Commit(const Statement& statement,
-                            const ExecContext::Limits& limits) {
+                            std::optional<ExecContext::Limits> limits) {
   std::lock_guard<std::mutex> lock(mu_);
-  return CommitLocked(statement, &limits);
-}
-
-Status DurableStore::CommitLocked(const Statement& statement,
-                                  const ExecContext::Limits* limits) {
-  if (wal_.broken()) {
-    return Status::FailedPrecondition(
-        "store hit a storage fault; reopen to recover");
-  }
-  const CommitHook hook = [this](const InstanceDelta& delta) -> Status {
-    if (delta.empty()) return Status::OK();  // no-op statement, no record
-    SETREC_RETURN_IF_ERROR(
-        wal_.Append(DeltaToText(delta, *schema_)).status());
-    {
-      // The durability point itself: traced so a slow disk is visible as a
-      // wal/fsync span inside the request's timeline.
-      TraceSpan fsync_span(options_.tracer, "wal/fsync");
-      SETREC_RETURN_IF_ERROR(wal_.Sync());
-    }
-    // Durable as of the fsync above; only now may a view see it. Advisory:
-    // a cache that cannot absorb the delta fails closed on its own.
-    if (options_.view_cache != nullptr) {
-      (void)options_.view_cache->ApplyDelta(delta);
-    }
-    return Status::OK();
-  };
   TraceSpan commit_span(options_.tracer, "store/commit");
   if (options_.recorder != nullptr) {
     options_.recorder->Record(FlightRecorder::EventKind::kNote,
                               "store/commit", wal_.next_sequence());
   }
-  const auto commit_start = std::chrono::steady_clock::now();
   RetrySchedule schedule(options_.retry);
   for (;;) {
-    ExecContext ctx(limits != nullptr ? *limits : options_.limits);
-    if (options_.injector != nullptr) {
-      ctx.set_fault_injector(options_.injector);
-    }
-    ctx.set_tracer(options_.tracer);
-    ctx.set_metrics(options_.metrics);
-    ctx.set_recorder(options_.recorder);
-    Status status = statement(instance_, ctx, hook);
-    if (status.ok()) break;
-    // A storage fault is a simulated crash: never retried, store poisoned.
-    if (wal_.broken()) return DumpTerminalFailure("storage fault", status);
-    if (!schedule.ShouldRetry(status)) {
-      return DumpTerminalFailure("statement failed", status);
+    Status result;
+    SETREC_RETURN_IF_ERROR(CommitLocked({&statement, 1},
+                                        limits.value_or(options_.limits),
+                                        {&result, 1}));
+    if (result.ok()) return Status::OK();
+    if (!schedule.ShouldRetry(result)) {
+      return DumpTerminalFailure("statement failed", result);
     }
     const std::chrono::nanoseconds delay = schedule.NextDelay();
     if (delay > std::chrono::nanoseconds::zero()) {
       std::this_thread::sleep_for(delay);
     }
   }
-  if (options_.metrics != nullptr) {
-    options_.metrics->engine.store_commits.Add(1);
-    options_.metrics->engine.commit_ns.Observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - commit_start)
-            .count()));
-  }
-  ++commits_since_checkpoint_;
-  if (options_.snapshot_every_n_commits != 0 &&
-      commits_since_checkpoint_ >= options_.snapshot_every_n_commits) {
-    return CheckpointLocked();
-  }
-  return Status::OK();
 }
 
 Status DurableStore::CommitBatch(std::span<const Statement> statements,
@@ -282,81 +231,82 @@ Status DurableStore::CommitBatch(std::span<const Statement> statements,
   std::vector<Status>& res = results != nullptr ? *results : local_results;
   res.assign(statements.size(), Status::OK());
   if (statements.empty()) return Status::OK();
-  if (wal_.broken()) {
-    const Status broken = Status::FailedPrecondition(
-        "store hit a storage fault; reopen to recover");
-    res.assign(statements.size(), broken);
-    return broken;
-  }
   TraceSpan batch_span(options_.tracer, "store/commit-batch");
   if (options_.recorder != nullptr) {
     options_.recorder->Record(FlightRecorder::EventKind::kNote,
                               "store/commit-batch", statements.size(),
                               wal_.next_sequence());
   }
-  const auto batch_start = std::chrono::steady_clock::now();
+  return CommitLocked(statements, options_.limits, res);
+}
+
+Status DurableStore::CommitLocked(std::span<const Statement> statements,
+                                  const ExecContext::Limits& limits,
+                                  std::span<Status> results) {
+  if (wal_.broken()) {
+    const Status refused = Status::FailedPrecondition(
+        "store hit a storage fault; reopen to recover");
+    std::fill(results.begin(), results.end(), refused);
+    return refused;
+  }
+  const auto start = std::chrono::steady_clock::now();
   // Append-only hook: the fsync is hoisted out of the loop below. Deltas
-  // are staged, not published — nothing in the batch is durable until the
-  // single covering fsync succeeds. They are also the batch's rollback
-  // log: every staged delta is in the instance, and a vetoed statement
-  // rolled itself back.
+  // are staged, not published — nothing is durable until the one covering
+  // fsync succeeds. They are also the call's rollback log: every staged
+  // delta is in the instance, and a vetoed statement rolled itself back.
   std::vector<InstanceDelta> staged_deltas;
-  const CommitHook hook = [this,
-                           &staged_deltas](const InstanceDelta& delta) -> Status {
+  Status fault;  // the storage fault, once one struck
+  const CommitHook hook = [this, &staged_deltas,
+                           &fault](const InstanceDelta& delta) -> Status {
     if (delta.empty()) return Status::OK();  // no-op statement, no record
-    SETREC_RETURN_IF_ERROR(
-        wal_.Append(DeltaToText(delta, *schema_)).status());
-    staged_deltas.push_back(delta);
-    return Status::OK();
+    fault = wal_.Append(DeltaToText(delta, *schema_)).status();
+    if (fault.ok()) staged_deltas.push_back(delta);
+    return fault;  // a torn append is a crash: it vetoes the statement
   };
   std::uint64_t committed = 0;
-  for (std::size_t i = 0; i < statements.size(); ++i) {
-    ExecContext ctx(options_.limits);
-    if (options_.injector != nullptr) {
-      ctx.set_fault_injector(options_.injector);
-    }
+  for (std::size_t i = 0; i < statements.size() && fault.ok(); ++i) {
+    ExecContext ctx(limits);
+    ctx.set_fault_injector(options_.injector);
     ctx.set_tracer(options_.tracer);
     ctx.set_metrics(options_.metrics);
     ctx.set_recorder(options_.recorder);
-    res[i] = statements[i](instance_, ctx, hook);
-    if (res[i].ok()) {
-      ++committed;
-    } else if (wal_.broken()) {
-      break;  // torn append = crash: handled below
-    }
-    // Non-storage failure: the statement contract restored its own
-    // pre-state; its batch mates are unaffected.
+    results[i] = statements[i](instance_, ctx, hook);
+    // A failed statement restored its own pre-state; short of a storage
+    // fault, its batch mates are unaffected.
+    if (results[i].ok()) ++committed;
   }
-  if (!wal_.broken() && committed != 0) {
-    // One fsync covers every record appended above; only now is any
-    // statement of the batch acknowledged.
+  if (fault.ok() && !staged_deltas.empty()) {
+    // The durability point itself: traced so a slow disk is visible as a
+    // wal/fsync span inside the request's timeline.
     TraceSpan fsync_span(options_.tracer, "wal/fsync");
-    Status synced = wal_.Sync();
-    (void)synced;  // a failure shows as wal_.broken() below
+    fault = wal_.Sync();
   }
-  if (wal_.broken()) {
-    // A storage fault voids the whole batch: undo the staged statements,
+  if (!fault.ok()) {
+    // A storage fault voids the whole call: undo the staged statements,
     // newest first, by applying their inverses.
     for (auto it = staged_deltas.rbegin(); it != staged_deltas.rend(); ++it) {
       Status undone = ApplyDelta(instance_, InverseDelta(*it));
       (void)undone;  // the inverse of an applied delta always fits
     }
-    Status fault = Status::FailedPrecondition(
-        "storage fault during group commit; batch voided, reopen to recover");
-    for (Status& r : res) r = fault;
-    return DumpTerminalFailure("storage fault", fault);
+    const Status voided = Status::FailedPrecondition(
+        "commit voided by a storage fault (" + fault.message() +
+        "); reopen to recover");
+    std::fill(results.begin(), results.end(), voided);
+    return DumpTerminalFailure("storage fault", voided);
   }
   if (options_.view_cache != nullptr) {
-    // The batch fsync covered every staged record: publish in commit order.
+    // Durable as of the fsync above; only now may a view see the deltas, in
+    // commit order. Advisory: a cache that cannot absorb a delta fails
+    // closed on its own.
     for (const InstanceDelta& delta : staged_deltas) {
       (void)options_.view_cache->ApplyDelta(delta);
     }
   }
-  if (options_.metrics != nullptr) {
+  if (options_.metrics != nullptr && committed != 0) {
     options_.metrics->engine.store_commits.Add(committed);
     options_.metrics->engine.commit_ns.Observe(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - batch_start)
+            std::chrono::steady_clock::now() - start)
             .count()));
   }
   commits_since_checkpoint_ += committed;

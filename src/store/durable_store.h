@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,7 +59,8 @@ struct DurableStoreOptions {
   std::uint32_t keep_snapshots = 2;
   /// Per-attempt resource budget for statements (default: permissive).
   ExecContext::Limits limits;
-  /// Backoff for statements that failed with a retryable governance code.
+  /// Backoff for statements that failed with a retryable governance code
+  /// (Commit retries; CommitBatch never does).
   RetryPolicy retry;
   /// Consulted at every exec probe point *and* every WAL append/fsync
   /// (storage faults). Must outlive the store.
@@ -83,6 +85,9 @@ struct DurableStoreOptions {
   /// delta only after the covering fsync succeeded — the cache can lag the
   /// durable state (and then fails closed) but can never run ahead of it:
   /// a commit that was never acknowledged is never visible through a view.
+  /// The store is the only publisher for the statements it commits: the
+  /// SQL engine's statements leave publication to a caller that passes
+  /// them a commit hook (ExecOptions::view_cache).
   ViewCache* view_cache = nullptr;
 };
 
@@ -92,19 +97,26 @@ struct DurableStoreOptions {
 /// periodic snapshots bound replay time. Open() recovers the newest valid
 /// snapshot plus the longest valid WAL prefix, tolerating a torn tail.
 ///
-/// Commit protocol (per statement):
-///   1. run the statement in memory under the instance's mutation journal,
-///      governed by a fresh ExecContext per attempt — nothing is copied;
-///   2. through the engine's CommitHook, append the journaled delta (the
-///      statement's canonical InstanceDelta, built in O(|delta|)) to the WAL
-///      and fsync — only then is the commit acknowledged;
-///   3. a hook failure (torn write, failed fsync) vetoes the statement: the
-///      statement rolls the in-memory state back by applying the journal's
-///      inverse, and the store refuses further commits until reopened,
-///      exactly as if the process had died at the fault.
-/// Retryable governance failures (kResourceExhausted, kDeadlineExceeded) are
-/// retried per the RetryPolicy with deterministic backoff; semantic errors,
-/// cancellation, and storage faults are not.
+/// Commit protocol — one engine behind Commit (a batch of one) and
+/// CommitBatch:
+///   1. run each statement in memory under the instance's mutation journal,
+///      governed by a fresh ExecContext — nothing is copied. Through the
+///      engine's CommitHook the statement appends its journaled delta (its
+///      canonical InstanceDelta, built in O(|delta|)) to the WAL, unsynced;
+///   2. one fsync covers every record the call appended (a call that
+///      appended none skips it) — only then are its statements
+///      acknowledged and their deltas published to the view cache, in
+///      commit order;
+///   3. a storage fault (torn append, failed fsync) voids the whole call
+///      (kFailedPrecondition, naming the fault): the appended deltas are
+///      undone newest first by applying their inverses, and the store
+///      refuses further commits until reopened, exactly as if the process
+///      had died at the fault.
+/// A statement that fails for any other reason rolls itself back and leaves
+/// its batch mates undisturbed. Only Commit retries: retryable governance
+/// failures (kResourceExhausted, kDeadlineExceeded) are retried per the
+/// RetryPolicy with deterministic backoff; semantic errors, cancellation,
+/// and storage faults are not.
 ///
 /// All public methods are serialized by an internal mutex, so a background
 /// thread may call Checkpoint() while another commits (the FaultInjector's
@@ -152,37 +164,29 @@ class DurableStore {
   /// returns OK.
   Status Mutate(const std::function<Status(Instance&, ExecContext&)>& body);
 
-  /// Runs a caller-shaped statement through the commit protocol.
-  Status Commit(const Statement& statement);
+  /// Runs a caller-shaped statement through the commit protocol as a batch
+  /// of one, retrying it per `options.retry`. `limits` overrides the
+  /// store-wide `options.limits` for this one statement: this is how a
+  /// network request's deadline reaches the ExecContext governing its
+  /// execution — the server clamps the timeout to the request's remaining
+  /// time and every engine probe point then enforces it.
+  Status Commit(const Statement& statement,
+                std::optional<ExecContext::Limits> limits = std::nullopt);
 
-  /// Commit with a per-statement resource budget overriding the store-wide
-  /// `options.limits` for this one statement. This is how a network
-  /// request's deadline reaches the ExecContext governing its execution:
-  /// the server clamps `limits.deadline` to the request's remaining time and
-  /// every engine probe point then enforces it.
-  Status Commit(const Statement& statement, const ExecContext::Limits& limits);
-
-  /// Group commit: runs the statements in order under one lock acquisition,
-  /// appending each statement's delta to the WAL *without* syncing, then
-  /// issues a single fsync covering the whole batch — durability cost is one
-  /// fsync amortized over the batch instead of one per statement.
+  /// Group commit: runs the statements in order under one lock acquisition
+  /// and one fsync — durability cost is one fsync amortized over the batch
+  /// instead of one per statement. This is the commit engine without
+  /// retries: group-commit callers (the transaction layer) own retries, and
+  /// re-running a stale statement inside the batch would commit against
+  /// state it never saw.
   ///
-  /// Per-statement semantics stay intact: a statement that fails for a
-  /// non-storage reason (semantic error, exhausted budget) appends nothing,
-  /// leaves the instance at its pre-statement state, and does not disturb
-  /// its batch mates — its status lands in `results` and the batch moves
-  /// on. There is deliberately no retry loop here: group-commit callers (the
-  /// transaction layer) own retries, and re-running a stale statement inside
-  /// the batch would commit against state it never saw.
-  ///
-  /// A storage fault anywhere (torn append or the batch fsync) fails the
-  /// *whole* batch: the in-memory instance rolls back to the pre-batch
-  /// state by applying the inverses of the statements' staged deltas,
-  /// newest first; the store is poisoned until reopened, and every slot of
-  /// `results` reports the fault — exactly the crash model, where none of
-  /// the batch was acknowledged but a prefix of its records may still be
-  /// replayed on recovery (statement boundaries are record boundaries, so
-  /// recovery always lands on a statement prefix, never a hybrid).
+  /// A statement that fails for a non-storage reason (semantic error,
+  /// exhausted budget) appends nothing and its status lands in `results`.
+  /// A storage fault fails the *whole* batch: every slot of `results`
+  /// reports it (kFailedPrecondition) — exactly the crash model, where none of the batch was
+  /// acknowledged but a prefix of its records may still be replayed on
+  /// recovery (statement boundaries are record boundaries, so recovery
+  /// always lands on a statement prefix, never a hybrid).
   ///
   /// Returns OK when the batch mechanics succeeded (even if individual
   /// statements failed semantically); `results`, when non-null, is resized
@@ -222,9 +226,13 @@ class DurableStore {
                DurableStoreOptions options);
 
   Status CheckpointLocked();
-  /// `limits` overrides options_.limits when non-null (per-request budgets).
-  Status CommitLocked(const Statement& statement,
-                      const ExecContext::Limits* limits = nullptr);
+  /// The commit engine (see the class comment): runs `statements` under
+  /// `limits`, one status per statement into `results`. Returns non-OK when
+  /// the store is poisoned, a storage fault voided the call, or the
+  /// automatic checkpoint after it failed.
+  Status CommitLocked(std::span<const Statement> statements,
+                      const ExecContext::Limits& limits,
+                      std::span<Status> results);
 
   /// Records a terminal (non-retried) commit failure and dumps the flight
   /// recorder to <dir>/flight-commit.jsonl; returns `status` unchanged.

@@ -627,6 +627,42 @@ TEST_F(ViewCacheTest, SetOrientedDeletePublishesThroughTheCommitHook) {
   EXPECT_TRUE(**read == Oracle(ra::Rel("Df"), instance));
 }
 
+/// A delta sink that only counts its publications.
+class CountingSink : public DeltaSink {
+ public:
+  Status ApplyDelta(const InstanceDelta&) override {
+    ++calls;
+    return Status::OK();
+  }
+  int calls = 0;
+};
+
+TEST_F(ViewCacheTest, HookedStatementsLeavePublicationToTheHooksOwner) {
+  // A caller that passes a commit hook owns the commit, and so publishes
+  // only once the commit is durable: the statement itself must not. (The
+  // unhooked statements' publication is pinned by the two tests above.)
+  const ExprPtr query = ra::Product(ra::Rel("D"), ra::Rel("Ba"));
+  const RowPredicate all = [](const Instance&, ObjectId) -> Result<bool> {
+    return true;
+  };
+  int hook_calls = 0;
+  CountingSink hooked_sink;
+  ExecOptions hooked;
+  hooked.commit_hook = [&hook_calls](const InstanceDelta&) {
+    ++hook_calls;
+    return Status::OK();
+  };
+  hooked.view_cache = &hooked_sink;
+  Instance instance = TinyInstance();
+  ASSERT_TRUE(
+      SetOrientedUpdateInPlace(instance, ds_.frequents, query, hooked).ok());
+  EXPECT_EQ(hook_calls, 1);
+  EXPECT_EQ(hooked_sink.calls, 0) << "update published under a hook";
+  ASSERT_TRUE(SetOrientedDeleteInPlace(instance, ds_.bar, all, hooked).ok());
+  EXPECT_EQ(hook_calls, 2);
+  EXPECT_EQ(hooked_sink.calls, 0) << "delete published under a hook";
+}
+
 // -- The crash-during-commit matrix ------------------------------------------
 
 class DurableCacheTest : public ViewCacheTest {
@@ -753,6 +789,49 @@ TEST_F(DurableCacheTest, PartialFsyncNeverReachesTheCache) {
       std::move(DurableStore::Open(dir, &ds_.schema, clean)).value();
   EXPECT_TRUE(reopened->instance() == seeded);
   ExpectViewsMatch(cache, reopened->instance(), "after recovery");
+}
+
+TEST_F(DurableCacheTest, HookedUpdateNeverPublishesAnUnsyncedDelta) {
+  // The server's update shape: the statement gets the store's hook *and*
+  // the store's cache (which serves its receiver set). Its append is op 3
+  // and succeeds; the covering fsync (op 4) fails. The statement returned
+  // before that fsync, so had it published, the cache would be ahead of
+  // the durable state.
+  const std::string dir = MakeTempDir("hooked");
+  ViewCache cache(&ds_.schema);
+  RegisterViews(cache);
+  FaultInjector inj = FaultInjector::PartialFsyncAt(4);
+  DurableStoreOptions options;
+  options.view_cache = &cache;
+  options.injector = &inj;
+  auto store =
+      std::move(DurableStore::Open(dir, &ds_.schema, options)).value();
+  ASSERT_TRUE(Seed(*store).ok());
+  const Instance seeded = store->SnapshotState();
+  std::vector<std::shared_ptr<const Relation>> before;
+  for (const NamedView& v : MakeTestViews()) {
+    before.push_back(std::move(cache.Read(v.name)).value());
+  }
+  const std::uint64_t epoch = cache.epoch();
+
+  const ExprPtr query = ra::Product(ra::Rel("D"), ra::Rel("Ba"));
+  const Status s = store->Commit(
+      [&](Instance& instance, ExecContext& ctx, const CommitHook& hook) {
+        return SetOrientedUpdateInPlace(
+            instance, ds_.frequents, query,
+            {.ctx = &ctx, .commit_hook = hook, .view_cache = &cache});
+      });
+  ASSERT_FALSE(s.ok());
+  EXPECT_TRUE(store->broken());
+  EXPECT_TRUE(store->instance() == seeded);
+  EXPECT_EQ(cache.epoch(), epoch);
+  const std::vector<NamedView> views = MakeTestViews();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    auto read = cache.Read(views[i].name);
+    ASSERT_TRUE(read.ok()) << views[i].name;
+    EXPECT_TRUE(**read == *before[i])
+        << "view " << views[i].name << " saw an unsynced delta";
+  }
 }
 
 TEST_F(DurableCacheTest, BatchFaultRollsBackWithNothingPublished) {

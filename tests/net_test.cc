@@ -1246,12 +1246,28 @@ TEST_F(NetServiceTest, SpanParentageIsBitStableAcrossEveryFrameFaultMode) {
     MustOk(seed.Update("f", "product(A, B)"));
   }
 
+  // A session whose client cut the connection after its request frame was
+  // written still reads that request and may still be executing it when the
+  // client's retry returns: its net/admission span is then recorded but its
+  // net/request parent is not. So each read waits (bounded) until the live
+  // client's session is the only one left.
+  const auto settled = [&server] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server->active_sessions() != 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return server->active_sessions() == 1;
+  };
+
   std::string baseline;
   {
     Client::Options clean = ClientOptions(server.get(), "acme");
     clean.tracer = &tracer;
     Client client(std::move(clean));
     MustOk(client.Update("f", "product(A, B)"));
+    ASSERT_TRUE(settled());
     baseline = tracer.TreeSignatureForTrace(client.last_trace_id());
   }
   ASSERT_NE(baseline.find("net/request"), std::string::npos);
@@ -1282,6 +1298,8 @@ TEST_F(NetServiceTest, SpanParentageIsBitStableAcrossEveryFrameFaultMode) {
       Client client(std::move(faulty));
       for (int call = 0; call < 2; ++call) {
         MustOk(client.Update("f", "product(A, B)"));
+        ASSERT_TRUE(settled())
+            << mode.name << " at op " << nth << " call " << call;
         EXPECT_EQ(tracer.TreeSignatureForTrace(client.last_trace_id()),
                   baseline)
             << mode.name << " at op " << nth << " call " << call;

@@ -23,6 +23,7 @@
 #include "core/instance.h"
 #include "core/schema.h"
 #include "core/status.h"
+#include "obs/metrics.h"
 #include "relational/builder.h"
 #include "sql/engine.h"
 #include "sql/table.h"
@@ -707,6 +708,79 @@ TEST_F(DurableStoreTest, NoOpAndFailedStatementsLeaveNoRecord) {
   EXPECT_TRUE(store->instance() == states_[2]);
   store.reset();
   EXPECT_TRUE(Recover(dir) == states_[2]);
+}
+
+/// Commit is a group commit of one: the five steps committed one Commit at
+/// a time and the same five in one CommitBatch log byte-identical records,
+/// count the same commits and recover the same instance.
+TEST_F(DurableStoreTest, CommitAndCommitBatchLogTheSameRecords) {
+  std::vector<DurableStore::Statement> statements;
+  for (std::uint32_t k = 1; k <= kSteps; ++k) {
+    statements.push_back(
+        [this, k](Instance& inst, ExecContext&, const CommitHook& commit) {
+          return RunJournaled(
+              inst, [&] { return ApplyStep(inst, k); }, commit);
+        });
+  }
+  const std::string single_dir = MakeTempDir("single");
+  const std::string batch_dir = MakeTempDir("batch");
+  MetricsRegistry single_metrics;
+  MetricsRegistry batch_metrics;
+  {
+    DurableStoreOptions options;
+    options.metrics = &single_metrics;
+    auto store =
+        std::move(DurableStore::Open(single_dir, &schema_, options)).value();
+    for (const DurableStore::Statement& statement : statements) {
+      ASSERT_TRUE(store->Commit(statement).ok());
+    }
+  }
+  {
+    DurableStoreOptions options;
+    options.metrics = &batch_metrics;
+    auto store =
+        std::move(DurableStore::Open(batch_dir, &schema_, options)).value();
+    std::vector<Status> results;
+    ASSERT_TRUE(store->CommitBatch(statements, &results).ok());
+    for (const Status& result : results) {
+      EXPECT_TRUE(result.ok()) << result.ToString();
+    }
+  }
+  EXPECT_EQ(ReadFileBytes(WalFile(single_dir)),
+            ReadFileBytes(WalFile(batch_dir)));
+  EXPECT_EQ(single_metrics.engine.store_commits.value(), kSteps);
+  EXPECT_EQ(batch_metrics.engine.store_commits.value(), kSteps);
+  EXPECT_EQ(single_metrics.engine.wal_fsyncs.value(), kSteps);
+  EXPECT_EQ(batch_metrics.engine.wal_fsyncs.value(), 1u);
+  EXPECT_TRUE(Recover(single_dir) == states_[kSteps]);
+  EXPECT_TRUE(Recover(batch_dir) == states_[kSteps]);
+}
+
+/// The engine fsyncs if and only if it appended a record: a batch whose
+/// statements all change nothing is acknowledged without one, exactly like
+/// a single no-op commit.
+TEST_F(DurableStoreTest, NoOpBatchSkipsTheFsync) {
+  MetricsRegistry metrics;
+  DurableStoreOptions options;
+  options.metrics = &metrics;
+  auto store = OpenAndRun(MakeTempDir("store"), 2, options);
+  const std::uint64_t fsyncs = metrics.engine.wal_fsyncs.value();
+  const std::uint64_t commits = metrics.engine.store_commits.value();
+  const DurableStore::Statement no_op =
+      [](Instance& inst, ExecContext&, const CommitHook& commit) {
+        return RunJournaled(inst, [] { return Status::OK(); }, commit);
+      };
+  const std::vector<DurableStore::Statement> statements = {no_op, no_op,
+                                                           no_op};
+  std::vector<Status> results;
+  ASSERT_TRUE(store->CommitBatch(statements, &results).ok());
+  for (const Status& result : results) {
+    EXPECT_TRUE(result.ok()) << result.ToString();
+  }
+  EXPECT_EQ(metrics.engine.wal_fsyncs.value(), fsyncs);
+  EXPECT_EQ(metrics.engine.store_commits.value(), commits + 3);
+  EXPECT_EQ(store->last_sequence(), 2u);
+  EXPECT_TRUE(store->instance() == states_[2]);
 }
 
 TEST_F(DurableStoreTest, AutoCheckpointTruncatesTheWalAndPrunesSnapshots) {
