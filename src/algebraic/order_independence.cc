@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "conjunctive/containment.h"
@@ -58,23 +59,6 @@ ExprPtr ApplyStep(const ExprPtr& e_prev, const std::string& self_rel,
   ExprPtr fresh =
       ra::Product(ra::Rename(ra::Rel(self_rel), self_rel, class_attr), e_rhs);
   return ra::Union(std::move(keep), std::move(fresh));
-}
-
-/// p1 ≡_Σ p2 under the reduction's dependencies, for queries the caller
-/// has already run through SimplifyPositiveQuery: both containment
-/// directions, neither simplifying again.
-Result<bool> EquivalentSimplified(const PositiveQuery& p1,
-                                  const PositiveQuery& p2,
-                                  const MethodContext& mctx,
-                                  ExecContext& ctx) {
-  for (const auto& [from, to] : {std::pair(&p1, &p2), std::pair(&p2, &p1)}) {
-    SETREC_ASSIGN_OR_RETURN(
-        ContainmentResult result,
-        CheckContainment(*from, *to, mctx.reduction_deps,
-                         mctx.reduction_catalog, /*simplify=*/false, ctx));
-    if (!result.contained) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -181,22 +165,86 @@ Result<std::vector<ReductionExpressions>> BuildOrderIndependenceReduction(
 
 namespace {
 
-/// The Theorem 5.12 reduction loop behind DecideOrderIndependence and
-/// DecideOrderIndependenceDetailed: per updated property, translate both
-/// sides of the reduction into positive queries, prune them, and test
-/// equivalence under the method's dependencies. With `stop_at_difference`
-/// the loop returns at the first inequivalent property (the boolean
-/// verdict needs no more); otherwise every property is reported.
+std::string RenderObject(ObjectId o) {
+  return "c" + std::to_string(o.class_id()) + "#" + std::to_string(o.index());
+}
+
+std::string RenderTuple(const Tuple& t) {
+  std::string out = "(";
+  for (std::size_t i = 0; i < t.arity(); ++i) {
+    if (i > 0) out += ", ";
+    out += RenderObject(t.at(i));
+  }
+  return out + ")";
+}
+
+/// Deterministic rendering of a refuting chase result: the witness tuple
+/// the left query produces, and the canonical database it produces it on
+/// (relations and tuples in sorted order).
+std::string RenderCounterexample(const ContainmentResult& result) {
+  std::string out;
+  if (result.counterexample_tuple.has_value()) {
+    out += "witness " + RenderTuple(*result.counterexample_tuple) +
+           " produced by the left query only; canonical database:\n";
+  }
+  if (result.counterexample.has_value()) {
+    for (const std::string& name : result.counterexample->Names()) {
+      Result<const Relation*> rel = result.counterexample->Find(name);
+      if (!rel.ok() || (*rel)->empty()) continue;
+      out += "  " + name + " = {";
+      bool first = true;
+      for (const Tuple* t : (*rel)->SortedTuples()) {
+        if (!first) out += ", ";
+        first = false;
+        out += RenderTuple(*t);
+      }
+      out += "}\n";
+    }
+  }
+  return out;
+}
+
+/// The counters a ContainmentCertificate reports, read from `ctx`, whose
+/// metrics registry must be attached.
+struct TestCounts {
+  std::uint64_t steps = 0;
+  std::uint64_t containment_tests = 0;
+  std::uint64_t chase_rounds = 0;
+  std::uint64_t hom_candidates = 0;
+};
+
+TestCounts ReadTestCounts(const ExecContext& ctx) {
+  const MetricsRegistry::Engine& engine = ctx.metrics()->engine;
+  return {ctx.steps(), engine.containment_tests.value(),
+          engine.chase_rounds.value(), engine.hom_candidates.value()};
+}
+
+/// The Theorem 5.12 reduction loop behind every decision form: per updated
+/// property, translate both sides of the reduction into positive queries,
+/// prune them, and test equivalence under the method's dependencies by
+/// containment in both directions. With `stop_at_difference` the loop
+/// returns at the first inequivalent property (the boolean verdict needs
+/// no more); otherwise every property is reported. Without a `certificate`
+/// sink the second direction is skipped once the first fails; with one,
+/// both directions of every property run and each records its
+/// ContainmentCertificate, counting into a private metrics registry when
+/// the options carry none.
 Result<DecisionReport> RunDecision(const AlgebraicUpdateMethod& method,
                                    OrderIndependenceKind kind,
                                    bool stop_at_difference,
-                                   const ExecOptions& options) {
+                                   const ExecOptions& options,
+                                   DecisionCertificate* certificate = nullptr) {
   if (!method.IsPositiveMethod()) {
     return Status::InvalidArgument(
         "order independence is only decidable for positive methods "
         "(Theorem 5.12 / Corollary 5.7); use SearchOrderDependenceWitness");
   }
-  ExecScope scope(options);
+  std::optional<MetricsRegistry> local_metrics;
+  ExecOptions scoped = options;
+  if (certificate != nullptr && scoped.metrics == nullptr) {
+    scoped.metrics = &local_metrics.emplace();
+  }
+  ExecScope scope(scoped);
   ExecContext& ctx = scope.ctx();
   TraceSpan span = StartSpan(ctx, "decide/order-independence");
   SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
@@ -220,8 +268,39 @@ Result<DecisionReport> RunDecision(const AlgebraicUpdateMethod& method,
     const PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
     detail.pruned_disjuncts_tt = p1.disjuncts.size();
     detail.pruned_disjuncts_ts = p2.disjuncts.size();
-    SETREC_ASSIGN_OR_RETURN(detail.equivalent,
-                            EquivalentSimplified(p1, p2, mctx, ctx));
+    detail.equivalent = true;
+
+    struct Direction {
+      const char* label;
+      const PositiveQuery* from;
+      const PositiveQuery* to;
+    };
+    for (const Direction& d :
+         {Direction{"tt⊆ts", &p1, &p2}, Direction{"ts⊆tt", &p2, &p1}}) {
+      const TestCounts before =
+          certificate != nullptr ? ReadTestCounts(ctx) : TestCounts{};
+      SETREC_ASSIGN_OR_RETURN(
+          ContainmentResult result,
+          CheckContainment(*d.from, *d.to, mctx.reduction_deps,
+                           mctx.reduction_catalog, /*simplify=*/false, ctx));
+      if (!result.contained) detail.equivalent = false;
+      if (certificate == nullptr) {
+        if (!result.contained) break;  // the verdict needs no other direction
+        continue;
+      }
+      const TestCounts after = ReadTestCounts(ctx);
+      ContainmentCertificate& test = certificate->tests.emplace_back();
+      test.property = r.property;
+      test.property_name = mctx.schema->property(r.property).name;
+      test.direction = d.label;
+      test.contained = result.contained;
+      test.steps = after.steps - before.steps;
+      test.containment_tests =
+          after.containment_tests - before.containment_tests;
+      test.chase_rounds = after.chase_rounds - before.chase_rounds;
+      test.hom_candidates = after.hom_candidates - before.hom_candidates;
+      if (!result.contained) test.counterexample = RenderCounterexample(result);
+    }
     report.properties.push_back(detail);
     if (!detail.equivalent) {
       report.order_independent = false;
@@ -262,131 +341,17 @@ Result<DecisionReport> DecideOrderIndependenceDetailed(
   return RunDecision(method, kind, /*stop_at_difference=*/false, options);
 }
 
-namespace {
-
-std::string RenderObject(ObjectId o) {
-  return "c" + std::to_string(o.class_id()) + "#" + std::to_string(o.index());
-}
-
-std::string RenderTuple(const Tuple& t) {
-  std::string out = "(";
-  for (std::size_t i = 0; i < t.arity(); ++i) {
-    if (i > 0) out += ", ";
-    out += RenderObject(t.at(i));
-  }
-  return out + ")";
-}
-
-/// Deterministic rendering of a refuting chase result: the witness tuple
-/// the left query produces, and the canonical database it produces it on
-/// (relations and tuples in sorted order).
-std::string RenderCounterexample(const ContainmentResult& result) {
-  std::string out;
-  if (result.counterexample_tuple.has_value()) {
-    out += "witness " + RenderTuple(*result.counterexample_tuple) +
-           " produced by the left query only; canonical database:\n";
-  }
-  if (result.counterexample.has_value()) {
-    for (const std::string& name : result.counterexample->Names()) {
-      Result<const Relation*> rel = result.counterexample->Find(name);
-      if (!rel.ok() || (*rel)->empty()) continue;
-      out += "  " + name + " = {";
-      bool first = true;
-      for (const Tuple* t : (*rel)->SortedTuples()) {
-        if (!first) out += ", ";
-        first = false;
-        out += RenderTuple(*t);
-      }
-      out += "}\n";
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<DecisionCertificate> DecideOrderIndependenceCertified(
     const AlgebraicUpdateMethod& method, OrderIndependenceKind kind,
     const ExecOptions& options) {
-  if (!method.IsPositiveMethod()) {
-    return Status::InvalidArgument(
-        "order independence is only decidable for positive methods "
-        "(Theorem 5.12 / Corollary 5.7)");
-  }
-  // Per-test counter deltas need a registry; fall back to a private one so
-  // certificates are populated even for unobserved callers.
-  MetricsRegistry local_metrics;
-  ExecOptions opts = options;
-  if (opts.metrics == nullptr) opts.metrics = &local_metrics;
-  ExecScope scope(opts);
-  ExecContext& ctx = scope.ctx();
-  MetricsRegistry& metrics = *ctx.metrics();
-
-  TraceSpan span = StartSpan(ctx, "decide/order-independence");
-  SETREC_ASSIGN_OR_RETURN(std::vector<ReductionExpressions> reductions,
-                          BuildOrderIndependenceReduction(method, kind));
-  const MethodContext& mctx = method.context();
-
   DecisionCertificate certificate;
   certificate.kind = kind;
   certificate.method_name = method.name();
-  certificate.order_independent = true;
-  certificate.report.order_independent = true;
-  for (const ReductionExpressions& r : reductions) {
-    SETREC_RETURN_IF_ERROR(ctx.CheckPoint("decision/property"));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q1,
-        TranslateToPositiveQuery(r.e_tt, mctx.reduction_catalog));
-    SETREC_ASSIGN_OR_RETURN(
-        PositiveQuery q2,
-        TranslateToPositiveQuery(r.e_ts, mctx.reduction_catalog));
-    DecisionReport::PropertyDetail detail;
-    detail.property = r.property;
-    detail.raw_disjuncts_tt = q1.disjuncts.size();
-    detail.raw_disjuncts_ts = q2.disjuncts.size();
-    PositiveQuery p1 = SimplifyPositiveQuery(std::move(q1), ctx);
-    PositiveQuery p2 = SimplifyPositiveQuery(std::move(q2), ctx);
-    detail.pruned_disjuncts_tt = p1.disjuncts.size();
-    detail.pruned_disjuncts_ts = p2.disjuncts.size();
-    detail.equivalent = true;
-
-    struct Direction {
-      const char* label;
-      const PositiveQuery* from;
-      const PositiveQuery* to;
-    };
-    for (const Direction& d :
-         {Direction{"tt⊆ts", &p1, &p2}, Direction{"ts⊆tt", &p2, &p1}}) {
-      ContainmentCertificate test;
-      test.property = r.property;
-      test.property_name = mctx.schema->property(r.property).name;
-      test.direction = d.label;
-      const std::uint64_t steps0 = ctx.steps();
-      const std::uint64_t tests0 = metrics.engine.containment_tests.value();
-      const std::uint64_t rounds0 = metrics.engine.chase_rounds.value();
-      const std::uint64_t cands0 = metrics.engine.hom_candidates.value();
-      SETREC_ASSIGN_OR_RETURN(
-          ContainmentResult result,
-          CheckContainment(*d.from, *d.to, mctx.reduction_deps,
-                           mctx.reduction_catalog, /*simplify=*/false, ctx));
-      test.steps = ctx.steps() - steps0;
-      test.containment_tests =
-          metrics.engine.containment_tests.value() - tests0;
-      test.chase_rounds = metrics.engine.chase_rounds.value() - rounds0;
-      test.hom_candidates = metrics.engine.hom_candidates.value() - cands0;
-      test.contained = result.contained;
-      if (!result.contained) {
-        test.counterexample = RenderCounterexample(result);
-        detail.equivalent = false;
-      }
-      certificate.tests.push_back(std::move(test));
-    }
-    if (!detail.equivalent) {
-      certificate.order_independent = false;
-      certificate.report.order_independent = false;
-    }
-    certificate.report.properties.push_back(detail);
-  }
+  SETREC_ASSIGN_OR_RETURN(
+      certificate.report,
+      RunDecision(method, kind, /*stop_at_difference=*/false, options,
+                  &certificate));
+  certificate.order_independent = certificate.report.order_independent;
   return certificate;
 }
 

@@ -14,9 +14,7 @@ enum class ExecBackend : std::uint8_t {
   /// Cost-based selection, latched once per Evaluator so a DAG of
   /// expressions sharing subtrees is served by one memo: the compiled
   /// vectorized engine when the referenced relations are large enough to
-  /// amortize batching and no multi-worker pool is attached (the
-  /// partitioned parallel probe is an interpreter feature), the
-  /// interpreter otherwise.
+  /// amortize batching, the interpreter otherwise.
   kAuto,
   /// The tuple-at-a-time tree-walking interpreter — the differential
   /// oracle all other backends are tested against.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 #include "core/fault_injection.h"
 #include "core/status.h"
@@ -40,21 +39,11 @@ namespace setrec {
 /// through Status propagation (the fault-injection tests prove this at
 /// every probe point).
 ///
-/// A context is single-owner mutable state (counters); do not share one
-/// between concurrently running computations. The cancellation flag is the
-/// one cross-thread channel: RequestCancel()/BindCancelFlag() are safe to
-/// use from another thread.
-///
-/// For fan-out, Fork() creates *child* contexts that charge the same
-/// budget: the first Fork migrates the parent's counters into shared atomic
-/// storage, and from then on parent and children all account against those
-/// atomics, so a step/row/byte cap is enforced exactly across every thread
-/// of a parallel computation (the thread whose charge crosses the cap is
-/// the one that trips). Cancellation is likewise pooled: RequestCancel on
-/// any member cancels the whole family, which is how one failing worker
-/// aborts its siblings promptly. Fork() itself must be called while no
-/// other thread is charging this context (i.e. before dispatching work);
-/// each child is then single-owner on its thread, like any context.
+/// A governed computation runs on its caller's thread, so a context is
+/// single-owner mutable state (counters); do not share one between
+/// concurrently running computations. The cancellation flag is the one
+/// cross-thread channel: RequestCancel()/BindCancelFlag() are safe to use
+/// from another thread.
 class ExecContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -83,31 +72,6 @@ class ExecContext {
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  /// Move is supported so forked children can be stored in containers (one
-  /// slot per worker). The moved-from context must not be used again.
-  ExecContext(ExecContext&& other) noexcept
-      : limits_(other.limits_),
-        deadline_(other.deadline_),
-        steps_(other.steps_),
-        rows_(other.rows_),
-        memory_in_use_(other.memory_in_use_),
-        memory_high_water_(other.memory_high_water_),
-        deadline_countdown_(other.deadline_countdown_),
-        cancelled_(other.cancelled_.load(std::memory_order_relaxed)),
-        external_cancel_(other.external_cancel_),
-        injector_(other.injector_),
-        tracer_(other.tracer_),
-        metrics_(other.metrics_),
-        recorder_(other.recorder_),
-        trace_parent_(other.trace_parent_),
-        trace_id_(other.trace_id_),
-        shared_(std::move(other.shared_)) {}
-
-  /// Creates a child context charging the same budget as this one (see the
-  /// class comment). The child shares limits, deadline, fault injector and
-  /// cancellation with its parent; counters become family-global.
-  ExecContext Fork();
-
   /// Convenience limit builders.
   static Limits StepBudget(std::uint64_t max_steps) {
     Limits l;
@@ -125,10 +89,7 @@ class ExecContext {
   /// (periodically) the wall clock. `probe_point` is a stable name for the
   /// call site, used by fault injection and error messages.
   Status CheckPoint(const char* probe_point) {
-    const std::uint64_t steps_now =
-        shared_ != nullptr
-            ? shared_->steps.fetch_add(1, std::memory_order_relaxed) + 1
-            : ++steps_;
+    ++steps_;
     if (injector_ != nullptr) {
       Status injected = injector_->Probe(probe_point);
       if (!injected.ok()) return RecordFailure(probe_point, injected);
@@ -138,7 +99,7 @@ class ExecContext {
           probe_point,
           Status::Cancelled(std::string("cancelled at ") + probe_point));
     }
-    if (limits_.max_steps != 0 && steps_now > limits_.max_steps) {
+    if (limits_.max_steps != 0 && steps_ > limits_.max_steps) {
       return RecordFailure(
           probe_point,
           Status::ResourceExhausted(std::string("step budget exhausted at ") +
@@ -162,11 +123,8 @@ class ExecContext {
 
   /// Accounts `rows` materialized tuples (also a checkpoint).
   Status ChargeRows(std::uint64_t rows, const char* probe_point) {
-    const std::uint64_t rows_now =
-        shared_ != nullptr
-            ? shared_->rows.fetch_add(rows, std::memory_order_relaxed) + rows
-            : (rows_ += rows);
-    if (limits_.max_rows != 0 && rows_now > limits_.max_rows) {
+    rows_ += rows;
+    if (limits_.max_rows != 0 && rows_ > limits_.max_rows) {
       return RecordFailure(
           probe_point,
           Status::ResourceExhausted(std::string("row budget exhausted at ") +
@@ -178,24 +136,12 @@ class ExecContext {
   /// Accounts `bytes` of cooperative memory and updates the high-water mark
   /// (also a checkpoint).
   Status ChargeMemory(std::uint64_t bytes, const char* probe_point) {
-    std::uint64_t in_use;
-    if (shared_ != nullptr) {
-      in_use = shared_->memory_in_use.fetch_add(bytes,
-                                                std::memory_order_relaxed) +
-               bytes;
-      std::uint64_t hw =
-          shared_->memory_high_water.load(std::memory_order_relaxed);
-      while (hw < in_use &&
-             !shared_->memory_high_water.compare_exchange_weak(
-                 hw, in_use, std::memory_order_relaxed)) {
-      }
-    } else {
-      in_use = memory_in_use_ += bytes;
-      if (memory_in_use_ > memory_high_water_) {
-        memory_high_water_ = memory_in_use_;
-      }
+    memory_in_use_ += bytes;
+    if (memory_in_use_ > memory_high_water_) {
+      memory_high_water_ = memory_in_use_;
     }
-    if (limits_.max_memory_bytes != 0 && in_use > limits_.max_memory_bytes) {
+    if (limits_.max_memory_bytes != 0 &&
+        memory_in_use_ > limits_.max_memory_bytes) {
       return RecordFailure(
           probe_point,
           Status::ResourceExhausted(
@@ -207,30 +153,14 @@ class ExecContext {
 
   /// Returns previously charged bytes (high-water mark is kept).
   void ReleaseMemory(std::uint64_t bytes) {
-    if (shared_ != nullptr) {
-      std::uint64_t cur =
-          shared_->memory_in_use.load(std::memory_order_relaxed);
-      std::uint64_t next;
-      do {
-        next = bytes > cur ? 0 : cur - bytes;
-      } while (!shared_->memory_in_use.compare_exchange_weak(
-          cur, next, std::memory_order_relaxed));
-      return;
-    }
     memory_in_use_ = bytes > memory_in_use_ ? 0 : memory_in_use_ - bytes;
   }
 
   // -- Cancellation ----------------------------------------------------------
 
   /// Requests cooperative abort; the next CheckPoint returns kCancelled.
-  /// Safe to call from another thread. On a forked family, cancels every
-  /// member (parent and all children).
-  void RequestCancel() {
-    cancelled_.store(true, std::memory_order_relaxed);
-    if (shared_ != nullptr) {
-      shared_->cancelled.store(true, std::memory_order_relaxed);
-    }
-  }
+  /// Safe to call from another thread.
+  void RequestCancel() { cancelled_.store(true, std::memory_order_relaxed); }
 
   /// Binds an external cancellation flag (e.g. owned by a server's request
   /// dispatcher); the context observes it in addition to RequestCancel().
@@ -238,8 +168,6 @@ class ExecContext {
 
   bool cancel_requested() const {
     return cancelled_.load(std::memory_order_relaxed) ||
-           (shared_ != nullptr &&
-            shared_->cancelled.load(std::memory_order_relaxed)) ||
            (external_cancel_ != nullptr &&
             external_cancel_->load(std::memory_order_relaxed));
   }
@@ -253,10 +181,9 @@ class ExecContext {
   // -- Observability ---------------------------------------------------------
 
   /// Attaches a Tracer / MetricsRegistry (nullptr detaches; both must
-  /// outlive their use). Fork() propagates the attachment, so a fan-out's
-  /// workers report into the same sinks. With nothing attached, every
-  /// instrumentation site in the engine degrades to a null-pointer test —
-  /// the "free when off" contract the benches measure.
+  /// outlive their use). With nothing attached, every instrumentation site
+  /// in the engine degrades to a null-pointer test — the "free when off"
+  /// contract the benches measure.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
@@ -271,23 +198,6 @@ class ExecContext {
   void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
   FlightRecorder* recorder() const { return recorder_; }
 
-  /// Span under which this context's first spans nest when its thread has
-  /// no open span of its own: Fork() captures the forking thread's current
-  /// span here, which is what keeps a worker's spans parented under the
-  /// fan-out's span even though they start on a fresh pool thread.
-  std::uint64_t trace_parent() const { return trace_parent_; }
-  void set_trace_parent(std::uint64_t span_id) { trace_parent_ = span_id; }
-
-  /// Distributed trace id this context's spans belong to (0 = untraced).
-  /// On the request thread the tracer's installed TraceContext already
-  /// carries the family, so this is the *fallback* for spans started on
-  /// pool threads: Fork() captures the forking thread's current trace id
-  /// here, and StartSpan passes it as the trace hint — the cross-thread
-  /// analogue of trace_parent(). Servers set it from the request frame's
-  /// trace context (see ExecOptions::trace_id).
-  std::uint64_t trace_id() const { return trace_id_; }
-  void set_trace_id(std::uint64_t trace_id) { trace_id_ = trace_id; }
-
   // -- Introspection ---------------------------------------------------------
 
   const Limits& limits() const { return limits_; }
@@ -298,58 +208,12 @@ class ExecContext {
     return has_step_budget() || has_deadline() || limits_.max_rows != 0 ||
            limits_.max_memory_bytes != 0;
   }
-  /// Counters. After Fork() these are family-global (the shared atomics),
-  /// so a parent observes the combined work of all its children.
-  std::uint64_t steps() const {
-    return shared_ != nullptr ? shared_->steps.load(std::memory_order_relaxed)
-                              : steps_;
-  }
-  std::uint64_t rows() const {
-    return shared_ != nullptr ? shared_->rows.load(std::memory_order_relaxed)
-                              : rows_;
-  }
-  std::uint64_t memory_in_use() const {
-    return shared_ != nullptr
-               ? shared_->memory_in_use.load(std::memory_order_relaxed)
-               : memory_in_use_;
-  }
-  std::uint64_t memory_high_water() const {
-    return shared_ != nullptr
-               ? shared_->memory_high_water.load(std::memory_order_relaxed)
-               : memory_high_water_;
-  }
-  /// True once Fork() has been called (counters live in shared storage).
-  bool forked() const { return shared_ != nullptr; }
+  std::uint64_t steps() const { return steps_; }
+  std::uint64_t rows() const { return rows_; }
+  std::uint64_t memory_in_use() const { return memory_in_use_; }
+  std::uint64_t memory_high_water() const { return memory_high_water_; }
 
  private:
-  /// Budget state shared by a forked family: every charge lands here, so
-  /// caps hold across all threads of a fan-out combined.
-  struct SharedBudget {
-    std::atomic<std::uint64_t> steps{0};
-    std::atomic<std::uint64_t> rows{0};
-    std::atomic<std::uint64_t> memory_in_use{0};
-    std::atomic<std::uint64_t> memory_high_water{0};
-    std::atomic<bool> cancelled{false};
-  };
-
-  struct ForkTag {};
-  ExecContext(ForkTag, const ExecContext& parent)
-      : limits_(parent.limits_),
-        deadline_(parent.deadline_),
-        external_cancel_(parent.external_cancel_),
-        injector_(parent.injector_),
-        tracer_(parent.tracer_),
-        metrics_(parent.metrics_),
-        recorder_(parent.recorder_),
-        trace_parent_(parent.tracer_ != nullptr &&
-                              parent.tracer_->CurrentSpanId() != 0
-                          ? parent.tracer_->CurrentSpanId()
-                          : parent.trace_parent_),
-        trace_id_(parent.tracer_ != nullptr &&
-                          parent.tracer_->CurrentTraceId() != 0
-                      ? parent.tracer_->CurrentTraceId()
-                      : parent.trace_id_),
-        shared_(parent.shared_) {}
   /// The wall clock is read once per this many checkpoints: cheap enough to
   /// keep deadlines responsive, rare enough to keep checkpoints branch-only.
   static constexpr std::uint32_t kDeadlineCheckStride = 64;
@@ -378,22 +242,18 @@ class ExecContext {
   Tracer* tracer_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   FlightRecorder* recorder_ = &FlightRecorder::Global();
-  std::uint64_t trace_parent_ = 0;
-  std::uint64_t trace_id_ = 0;
-  std::shared_ptr<SharedBudget> shared_;
 };
 
 /// Opens a span on the context's tracer (inert when none is attached). The
-/// span nests under the thread's innermost open span, falling back to the
-/// context's trace_parent() — see ExecContext::Fork(). Every span start also
-/// drops a breadcrumb into the context's flight recorder, so a post-mortem
-/// dump shows which stages ran last even when no tracer was attached.
+/// span nests under the calling thread's innermost open span. Every span
+/// start also drops a breadcrumb into the context's flight recorder, so a
+/// post-mortem dump shows which stages ran last even when no tracer was
+/// attached.
 inline TraceSpan StartSpan(ExecContext& ctx, const char* name) {
   if (ctx.recorder() != nullptr) {
-    ctx.recorder()->Record(FlightRecorder::EventKind::kSpan, name,
-                           ctx.trace_parent());
+    ctx.recorder()->Record(FlightRecorder::EventKind::kSpan, name);
   }
-  return TraceSpan(ctx.tracer(), name, ctx.trace_parent(), ctx.trace_id());
+  return TraceSpan(ctx.tracer(), name);
 }
 
 }  // namespace setrec

@@ -2,7 +2,6 @@
 #define SETREC_CORE_EXEC_OPTIONS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <optional>
 
@@ -50,8 +49,8 @@ using CommitHook = std::function<Status(const InstanceDelta& delta)>;
 /// (ExecContext*, CommitHook, backend, Tracer* / MetricsRegistry*), so
 /// adding an execution concern never changes an API again. All fields are
 /// optional; a default-constructed ExecOptions means "permissive,
-/// unobserved, single-threaded, commit unconditionally". A caller that
-/// holds a context passes it as `{.ctx = &ctx}`.
+/// unobserved, commit unconditionally". A caller that holds a context
+/// passes it as `{.ctx = &ctx}`.
 ///
 /// Everything here is borrowed, not owned; the referents must outlive the
 /// call.
@@ -60,8 +59,8 @@ struct ExecOptions {
   ExecContext* ctx = nullptr;
 
   /// Observability sinks, attached to the governing context for the call's
-  /// duration (Fork() carries them into fan-outs). If `ctx` already has a
-  /// tracer/metrics attached, the context's attachment wins.
+  /// duration. If `ctx` already has a tracer/metrics attached, the
+  /// context's attachment wins.
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
 
@@ -73,20 +72,12 @@ struct ExecOptions {
   /// context's current recorder.
   FlightRecorder* recorder = nullptr;
 
-  /// Multi-core runtime. `pool` (borrowed) runs the partitioned join probe
-  /// of Evaluate and of EXPLAIN ANALYZE over an expression or a
-  /// set-oriented update. num_workers is read by nothing, and ParallelApply
-  /// ignores both fields: it evaluates each par(E) once, on the calling
-  /// thread.
+  /// Read by nothing: every governed computation runs on its caller's
+  /// thread, so neither field changes a result, a counter or a backend.
+  /// They remain only because the repository benchmark (perfbench/) still
+  /// sets them, and they go together with its worker settings.
   std::size_t num_workers = 1;
   ThreadPool* pool = nullptr;
-
-  /// Request-family trace id (obs/trace.h TraceContext) stamped on the
-  /// governing context for the call's duration, so spans opened on pool
-  /// threads — where no ScopedTraceContext is installed — still join the
-  /// request's family via ExecContext::trace_id(). 0 = untraced; a context
-  /// that already carries a trace id wins.
-  std::uint64_t trace_id = 0;
 
   /// Execution backend for relational evaluation (core/exec_backend.h).
   /// kAuto (the default) keeps the interpreter unless the inputs are large
@@ -137,16 +128,11 @@ class ExecScope {
       ctx_->set_recorder(options.recorder);
       swapped_recorder_ = true;
     }
-    if (options.trace_id != 0 && ctx_->trace_id() == 0) {
-      ctx_->set_trace_id(options.trace_id);
-      attached_trace_id_ = true;
-    }
   }
   ~ExecScope() {
     if (attached_tracer_) ctx_->set_tracer(nullptr);
     if (attached_metrics_) ctx_->set_metrics(nullptr);
     if (swapped_recorder_) ctx_->set_recorder(previous_recorder_);
-    if (attached_trace_id_) ctx_->set_trace_id(0);
   }
   ExecScope(const ExecScope&) = delete;
   ExecScope& operator=(const ExecScope&) = delete;
@@ -160,7 +146,6 @@ class ExecScope {
   bool attached_tracer_ = false;
   bool attached_metrics_ = false;
   bool swapped_recorder_ = false;
-  bool attached_trace_id_ = false;
 };
 
 }  // namespace setrec

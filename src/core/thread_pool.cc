@@ -1,43 +1,8 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 namespace setrec {
-
-namespace {
-
-/// Per-ParallelFor completion state, shared by the runner closures enqueued
-/// on the pool. Runners claim task indices through `next` (monotonically
-/// increasing, so indices are started in order) and the issuing thread
-/// blocks on `done_cv` until every index has finished.
-struct BatchState {
-  std::atomic<std::size_t> next{0};
-  std::size_t num_tasks = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::size_t completed = 0;  // guarded by mu
-};
-
-void RunBatch(const std::shared_ptr<BatchState>& state) {
-  std::size_t finished = 0;
-  for (;;) {
-    const std::size_t i =
-        state->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= state->num_tasks) break;
-    (*state->fn)(i);
-    ++finished;
-  }
-  if (finished == 0) return;
-  std::lock_guard<std::mutex> lock(state->mu);
-  state->completed += finished;
-  if (state->completed == state->num_tasks) state->done_cv.notify_all();
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_workers) {
   const std::size_t n = std::max<std::size_t>(1, num_workers);
@@ -71,42 +36,12 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(std::size_t num_tasks,
-                             const std::function<void(std::size_t)>& fn) {
-  if (num_tasks == 0) return;
-  if (num_tasks == 1 || workers_.size() == 1) {
-    // Sequential degradation: run on the calling thread, no handoff cost.
-    for (std::size_t i = 0; i < num_tasks; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<BatchState>();
-  state->num_tasks = num_tasks;
-  state->fn = &fn;
-  const std::size_t runners = std::min(workers_.size(), num_tasks);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t r = 0; r < runners; ++r) {
-      queue_.emplace_back([state] { RunBatch(state); });
-    }
-  }
-  work_available_.notify_all();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock,
-                      [&] { return state->completed == state->num_tasks; });
-}
-
 void ThreadPool::Post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.emplace_back(std::move(task));
   }
   work_available_.notify_one();
-}
-
-std::size_t ThreadPool::DefaultWorkerCount() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return 1;
-  return std::min<std::size_t>(hw, 64);
 }
 
 }  // namespace setrec

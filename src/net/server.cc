@@ -121,10 +121,13 @@ struct Server::Tenant {
 
   /// Stamps `response` with the (applied, leader) sequences: a replica's
   /// applied position and its leader's, or a store's last sequence as both.
+  /// A replica's applied sequence is read first: its leader sequence is
+  /// max(leader, applied) read later, so leader >= applied still holds, and
+  /// the replicated instance is not copied.
   void StampSequences(Response& response) const {
     if (replica != nullptr) {
-      (void)replica->Read(&response.applied_sequence,
-                          &response.leader_sequence);
+      response.applied_sequence = replica->applied_sequence();
+      response.leader_sequence = replica->leader_sequence();
     } else if (store != nullptr) {
       response.applied_sequence = store->last_sequence();
       response.leader_sequence = response.applied_sequence;
@@ -367,9 +370,10 @@ void Server::SessionLoop(ConnectionPtr conn) {
     }
 
     // Adopt the frame's trace context for this request: while installed,
-    // every span this thread (and its forks) opens joins the client's
-    // family, and the request span records the client-side span as its
-    // remote parent. Untraced frames install nothing.
+    // every span this thread opens joins the client's family (the request
+    // runs start to finish on this session thread), and the request span
+    // records the client-side span as its remote parent. Untraced frames
+    // install nothing.
     const TraceContext wire_trace{in->trace_id, in->trace_parent,
                                   in->sampled};
     ScopedTraceContext trace_scope(options_.tracer, wire_trace);
@@ -470,7 +474,7 @@ Response Server::Dispatch(const Request& request, FramedConnection& framed,
       } else if (request.op == "delta") {
         response = HandleDelta(*tenant, request, deadline, trace);
       } else {
-        response = HandleQuery(*tenant, request, deadline, trace);
+        response = HandleQuery(*tenant, request, deadline);
       }
     }
     Release(*tenant);
@@ -613,14 +617,8 @@ Response Server::CommitWrite(Tenant& tenant,
     return ErrorResponse(Status::FailedPrecondition(
         "tenant '" + tenant.config.name + "' is a read-only replica"));
   }
-  Status committed = tenant.store->Commit(
-      [&](Instance& instance, ExecContext& ctx, const CommitHook& hook) {
-        // Fan-outs forked from this context must stay in the request's
-        // family even on pool threads where no context is installed.
-        if (trace.active()) ctx.set_trace_id(trace.trace_id);
-        return statement(instance, ctx, hook);
-      },
-      RequestLimits(tenant, deadline));
+  Status committed =
+      tenant.store->Commit(statement, RequestLimits(tenant, deadline));
   if (!committed.ok()) return ErrorResponse(committed);
   Response response = OkResponse();
   tenant.StampSequences(response);
@@ -672,8 +670,7 @@ Response Server::HandleDelta(Tenant& tenant, const Request& request,
 }
 
 Response Server::HandleQuery(Tenant& tenant, const Request& request,
-                             std::chrono::steady_clock::time_point deadline,
-                             const TraceContext& trace) {
+                             std::chrono::steady_clock::time_point deadline) {
   Result<ExprPtr> query = ParseExpression(request.body);
   if (!query.ok()) return ErrorResponse(query.status());
 
@@ -682,7 +679,6 @@ Response Server::HandleQuery(Tenant& tenant, const Request& request,
   ctx.set_tracer(options_.tracer);
   ctx.set_metrics(options_.metrics);
   ctx.set_recorder(options_.recorder);
-  if (trace.active()) ctx.set_trace_id(trace.trace_id);
 
   std::uint64_t applied = 0;
   std::uint64_t leader = 0;

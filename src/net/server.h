@@ -146,9 +146,10 @@ class Server {
 
   Response HandlePing(Tenant& tenant);
   /// The write path of update and delta: refuses replica-backed tenants,
-  /// commits `statement` under RequestLimits with the request's trace id on
-  /// each attempt's context, and answers with the committed sequence,
-  /// recorded as that commit's trace origin.
+  /// commits `statement` under RequestLimits on the session thread (whose
+  /// installed trace context puts every span in the request's family), and
+  /// answers with the committed sequence, recorded as that commit's trace
+  /// origin.
   Response CommitWrite(Tenant& tenant, const DurableStore::Statement& statement,
                        std::chrono::steady_clock::time_point deadline,
                        const TraceContext& trace);
@@ -159,8 +160,7 @@ class Server {
                        std::chrono::steady_clock::time_point deadline,
                        const TraceContext& trace);
   Response HandleQuery(Tenant& tenant, const Request& request,
-                       std::chrono::steady_clock::time_point deadline,
-                       const TraceContext& trace);
+                       std::chrono::steady_clock::time_point deadline);
   Response HandleExplain(Tenant& tenant, const Request& request);
   Response HandlePull(Tenant& tenant, const Request& request,
                       FramedConnection& framed);

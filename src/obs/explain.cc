@@ -267,7 +267,7 @@ Result<ExplainPlan> ExplainExpressionAnalyze(const ExprPtr& expr,
   ExecOptions opts = options;
   if (opts.metrics == nullptr) opts.metrics = &local_metrics;
   ExecScope scope(opts);
-  Evaluator evaluator(&database, scope.ctx(), opts.pool);
+  Evaluator evaluator(&database, scope.ctx());
   evaluator.set_backend(opts.backend);
   std::unordered_map<const Expr*, EvalNodeStats> stats;
   evaluator.set_node_stats(&stats);
@@ -315,7 +315,7 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
     // Phase one: evaluate the receiver query against the encoded input
     // state, collecting per-node statistics.
     SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
-    Evaluator evaluator(&db, ctx, opts.pool);
+    Evaluator evaluator(&db, ctx);
     evaluator.set_backend(opts.backend);
     evaluator.set_node_stats(&stats);
     SETREC_ASSIGN_OR_RETURN(Relation rows, evaluator.Eval(receiver_query));

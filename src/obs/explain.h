@@ -29,8 +29,8 @@ struct PlanNode {
   std::string scheme;  // rendered output scheme, e.g. "(self, f)"
 
   /// Execution statistics, meaningful only when `analyzed` (EXPLAIN
-  /// ANALYZE). All counts except wall_ns are logical — identical at any
-  /// worker count (see EvalNodeStats).
+  /// ANALYZE). All counts except wall_ns are logical — identical under
+  /// every backend (see EvalNodeStats).
   bool analyzed = false;
   std::uint64_t actual_rows = 0;  // output rows
   std::uint64_t build_rows = 0;   // hash-join build-side insertions
@@ -52,7 +52,7 @@ struct ExplainPlan {
   std::string title;
   bool analyzed = false;
   std::vector<PlanNode> roots;
-  /// Logical (worker-invariant) engine counters charged by the analyzed
+  /// Logical (backend-invariant) engine counters charged by the analyzed
   /// run; empty for plain EXPLAIN. See LogicalCounterNames().
   std::map<std::string, std::uint64_t> counters;
 
@@ -63,10 +63,10 @@ struct ExplainPlan {
   std::string ToJson() const;
 };
 
-/// The engine counters that are *logical*: bit-identical at any worker
-/// count for a deterministic run. Everything else the registry holds
-/// (probe partition counts, histogram sample counts, cache/wal/store
-/// traffic) depends on execution shape and is deliberately excluded.
+/// The engine counters that are *logical*: bit-identical under every
+/// backend for a deterministic run. Everything else the registry holds
+/// (histogram sample counts, cache/wal/store traffic) depends on execution
+/// shape and is deliberately excluded.
 const std::vector<std::string>& LogicalCounterNames();
 
 /// Filters a registry snapshot down to LogicalCounterNames().

@@ -15,8 +15,6 @@ MetricsRegistry::MetricsRegistry() {
   counters_.emplace("evaluator.join_probes", &engine.eval_join_probes);
   counters_.emplace("evaluator.join_build_rows",
                     &engine.eval_join_build_rows);
-  counters_.emplace("evaluator.probe_partitions",
-                    &engine.eval_probe_partitions);
   counters_.emplace("sequential.receivers", &engine.sequential_receivers);
   counters_.emplace("apply.edges", &engine.apply_edges);
   counters_.emplace("wal.appends", &engine.wal_appends);

@@ -120,7 +120,6 @@ class MetricsRegistry {
     Counter eval_rows;             // evaluator.rows
     Counter eval_join_probes;      // evaluator.join_probes
     Counter eval_join_build_rows;  // evaluator.join_build_rows
-    Counter eval_probe_partitions; // evaluator.probe_partitions
     Counter sequential_receivers;  // sequential.receivers
     Counter apply_edges;           // apply.edges
     Counter wal_appends;           // wal.appends

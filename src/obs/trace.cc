@@ -50,14 +50,12 @@ ScopedTraceContext::~ScopedTraceContext() {
 
 // -- TraceSpan ---------------------------------------------------------------
 
-TraceSpan::TraceSpan(Tracer* tracer, const char* name,
-                     std::uint64_t parent_hint, std::uint64_t trace_hint)
+TraceSpan::TraceSpan(Tracer* tracer, const char* name)
     : tracer_(tracer), name_(name) {
   if (tracer_ == nullptr) return;
   Tracer::ThreadLog* log = tracer_->LogForThisThread();
   if (log->open.empty()) {
-    parent_ = parent_hint;
-    trace_id_ = log->ctx.active() ? log->ctx.trace_id : trace_hint;
+    trace_id_ = log->ctx.active() ? log->ctx.trace_id : 0;
   } else {
     parent_ = log->open.back().id;
     // An installed context wins over inheritance: the request boundary on a

@@ -62,17 +62,12 @@ class TraceSpan {
   TraceSpan() = default;
 
   /// Starts a span on `tracer` (no-op when null). The parent is the
-  /// innermost span currently open on this thread; when the thread has no
-  /// open span — the first span of a forked worker — `parent_hint` is used,
-  /// which is how a fan-out's worker spans attach under the span that forked
-  /// them (see ExecContext::Fork and StartSpan in core/exec_context.h).
+  /// innermost span currently open on this thread (0 = a root span).
   ///
   /// Trace identity: the thread's installed TraceContext wins (the request
   /// boundary — see ScopedTraceContext), else the innermost open span's
-  /// trace id is inherited, else `trace_hint` (a forked worker carrying its
-  /// family's id through ExecContext::trace_id()).
-  TraceSpan(Tracer* tracer, const char* name, std::uint64_t parent_hint = 0,
-            std::uint64_t trace_hint = 0);
+  /// trace id is inherited, else the span is untraced.
+  TraceSpan(Tracer* tracer, const char* name);
 
   ~TraceSpan() { End(); }
 
@@ -125,14 +120,13 @@ class TraceSpan {
 struct SpanEvent {
   const char* name = nullptr;
   std::uint64_t id = 0;
-  /// Id of the enclosing span (0 = root). Explicit parentage — not inferred
-  /// from timestamps — is what keeps the span *tree* well defined when a
-  /// fan-out runs children on pool threads.
+  /// Id of the enclosing span (0 = root). Explicit parentage, not inferred
+  /// from timestamps, so spans of concurrent sessions interleaving on the
+  /// timeline still form a well-defined tree.
   std::uint64_t parent = 0;
   /// The request family this span belongs to (0 = untraced). Adopted from
   /// the thread's installed TraceContext at the request boundary and
-  /// inherited by every nested and forked span — the key trace_merge.py
-  /// groups on.
+  /// inherited by every nested span — the key trace_merge.py groups on.
   std::uint64_t trace_id = 0;
   /// The *sender-side* span id this span continues (0 = none): recorded
   /// only on the span that joins a remote trace (client span id on the
@@ -175,14 +169,13 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Innermost span currently open on the *calling* thread (0 = none).
-  /// ExecContext::Fork captures this as the parent hint for worker threads.
+  /// Innermost span currently open on the *calling* thread (0 = none): the
+  /// parent the next span started on this thread gets.
   std::uint64_t CurrentSpanId() const;
 
   /// Trace id in effect on the *calling* thread: the installed
   /// TraceContext's id when one is active, else the innermost open span's
-  /// (0 = untraced). ExecContext::Fork captures this so pool-thread spans
-  /// stay in their request's family.
+  /// (0 = untraced). The family the next span started on this thread joins.
   std::uint64_t CurrentTraceId() const;
 
   /// All completed events, merged across threads, ordered by start time.
@@ -194,10 +187,9 @@ class Tracer {
   /// Canonical string for the span tree with timestamps erased and sibling
   /// subtrees deduplicated: `name{child;child;...}` with children sorted
   /// and uniqued. Dedup makes the signature invariant under the *multiplicity*
-  /// of structurally identical siblings, which is exactly the degree of
-  /// freedom a fan-out introduces — 1 worker span or 8 identical ones yield
+  /// of structurally identical siblings — 1 span or 8 identical ones yield
   /// the same signature, so determinism tests can pin the tree across
-  /// worker counts.
+  /// worker counts and retries.
   std::string TreeSignature() const;
 
   /// TreeSignature restricted to the spans of one request family

@@ -1,6 +1,5 @@
 #include "relational/evaluator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <unordered_map>
 #include <vector>
@@ -9,9 +8,8 @@
 
 namespace setrec {
 
-Evaluator::Evaluator(const Database* database, ExecContext& ctx,
-                     ThreadPool* pool)
-    : database_(database), plan_(*database), ctx_(&ctx), pool_(pool) {}
+Evaluator::Evaluator(const Database* database, ExecContext& ctx)
+    : database_(database), plan_(*database), ctx_(&ctx) {}
 
 Evaluator::~Evaluator() = default;
 
@@ -35,12 +33,9 @@ bool Evaluator::UseVectorized(const Expr& expr) {
   if (!auto_vectorize_.has_value()) {
     // Latched once per evaluator: mixing backends within one evaluator
     // would split the result memo into two domains and skew the cache-hit
-    // counters that EXPLAIN ANALYZE reports. A pool with real parallelism
-    // keeps the interpreter so large joins retain the partitioned probe.
-    const bool parallel = pool_ != nullptr && pool_->num_workers() > 1;
-    auto_vectorize_ =
-        !parallel && vectorized::EstimatedInputRows(expr, *database_) >=
-                         kAutoVectorizeInputRows;
+    // counters that EXPLAIN ANALYZE reports.
+    auto_vectorize_ = vectorized::EstimatedInputRows(expr, *database_) >=
+                      kAutoVectorizeInputRows;
   }
   return *auto_vectorize_;
 }
@@ -200,6 +195,7 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
                           EvalNode(*node.right));
   const Relation& left = *left_ptr;
   const Relation& right = *right_ptr;
+  MetricsRegistry* metrics = ctx_->metrics();
 
   // Per-side filters, in the roles the plan classified.
   auto passes = [&node](const Tuple& t, JoinCond::Role side) {
@@ -222,9 +218,7 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
       index[t.Project(node.right_key)].push_back(&t);
       ++built;
     }
-    if (ctx_->metrics() != nullptr) {
-      ctx_->metrics()->engine.eval_join_build_rows.Add(built);
-    }
+    if (metrics != nullptr) metrics->engine.eval_join_build_rows.Add(built);
     if (node_stats_ != nullptr) {
       (*node_stats_)[node.expr].build_rows += built;
     }
@@ -233,17 +227,21 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
   const std::uint64_t tuple_bytes =
       static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
 
-  // Probes one left tuple against the index, appending matches to `rows`
-  // and charging `ctx`. Shared by the sequential and partitioned paths.
-  auto probe_one = [&](const Tuple& lt, ExecContext& ctx,
-                       std::vector<Tuple>& rows) -> Status {
-    if (!passes(lt, JoinCond::Role::kProbeFilter)) return Status::OK();
+  Relation out(*node.scheme);
+  TraceSpan probe_span = StartSpan(*ctx_, "evaluator/join-probe");
+  // Probes are counted as probe-side tuples, matched or not.
+  if (metrics != nullptr) metrics->engine.eval_join_probes.Add(left.size());
+  if (node_stats_ != nullptr) {
+    (*node_stats_)[node.expr].probe_rows += left.size();
+  }
+  for (const Tuple& lt : left) {
+    if (!passes(lt, JoinCond::Role::kProbeFilter)) continue;
     auto it = index.find(lt.Project(node.left_key));
-    if (it == index.end()) return Status::OK();
+    if (it == index.end()) continue;
     for (const Tuple* rt : it->second) {
-      SETREC_RETURN_IF_ERROR(ctx.ChargeRows(1, "evaluator/join-row"));
+      SETREC_RETURN_IF_ERROR(ctx_->ChargeRows(1, "evaluator/join-row"));
       SETREC_RETURN_IF_ERROR(
-          ctx.ChargeMemory(tuple_bytes, "evaluator/join-row"));
+          ctx_->ChargeMemory(tuple_bytes, "evaluator/join-row"));
       bool ok = true;
       for (const JoinCond& c : node.conds) {
         if (c.role != JoinCond::Role::kResidual) continue;
@@ -254,77 +252,10 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
           break;
         }
       }
-      if (ok) {
-        if (ctx.metrics() != nullptr) ctx.metrics()->engine.eval_rows.Add(1);
-        rows.push_back(lt.Concat(*rt));
-      }
+      if (!ok) continue;
+      if (metrics != nullptr) metrics->engine.eval_rows.Add(1);
+      out.InsertValidated(lt.Concat(*rt));
     }
-    return Status::OK();
-  };
-
-  Relation out(*node.scheme);
-  TraceSpan probe_span = StartSpan(*ctx_, "evaluator/join-probe");
-  // Probes are counted as probe-side tuples, not per-partition work items,
-  // so the counter is identical at any worker count.
-  if (ctx_->metrics() != nullptr) {
-    ctx_->metrics()->engine.eval_join_probes.Add(left.size());
-  }
-  if (node_stats_ != nullptr) {
-    (*node_stats_)[node.expr].probe_rows += left.size();
-  }
-  const bool partitioned = pool_ != nullptr && pool_->num_workers() > 1 &&
-                           left.size() >= kParallelProbeThreshold &&
-                           !index.empty();
-  if (!partitioned) {
-    std::vector<Tuple> rows;
-    for (const Tuple& lt : left) {
-      rows.clear();
-      SETREC_RETURN_IF_ERROR(probe_one(lt, *ctx_, rows));
-      for (Tuple& t : rows) out.InsertValidated(std::move(t));
-    }
-    return out;
-  }
-
-  // Partitioned probe: split the probe side into one contiguous slice per
-  // worker, each charging a forked child of ctx_ (budgets stay globally
-  // exact), then merge slice outputs in slice order. The output is a set,
-  // so the merged relation is identical to the sequential probe's.
-  std::vector<const Tuple*> probes;
-  probes.reserve(left.size());
-  for (const Tuple& t : left) probes.push_back(&t);
-  const std::size_t num_parts =
-      std::min(pool_->num_workers(),
-               std::max<std::size_t>(1, probes.size() / 256));
-  if (ctx_->metrics() != nullptr) {
-    ctx_->metrics()->engine.eval_probe_partitions.Add(num_parts);
-  }
-  const std::size_t per_part = (probes.size() + num_parts - 1) / num_parts;
-  struct Partition {
-    Status status = Status::OK();
-    std::vector<Tuple> rows;
-  };
-  std::vector<Partition> partitions(num_parts);
-  std::vector<ExecContext> children;
-  children.reserve(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) children.push_back(ctx_->Fork());
-  pool_->ParallelFor(num_parts, [&](std::size_t p) {
-    Partition& part = partitions[p];
-    ExecContext& cctx = children[p];
-    const std::size_t begin = p * per_part;
-    const std::size_t end = std::min(begin + per_part, probes.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      part.status = probe_one(*probes[i], cctx, part.rows);
-      if (!part.status.ok()) return;
-      // No explicit sibling cancellation: a tripped budget/deadline lives
-      // in the shared state, so sibling partitions fail on their very next
-      // charge anyway, and the parent context stays usable afterwards.
-    }
-  });
-  for (const Partition& part : partitions) {
-    SETREC_RETURN_IF_ERROR(part.status);
-  }
-  for (Partition& part : partitions) {
-    for (Tuple& t : part.rows) out.InsertValidated(std::move(t));
   }
   return out;
 }
@@ -332,7 +263,7 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
                           const ExecOptions& options) {
   ExecScope scope(options);
-  Evaluator evaluator(&database, scope.ctx(), options.pool);
+  Evaluator evaluator(&database, scope.ctx());
   evaluator.set_backend(options.backend);
   return evaluator.Eval(expr);
 }

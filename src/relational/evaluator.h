@@ -8,7 +8,6 @@
 #include "core/exec_backend.h"
 #include "core/exec_context.h"
 #include "core/exec_options.h"
-#include "core/thread_pool.h"
 #include "relational/expression.h"
 #include "relational/plan.h"
 #include "relational/relation.h"
@@ -23,9 +22,8 @@ class Engine;
 /// attached to the evaluator (the EXPLAIN ANALYZE path). Keyed by node
 /// identity (`const Expr*`), matching the evaluator's memo cache: a node
 /// evaluated once and reused records one evaluation plus cache_hits.
-/// All fields are *logical* counts except wall_ns — they are identical at
-/// any worker count, because join probes are counted as probe-side tuples
-/// (not per-partition work items) and builds are single-threaded.
+/// All fields are *logical* counts except wall_ns: join probes are counted
+/// as probe-side tuples, so every backend reports the same numbers.
 struct EvalNodeStats {
   std::uint64_t rows = 0;        // output rows of this node
   std::uint64_t build_rows = 0;  // hash-join build-side insertions
@@ -48,27 +46,15 @@ struct EvalNodeStats {
 /// Evaluation is governed by `ctx`: every join/product output row is charged
 /// against the row budget and every materialized tuple against the memory
 /// cap, so a runaway Cartesian product fails fast with kResourceExhausted
-/// instead of exhausting the machine.
+/// instead of exhausting the machine. It runs on the calling thread.
 class Evaluator {
  public:
-  /// Joins whose probe side has at least this many tuples are probed in
-  /// parallel when a pool is attached (below it, partitioning overhead
-  /// dominates).
-  static constexpr std::size_t kParallelProbeThreshold = 1024;
-
   /// kAuto picks the vectorized backend only when the referenced base
   /// relations hold at least this many rows in total: below it, transposing
   /// inputs into columns costs more than batching saves.
   static constexpr std::size_t kAutoVectorizeInputRows = 4096;
 
-  /// `pool`, when given (and sized > 1), parallelizes the probe phase of
-  /// large hash joins: the probe side is partitioned across the workers,
-  /// each partition charges a Fork() of `ctx` (so row/memory budgets stay
-  /// exact globally), and partition outputs are merged in partition order —
-  /// the result is identical to the sequential probe. The pool is borrowed,
-  /// not owned.
-  Evaluator(const Database* database, ExecContext& ctx,
-            ThreadPool* pool = nullptr);
+  Evaluator(const Database* database, ExecContext& ctx);
 
   // The constructor and destructor are out of line: the vectorized engine
   // member is incomplete here.
@@ -121,15 +107,13 @@ class Evaluator {
 
   /// Whether `expr` should run on the compiled vectorized backend. Forced
   /// backends answer directly; kAuto latches its cost decision on the first
-  /// call — a pool with real parallelism keeps the interpreter (its
-  /// partitioned probe would be forfeited), otherwise vectorization wins
-  /// once the referenced inputs reach kAutoVectorizeInputRows.
+  /// call: vectorization wins once the referenced inputs reach
+  /// kAutoVectorizeInputRows.
   bool UseVectorized(const Expr& expr);
 
   const Database* database_;
   PhysicalPlan plan_;  // the interpreter's lowering; unused by the engine
   ExecContext* ctx_;
-  ThreadPool* pool_;
   ExecBackend backend_ = ExecBackend::kAuto;
   std::optional<bool> auto_vectorize_;  // kAuto decision, latched
   std::unique_ptr<vectorized::Engine> engine_;  // lazily built
@@ -137,11 +121,10 @@ class Evaluator {
   std::unordered_map<const Expr*, EvalNodeStats>* node_stats_ = nullptr;
 };
 
-/// One-shot evaluation: backend selection, governing context,
-/// observability sinks and the probe pool all arrive through `options` (a
-/// default-constructed ExecOptions means permissive, unobserved,
-/// single-threaded, kAuto backend; a caller holding a context passes
-/// `{.ctx = &ctx}`).
+/// One-shot evaluation: backend selection, governing context and
+/// observability sinks all arrive through `options` (a default-constructed
+/// ExecOptions means permissive, unobserved, kAuto backend; a caller
+/// holding a context passes `{.ctx = &ctx}`).
 Result<Relation> Evaluate(const ExprPtr& expr, const Database& database,
                           const ExecOptions& options = {});
 

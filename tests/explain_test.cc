@@ -21,6 +21,7 @@
 #include "core/instance_generator.h"
 #include "core/thread_pool.h"
 #include "relational/builder.h"
+#include "relational/evaluator.h"
 #include "sql/improve.h"
 #include "sql/table.h"
 #include "text/printer.h"
@@ -436,11 +437,9 @@ TEST_F(ExplainPayrollTest, AnalyzeCountersEqualParallelApplys) {
 }
 
 TEST(ExplainAnalyzeTest, PartitionedProbeKeepsLogicalCountsExact) {
-  // A probe side large enough to cross the evaluator's parallel-probe
-  // threshold, so the 8-worker run genuinely partitions the probe — and
-  // must still charge exactly the same logical counts as the sequential
-  // one (evaluator.probe_partitions, deliberately *not* logical, is the
-  // counter that differs).
+  // A 2,048-row probe side analyzed with and without an 8-worker pool. The
+  // evaluator probes on the calling thread either way (no pool partitions
+  // it), so the pooled run must charge exactly the same logical counts.
   const ClassId k = 1;
   Relation r(std::move(RelationScheme::Make({{"a", k}, {"b", k}})).value());
   for (std::uint32_t i = 0; i < 2048; ++i) {
@@ -472,6 +471,51 @@ TEST(ExplainAnalyzeTest, PartitionedProbeKeepsLogicalCountsExact) {
   ExplainPlan parallel =
       std::move(ExplainExpressionAnalyze(join, db, options)).value();
   EXPECT_EQ(LogicalFingerprint(base), LogicalFingerprint(parallel));
+}
+
+/// Every node's operator and backend, in preorder.
+std::vector<std::string> Backends(const PlanNode& node) {
+  std::vector<std::string> out{node.op + ": " + node.backend};
+  for (const PlanNode& child : node.children) {
+    for (std::string& line : Backends(child)) out.push_back(std::move(line));
+  }
+  return out;
+}
+
+TEST(ExplainAnalyzeTest, PoolDoesNotChangeTheAutoBackend) {
+  // Inputs past kAuto's vectorization threshold, analyzed with and without
+  // a 4-worker pool: nothing reads the pool, so kAuto picks the same backend
+  // for every node and the logical counts agree.
+  const ClassId k = 1;
+  Relation r(std::move(RelationScheme::Make({{"a", k}, {"b", k}})).value());
+  for (std::uint32_t i = 0; i < 8192; ++i) {
+    ASSERT_TRUE(r.Insert(Tuple({ObjectId(k, i), ObjectId(k, i % 64)})).ok());
+  }
+  Relation s(std::move(RelationScheme::Make({{"c", k}, {"d", k}})).value());
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(
+        s.Insert(Tuple({ObjectId(k, i), ObjectId(k, 8192 + i)})).ok());
+  }
+  Database db;
+  db.Put("R", std::move(r));
+  db.Put("S", std::move(s));
+  ASSERT_GE(8192u + 64u, Evaluator::kAutoVectorizeInputRows);
+  const ExprPtr join = ra::JoinEq(ra::Rel("R"), ra::Rel("S"), "b", "c");
+
+  ExplainPlan plain = std::move(ExplainExpressionAnalyze(join, db)).value();
+  ASSERT_EQ(plain.roots.size(), 1u);
+  EXPECT_EQ(plain.roots[0].op, "HashJoin");
+  EXPECT_EQ(plain.roots[0].actual_rows, 8192u);
+
+  ThreadPool pool(4);
+  ExecOptions options;
+  options.num_workers = 4;
+  options.pool = &pool;
+  ExplainPlan pooled =
+      std::move(ExplainExpressionAnalyze(join, db, options)).value();
+  ASSERT_EQ(pooled.roots.size(), 1u);
+  EXPECT_EQ(Backends(plain.roots[0]), Backends(pooled.roots[0]));
+  EXPECT_EQ(LogicalFingerprint(plain), LogicalFingerprint(pooled));
 }
 
 /// The 16-seed corpus of parallel_runtime_test, re-run through EXPLAIN

@@ -868,6 +868,37 @@ TEST_F(ReplicationTest, ReplicaBackedTenantServesReadsAndRefusesWrites) {
   EXPECT_EQ(pull->code, StatusCode::kFailedPrecondition);
 }
 
+TEST_F(ReplicationTest, ReplicaPingsAndExplainsCopyNoInstance) {
+  auto leader = MakeServer(MakeTempDir("leader"), {Tenant("acme")});
+  Client leader_client(ClientOptions(leader.get(), "acme"));
+  MustOk(leader_client.ApplyDelta(
+      "delta { add object A(1); add object B(2); }"));
+  MustOk(leader_client.Update("f", "product(A, B)"));
+
+  auto replica = std::move(FollowerReplica::Create(
+                               ReplicaOptions(leader.get(), "acme")))
+                     .value();
+  CatchUp(*replica);
+
+  auto follower = MakeServer(MakeTempDir("follower"), {});
+  ASSERT_TRUE(follower->ServeReplica("acme", replica.get()).ok());
+  Client follower_client(ClientOptions(follower.get(), "acme"));
+
+  // A ping or an explain reports the replica's two sequence numbers; it
+  // has no reason to copy the replicated instance.
+  const std::uint64_t copies = InstanceCosts().copies.value();
+  for (int i = 0; i < 10; ++i) {
+    Response pong = MustOk(follower_client.Ping());
+    EXPECT_EQ(pong.applied_sequence, 2u);
+    EXPECT_EQ(pong.leader_sequence, 2u);
+  }
+  Response plan = MustOk(follower_client.Explain("Af"));
+  EXPECT_FALSE(plan.body.empty());
+  EXPECT_EQ(plan.applied_sequence, 2u);
+  EXPECT_EQ(plan.leader_sequence, 2u);
+  EXPECT_EQ(InstanceCosts().copies.value(), copies);
+}
+
 TEST_F(ReplicationTest, FailoverClientScreensStaleFollowersAndDeadOnes) {
   auto leader = MakeServer(MakeTempDir("leader"), {Tenant("acme")});
   Client leader_seed(ClientOptions(leader.get(), "acme"));

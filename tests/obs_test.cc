@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs/) and the unified ExecOptions
-// surface: span recording and parentage across Fork() fan-outs, metric
+// surface: span recording and parentage on the calling thread, metric
 // counters under concurrency (the TSan target), determinism of the
 // worker-count-invariant instruments across 1/2/8 workers, the ExecScope
 // attach/detach contract, the commit-hook veto path of the ExecOptions SQL
@@ -63,33 +63,6 @@ TEST(TracerTest, RecordsNestedSpansWithParentage) {
   EXPECT_EQ(events[0].parent, 0u);
   EXPECT_EQ(events[1].parent, events[0].id);
   EXPECT_LE(events[1].dur_ns, events[0].dur_ns);
-}
-
-TEST(TracerTest, ParentHintRootsForkedThreads) {
-  // A worker thread has no open span of its own; its first span must attach
-  // under the span that forked it, via the hint Fork() captured.
-  Tracer tracer;
-  std::uint64_t fanout_id = 0;
-  {
-    TraceSpan fanout(&tracer, "fanout");
-    fanout_id = fanout.id();
-    ExecContext parent;
-    parent.set_tracer(&tracer);
-    ExecContext child = parent.Fork();
-    EXPECT_EQ(child.trace_parent(), fanout_id);
-    std::thread worker([&child] {
-      TraceSpan shard = StartSpan(child, "shard");
-      (void)shard;
-    });
-    worker.join();
-  }
-  for (const SpanEvent& e : tracer.Events()) {
-    if (std::string_view(e.name) == "shard") {
-      EXPECT_EQ(e.parent, fanout_id);
-      return;
-    }
-  }
-  FAIL() << "shard span not recorded";
 }
 
 TEST(TracerTest, StageTotalsAggregateAcrossSpans) {

@@ -1,14 +1,11 @@
-// Tests for the multi-core execution runtime: the ThreadPool, budget
-// sharing across ExecContext::Fork() families, the hashed relational
-// kernels, the partitioned parallel join probe, and — the load-bearing
-// property — bit-identical determinism of ParallelApply across worker
-// counts (it evaluates each par(E) once, on the calling thread, whatever
-// ExecOptions::num_workers and ::pool say, so these suites pin that the
-// worker options change nothing).
+// Tests for the multi-core execution surface: the hashed relational
+// kernels and — the load-bearing property — bit-identical determinism of
+// ParallelApply across worker counts (it evaluates each par(E) once, on
+// the calling thread, whatever ExecOptions::num_workers and ::pool say, so
+// these suites pin that the worker options change nothing).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,131 +15,11 @@
 #include "core/instance_generator.h"
 #include "core/thread_pool.h"
 #include "relational/builder.h"
-#include "relational/evaluator.h"
 #include "sql/table.h"
 #include "text/printer.h"
 
 namespace setrec {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_workers(), 4u);
-  constexpr std::size_t kTasks = 257;  // more tasks than workers
-  std::vector<std::atomic<int>> hits(kTasks);
-  pool.ParallelFor(kTasks, [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<std::size_t> sum{0};
-    pool.ParallelFor(10, [&](std::size_t i) {
-      sum.fetch_add(i + 1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 55u) << "round " << round;
-  }
-}
-
-TEST(ThreadPoolTest, DegenerateBatchesRunInline) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL() << "no tasks to run"; });
-  std::atomic<int> ran{0};
-  pool.ParallelFor(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, SingleWorkerPoolIsSequential) {
-  ThreadPool pool(1);
-  std::vector<std::size_t> order;
-  pool.ParallelFor(5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, DefaultWorkerCountIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultWorkerCount(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// ExecContext::Fork — one budget, many threads
-// ---------------------------------------------------------------------------
-
-TEST(ExecContextForkTest, ChildrenChargeTheParentsStepBudgetExactly) {
-  ExecContext ctx{ExecContext::StepBudget(10)};
-  ExecContext a = ctx.Fork();
-  ExecContext b = ctx.Fork();
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(a.CheckPoint("test/a").ok());
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(b.CheckPoint("test/b").ok());
-  // The 11th step — from any family member — trips the cap.
-  EXPECT_EQ(ctx.CheckPoint("test/parent").code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(ctx.steps(), 11u);  // counters are family-global
-  EXPECT_EQ(a.steps(), 11u);
-}
-
-TEST(ExecContextForkTest, RowBudgetIsSharedAcrossTheFamily) {
-  ExecContext::Limits limits;
-  limits.max_rows = 100;
-  ExecContext ctx{limits};
-  ExecContext a = ctx.Fork();
-  ExecContext b = ctx.Fork();
-  EXPECT_TRUE(a.ChargeRows(60, "test/rows").ok());
-  EXPECT_TRUE(b.ChargeRows(40, "test/rows").ok());
-  EXPECT_EQ(b.ChargeRows(1, "test/rows").code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(ctx.rows(), 101u);
-}
-
-TEST(ExecContextForkTest, MemoryChargesAndReleasesArePooled) {
-  ExecContext ctx;
-  ExecContext a = ctx.Fork();
-  ExecContext b = ctx.Fork();
-  EXPECT_TRUE(a.ChargeMemory(1000, "test/mem").ok());
-  EXPECT_TRUE(b.ChargeMemory(500, "test/mem").ok());
-  EXPECT_EQ(ctx.memory_in_use(), 1500u);
-  EXPECT_EQ(ctx.memory_high_water(), 1500u);
-  b.ReleaseMemory(500);
-  a.ReleaseMemory(1000);
-  EXPECT_EQ(ctx.memory_in_use(), 0u);
-  EXPECT_EQ(ctx.memory_high_water(), 1500u);  // high water survives release
-  // Over-release clamps at zero instead of wrapping.
-  a.ReleaseMemory(1);
-  EXPECT_EQ(ctx.memory_in_use(), 0u);
-}
-
-TEST(ExecContextForkTest, CancellationPropagatesAcrossTheFamily) {
-  ExecContext ctx;
-  ExecContext a = ctx.Fork();
-  ExecContext b = ctx.Fork();
-  EXPECT_TRUE(b.CheckPoint("test/pre").ok());
-  a.RequestCancel();
-  EXPECT_EQ(b.CheckPoint("test/post").code(), StatusCode::kCancelled);
-  EXPECT_EQ(ctx.CheckPoint("test/post").code(), StatusCode::kCancelled);
-  EXPECT_TRUE(ctx.cancel_requested());
-}
-
-TEST(ExecContextForkTest, ForkPreservesCountersAccruedBeforeTheFork) {
-  ExecContext ctx{ExecContext::StepBudget(5)};
-  EXPECT_TRUE(ctx.CheckPoint("test/pre").ok());
-  EXPECT_TRUE(ctx.CheckPoint("test/pre").ok());
-  ExecContext child = ctx.Fork();  // migrates steps_ == 2 into the family
-  EXPECT_EQ(child.steps(), 2u);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(child.CheckPoint("test/c").ok());
-  EXPECT_EQ(ctx.CheckPoint("test/parent").code(),
-            StatusCode::kResourceExhausted);
-}
 
 // ---------------------------------------------------------------------------
 // Hashed relational kernels
@@ -195,66 +72,6 @@ TEST(HashedRelationTest, DatabaseEqualityIsDeepAfterSharedStorage) {
   EXPECT_TRUE(a == b);  // same content, distinct shared_ptrs
   Database c = a;       // shallow copy shares storage
   EXPECT_TRUE(a == c);
-}
-
-// ---------------------------------------------------------------------------
-// Partitioned parallel join probe
-// ---------------------------------------------------------------------------
-
-TEST(ParallelProbeTest, PartitionedProbeMatchesSequentialEvaluation) {
-  // Probe side larger than kParallelProbeThreshold so the partitioned path
-  // actually engages.
-  const std::size_t n = Evaluator::kParallelProbeThreshold + 513;
-  Database db;
-  Relation r(MakeScheme({{"x", kP}, {"y", kQ}}));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(r.Insert(Tuple{P(i), Q(i % 97)}).ok());
-  }
-  db.Put("R", std::move(r));
-  Relation s(MakeScheme({{"y2", kQ}, {"z", kP}}));
-  for (std::uint32_t j = 0; j < 97; ++j) {
-    ASSERT_TRUE(s.Insert(Tuple{Q(j), P(j % 5)}).ok());
-  }
-  db.Put("S", std::move(s));
-
-  ExprPtr join = Expr::SelectEq(
-      Expr::Product(Expr::Relation("R"), Expr::Relation("S")), "y", "y2");
-
-  ExecContext seq_ctx;
-  Evaluator sequential(&db, seq_ctx);
-  Relation expected = std::move(sequential.Eval(join)).value();
-  EXPECT_EQ(expected.size(), n);
-
-  ThreadPool pool(4);
-  ExecContext par_ctx;
-  Evaluator parallel(&db, par_ctx, &pool);
-  Relation actual = std::move(parallel.Eval(join)).value();
-  EXPECT_TRUE(expected == actual);
-  // Both evaluations charged the same number of join rows.
-  EXPECT_EQ(seq_ctx.rows(), par_ctx.rows());
-}
-
-TEST(ParallelProbeTest, RowBudgetHoldsExactlyAcrossPartitions) {
-  const std::size_t n = Evaluator::kParallelProbeThreshold + 1;
-  Database db;
-  Relation r(MakeScheme({{"x", kP}, {"y", kQ}}));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(r.Insert(Tuple{P(i), Q(0)}).ok());
-  }
-  db.Put("R", std::move(r));
-  Relation s(MakeScheme({{"y2", kQ}}));
-  ASSERT_TRUE(s.Insert(Tuple{Q(0)}).ok());
-  db.Put("S", std::move(s));
-
-  ExprPtr join = Expr::SelectEq(
-      Expr::Product(Expr::Relation("R"), Expr::Relation("S")), "y", "y2");
-
-  ExecContext::Limits limits;
-  limits.max_rows = n / 2;  // trips mid-probe, inside some partition
-  ExecContext ctx{limits};
-  ThreadPool pool(4);
-  Evaluator ev(&db, ctx, &pool);
-  EXPECT_EQ(ev.Eval(join).status().code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // observability: pow2-histogram quantile estimation, Prometheus label-value
 // escaping (golden + fuzz), labeled-series rendering, trace-context scoping
 // and cross-process family inheritance, family-filtered tree signatures,
-// the bounded slow-request log, and ExecOptions trace-id attachment.
+// and the bounded slow-request log.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/exec_options.h"
 #include "net/slowlog.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -311,28 +310,6 @@ TEST(SlowRequestLogTest, ResumesAnExistingFilesBudgetAcrossReopen) {
   ASSERT_TRUE(reopened.Append(std::string(20, 'd')).ok());  // wraps
   EXPECT_EQ(reopened.wraps(), 1u);
   EXPECT_EQ(std::filesystem::file_size(path), 21u);
-}
-
-// -- ExecOptions trace-id attachment ------------------------------------------
-
-TEST(ExecScopeTest, AttachesAndRestoresTheOptionsTraceId) {
-  ExecContext ctx;
-  ExecOptions options;
-  options.ctx = &ctx;
-  options.trace_id = 77;
-  {
-    ExecScope scope(options);
-    EXPECT_EQ(scope.ctx().trace_id(), 77u);
-  }
-  EXPECT_EQ(ctx.trace_id(), 0u);  // borrowed contexts come back untouched
-
-  // A context already carrying a family wins over the options.
-  ctx.set_trace_id(5);
-  {
-    ExecScope scope(options);
-    EXPECT_EQ(scope.ctx().trace_id(), 5u);
-  }
-  EXPECT_EQ(ctx.trace_id(), 5u);
 }
 
 }  // namespace
