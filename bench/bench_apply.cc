@@ -1,7 +1,9 @@
 // Experiment E2/E20 support — core application throughput: single-receiver
-// M(I, t) cost against instance size (dominated by the object-relational
-// encoding plus expression evaluation) and sequential-application cost
-// against receiver-set size; plus the combination semantics for contrast.
+// M(I, t) cost against instance size (BM_SingleApply includes the instance
+// copy Apply makes; BM_ApplyInPlaceAtSize times M(I, t) alone, which binds
+// the instance and reads the receiver's own edges by index) and
+// sequential-application cost against receiver-set size; plus the
+// combination semantics for contrast.
 
 #include <benchmark/benchmark.h>
 
@@ -57,6 +59,49 @@ void BM_SingleApply(benchmark::State& state) {
 BENCHMARK(BM_SingleApply)
     ->RangeMultiplier(2)
     ->Range(8, 256)
+    ->Unit(benchmark::kMicrosecond);
+
+/// One add_bar M(I, t) in place on an instance of N drinkers, each
+/// frequenting two of 100 bars, under a journal that is rolled back after
+/// every application, so no instance copy is timed. Method application
+/// reads only the receiver's own Df edges, so the time should not grow
+/// with N.
+void BM_ApplyInPlaceAtSize(benchmark::State& state) {
+  constexpr std::uint32_t kBars = 100;
+  const auto drinkers = static_cast<std::uint32_t>(state.range(0));
+  const DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance instance(&ds.schema);
+  for (std::uint32_t b = 0; b < kBars; ++b) {
+    (void)instance.AddObject(ObjectId(ds.bar, b));
+  }
+  for (std::uint32_t d = 0; d < drinkers; ++d) {
+    const ObjectId drinker(ds.drinker, d);
+    (void)instance.AddObject(drinker);
+    (void)instance.AddEdge(drinker, ds.frequents, ObjectId(ds.bar, d % kBars));
+    (void)instance.AddEdge(drinker, ds.frequents,
+                           ObjectId(ds.bar, (d * 7 + 3) % kBars));
+  }
+  const auto add_bar = std::move(MakeAddBar(ds)).value();
+  const Receiver t = Receiver::Unchecked(
+      {ObjectId(ds.drinker, drinkers / 2), ObjectId(ds.bar, 42)});
+  ExecContext& ctx = benchobs::ObsContext();
+  instance.BeginJournal();
+  for (auto _ : state) {
+    if (!add_bar->ApplyInPlace(instance, t, ctx).ok()) {
+      state.SkipWithError("add_bar failed");
+      break;
+    }
+    instance.Rollback();
+  }
+  instance.EndJournal();
+  state.counters["df_edges"] =
+      static_cast<double>(instance.edges(ds.frequents).size());
+}
+BENCHMARK(BM_ApplyInPlaceAtSize)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SequenceLength(benchmark::State& state) {

@@ -4,10 +4,15 @@
 // factor that grows with |T|. By Theorem 6.5 the two compute the same
 // result on key sets, so this is a pure performance comparison.
 //
-// Workload: the Section 7 payroll update (B') over |T| = 2^3 ... 2^9
-// employees (every employee re-salaried through NewSal).
+// Workload: the Section 7 payroll update (B') over |T| = 2^3 ... 2^11
+// employees (every employee re-salaried through NewSal). A sequential-only
+// row applies the order-dependent (C') over every employee: its joins with
+// EmpManager (by self) and EmpSalary (by Manager) read only the rows their
+// keys select, so each step costs the receiver's neighbourhood.
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "algebraic/parallel.h"
 #include "bench_obs.h"
@@ -26,14 +31,19 @@ struct Workload {
   Workload() : instance(nullptr) {}
 };
 
-Workload BuildWorkload(std::int64_t n_employees) {
+/// B' over every employee; with `managed`, employee i > 0 is managed by
+/// i / 4 and the method is C' over every employee instead.
+Workload BuildWorkload(std::int64_t n_employees, bool managed = false) {
   Workload w;
   w.schema = std::move(MakePayrollSchema()).value();
   std::vector<EmployeeRow> employees;
   std::vector<NewSalRow> raises;
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(n_employees);
        ++i) {
-    employees.push_back(EmployeeRow{i, 1000 + (i % 16), std::nullopt});
+    employees.push_back(EmployeeRow{
+        i, 1000 + (i % 16),
+        managed && i > 0 ? std::optional<std::uint32_t>(i / 4)
+                         : std::nullopt});
   }
   for (std::uint32_t s = 0; s < 16; ++s) {
     raises.push_back(NewSalRow{1000 + s, 2000 + s});
@@ -41,8 +51,15 @@ Workload BuildWorkload(std::int64_t n_employees) {
   w.instance = std::move(BuildPayrollInstance(w.schema, employees, {},
                                               raises))
                    .value();
-  w.method = std::move(MakeSalaryFromNewSal(w.schema)).value();
   const auto salaries = std::move(ReadSalaries(w.schema, w.instance)).value();
+  if (managed) {
+    w.method = std::move(MakeSalaryFromManagersNewSal(w.schema)).value();
+    for (auto [id, salary] : salaries) {
+      w.receivers.push_back(Receiver::Unchecked({ObjectId(w.schema.emp, id)}));
+    }
+    return w;
+  }
+  w.method = std::move(MakeSalaryFromNewSal(w.schema)).value();
   for (auto [id, salary] : salaries) {
     w.receivers.push_back(Receiver::Unchecked(
         {ObjectId(w.schema.emp, id), ObjectId(w.schema.val, salary)}));
@@ -64,6 +81,24 @@ void BM_SequentialApplication(benchmark::State& state) {
       static_cast<double>(w.receivers.size());
 }
 BENCHMARK(BM_SequentialApplication)
+    ->RangeMultiplier(2)
+    ->Range(8, 2048)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SequentialManagerSalary(benchmark::State& state) {
+  Workload w = BuildWorkload(state.range(0), /*managed=*/true);
+  for (auto _ : state) {
+    Result<Instance> out = ApplySequence(*w.method, w.instance, w.receivers,
+                                         benchobs::ObsContext());
+    if (!out.ok()) state.SkipWithError("sequential application failed");
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.receivers.size()));
+  state.counters["receivers"] =
+      static_cast<double>(w.receivers.size());
+}
+BENCHMARK(BM_SequentialManagerSalary)
     ->RangeMultiplier(2)
     ->Range(8, 2048)
     ->Unit(benchmark::kMillisecond);

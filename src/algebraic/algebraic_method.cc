@@ -1,5 +1,6 @@
 #include "algebraic/algebraic_method.h"
 
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -37,27 +38,32 @@ Status AlgebraicUpdateMethod::ApplyInPlace(Instance& instance,
                                            const Receiver& receiver,
                                            ExecContext& ctx) const {
   SETREC_RETURN_IF_ERROR(CheckReceiver(instance, receiver));
-  SETREC_ASSIGN_OR_RETURN(Database db,
-                          EncodeInstance(instance, ReadRelations()));
-  SETREC_RETURN_IF_ERROR(
-      InstallReceiverRelations(db, context_, receiver, /*primed=*/false));
 
   // Evaluate every right-hand side against the *pre-update* instance first
   // (all statements of one method application see the same snapshot), then
-  // splice the results in.
-  Evaluator evaluator(&db, ctx);
-  std::vector<Relation> results;
+  // splice the results in. The database borrows the instance's edge sets,
+  // so it and its evaluator end before the splice mutates them.
+  std::vector<std::shared_ptr<const Relation>> results;
   results.reserve(statements_.size());
-  for (const UpdateStatement& s : statements_) {
-    SETREC_ASSIGN_OR_RETURN(Relation r, evaluator.Eval(s.expression));
-    results.push_back(std::move(r));
+  {
+    SETREC_ASSIGN_OR_RETURN(
+        Database db,
+        BindInstance(instance, context_.catalog, ReadRelations()));
+    SETREC_RETURN_IF_ERROR(
+        InstallReceiverRelations(db, context_, receiver, /*primed=*/false));
+    Evaluator evaluator(&db, ctx);
+    for (const UpdateStatement& s : statements_) {
+      SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> r,
+                              evaluator.EvalShared(s.expression));
+      results.push_back(std::move(r));
+    }
   }
 
   const ObjectId receiving = receiver.receiving_object();
   for (std::size_t i = 0; i < statements_.size(); ++i) {
     SETREC_RETURN_IF_ERROR(
         instance.ClearEdgesFrom(receiving, statements_[i].property));
-    for (const Tuple& t : results[i]) {
+    for (const Tuple& t : *results[i]) {
       // Typing guarantees E(I,t) ⊆ B(I) (see ValidateUpdateExpression), so
       // AddEdge cannot fail on a missing endpoint.
       SETREC_RETURN_IF_ERROR(

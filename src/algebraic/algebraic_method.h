@@ -31,9 +31,11 @@ class AlgebraicUpdateMethod final : public UpdateMethod {
       std::vector<UpdateStatement> statements);
 
   /// Evaluates every statement's right-hand side against the pre-update
-  /// instance under `ctx`, encoding only the relations the statements read,
-  /// and only then splices the result edges in. A failure therefore leaves
-  /// `instance` untouched.
+  /// instance under `ctx`, over the relations the statements read bound to
+  /// the instance (BindInstance), and only then splices the result edges
+  /// in. A join keyed on a property relation's source column reads only
+  /// the rows its probe keys select, so M(I, t) costs the receiver's
+  /// neighbourhood. A failure leaves `instance` untouched.
   Status ApplyInPlace(Instance& instance, const Receiver& receiver,
                       ExecContext& ctx) const override;
 

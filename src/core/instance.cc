@@ -56,12 +56,34 @@ Instance::Instance(Instance&& other) noexcept
       objects_(std::move(other.objects_)),
       edges_(std::move(other.edges_)) {}
 
+namespace {
+
+/// `to = from` for a map of sets, assigning set by set: a set's copy
+/// assignment reuses its nodes, while the map's own would destroy every
+/// inner set and allocate it anew.
+template <typename Map>
+void AssignReusingNodes(Map& to, const Map& from) {
+  auto t = to.begin();
+  for (const auto& [key, value] : from) {
+    while (t != to.end() && t->first < key) t = to.erase(t);
+    if (t != to.end() && t->first == key) {
+      t->second = value;
+      ++t;
+    } else {
+      to.emplace_hint(t, key, value);
+    }
+  }
+  to.erase(t, to.end());
+}
+
+}  // namespace
+
 Instance& Instance::operator=(const Instance& other) {
   if (this == &other) return *this;
   if (journal_ != nullptr) JournalAssignment(other);
   schema_ = other.schema_;
-  objects_ = other.objects_;
-  edges_ = other.edges_;
+  AssignReusingNodes(objects_, other.objects_);
+  AssignReusingNodes(edges_, other.edges_);
   InstanceCosts().copies.Add(1);
   return *this;
 }

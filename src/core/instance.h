@@ -58,6 +58,8 @@ class Instance {
   Instance(Instance&& other) noexcept;
   /// Replaces the graph. A copy is counted in InstanceCosts().copies; on a
   /// journaling instance the replacement is recorded as one DiffInstances.
+  /// A copy reuses this instance's set nodes, so assigning into a kept
+  /// instance of similar size allocates almost nothing.
   Instance& operator=(const Instance& other);
   Instance& operator=(Instance&& other);
   ~Instance();
@@ -212,13 +214,17 @@ Status RunJournaled(
 
 /// Process-wide counts of the work whose cost grows with the whole
 /// instance rather than with a statement's change: full Instance copies
-/// (copy construction and copy assignment), DiffInstances calls, and
-/// EncodeInstance calls that encode every relation. Counts only grow;
-/// tests pin per-commit differences of them.
+/// (copy construction and copy assignment), DiffInstances calls,
+/// EncodeInstance calls that encode every relation, and the rows
+/// materialized from an instance into relations (by either EncodeInstance
+/// overload, BindInstance's class relations, or a bound relation's first
+/// whole read; objrel/encoding.h). Counts only grow; tests pin per-commit
+/// differences of them.
 struct InstanceCostCounters {
   Counter copies;
   Counter diffs;
   Counter encodes;
+  Counter encoded_rows;
 };
 InstanceCostCounters& InstanceCosts();
 

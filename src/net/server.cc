@@ -711,7 +711,8 @@ Response Server::HandleQuery(Tenant& tenant, const Request& request,
   } else {
     return ErrorResponse(Status::Internal("tenant has no backing state"));
   }
-  Result<Database> database = EncodeInstance(state);
+  Result<Database> database =
+      EncodeInstance(state, ReferencedRelations(**query));
   if (!database.ok()) return ErrorResponse(database.status());
 
   Result<Relation> result = Evaluate(*query, *database, {.ctx = &ctx});
@@ -878,7 +879,9 @@ void Server::CaptureSlowRequest(Tenant& tenant, const Request& request,
     const Instance state = tenant.store->SnapshotState(&sequence);
     if (request.op == "query") {
       SETREC_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression(request.body));
-      SETREC_ASSIGN_OR_RETURN(Database database, EncodeInstance(state));
+      SETREC_ASSIGN_OR_RETURN(
+          Database database,
+          EncodeInstance(state, ReferencedRelations(*expr)));
       return ExplainExpressionAnalyze(expr, database, exec);
     }
     if (request.op == "update") {

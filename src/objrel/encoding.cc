@@ -58,11 +58,15 @@ DependencySet InducedDependencies(const Schema& schema) {
 
 namespace {
 
-/// Encodes the relations named in `wanted`, or every relation when `all`.
-Result<Database> Encode(const Instance& instance,
-                        std::span<const std::string> wanted, bool all) {
+/// Installs the relations named in `wanted`, or every relation when `all`,
+/// with schemes from `catalog`. Class relations are encoded; property
+/// relations are encoded, or bound when `bind`. Every encoded row counts in
+/// InstanceCosts().encoded_rows.
+Result<Database> Encode(const Instance& instance, const Catalog& catalog,
+                        std::span<const std::string> wanted, bool all,
+                        bool bind) {
   const Schema& schema = instance.schema();
-  SETREC_ASSIGN_OR_RETURN(Catalog catalog, EncodeCatalog(schema));
+  Counter& encoded_rows = InstanceCosts().encoded_rows;
   auto selected = [&](const std::string& name) {
     return all || std::find(wanted.begin(), wanted.end(), name) != wanted.end();
   };
@@ -75,17 +79,24 @@ Result<Database> Encode(const Instance& instance,
     for (ObjectId o : instance.objects(c)) {
       SETREC_RETURN_IF_ERROR(rel.Insert(Tuple{o}));
     }
+    encoded_rows.Add(rel.size());
     db.Put(schema.class_name(c), std::move(rel));
   }
   for (PropertyId p = 0; p < schema.num_properties(); ++p) {
-    const std::string name = PropertyRelationName(schema, p);
+    std::string name = PropertyRelationName(schema, p);
     if (!selected(name)) continue;
     SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme, catalog.Find(name));
+    if (bind) {
+      SETREC_RETURN_IF_ERROR(db.Bind(std::move(name), *scheme,
+                                     &instance.edges(p), &encoded_rows));
+      continue;
+    }
     Relation rel(*scheme);
     for (const auto& [src, dst] : instance.edges(p)) {
       SETREC_RETURN_IF_ERROR(rel.Insert(Tuple{src, dst}));
     }
-    db.Put(name, std::move(rel));
+    encoded_rows.Add(rel.size());
+    db.Put(std::move(name), std::move(rel));
   }
   return db;
 }
@@ -94,12 +105,19 @@ Result<Database> Encode(const Instance& instance,
 
 Result<Database> EncodeInstance(const Instance& instance) {
   InstanceCosts().encodes.Add(1);
-  return Encode(instance, {}, /*all=*/true);
+  SETREC_ASSIGN_OR_RETURN(Catalog catalog, EncodeCatalog(instance.schema()));
+  return Encode(instance, catalog, {}, /*all=*/true, /*bind=*/false);
 }
 
 Result<Database> EncodeInstance(const Instance& instance,
                                 std::span<const std::string> relations) {
-  return Encode(instance, relations, /*all=*/false);
+  SETREC_ASSIGN_OR_RETURN(Catalog catalog, EncodeCatalog(instance.schema()));
+  return Encode(instance, catalog, relations, /*all=*/false, /*bind=*/false);
+}
+
+Result<Database> BindInstance(const Instance& instance, const Catalog& catalog,
+                              std::span<const std::string> relations) {
+  return Encode(instance, catalog, relations, /*all=*/false, /*bind=*/true);
 }
 
 Result<Instance> DecodeInstance(const Database& database,

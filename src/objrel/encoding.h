@@ -37,16 +37,32 @@ Result<Catalog> EncodeCatalog(const Schema& schema);
 DependencySet InducedDependencies(const Schema& schema);
 
 /// Encodes an object-base instance as a relational database instance.
-/// Costs O(|instance|); counted in InstanceCosts().encodes.
+/// Costs O(|instance|); counted in InstanceCosts().encodes, and its rows in
+/// InstanceCosts().encoded_rows.
 Result<Database> EncodeInstance(const Instance& instance);
 
 /// Encodes only the relations named in `relations`; names that are not
 /// relations of the encoding (e.g. `self`, `arg1`) are ignored. An
 /// expression reads only its ReferencedRelations, so evaluating it over
 /// this encoding gives the same result and the same error status as over
-/// the full one, at a cost proportional to the relations it reads.
+/// the full one, at a cost proportional to the relations it reads. Its rows
+/// count in InstanceCosts().encoded_rows.
 Result<Database> EncodeInstance(const Instance& instance,
                                 std::span<const std::string> relations);
+
+/// Binds the relations named in `relations` (other names are ignored, as
+/// above) without encoding the property relations: each is a borrowed
+/// view of instance.edges(p) (Database::Bind), which a join keyed on its
+/// source column reads by index, and which materializes only when an
+/// evaluation reads it whole (counted in InstanceCosts().encoded_rows).
+/// Class relations are encoded. Schemes come from `catalog`, which must
+/// hold EncodeCatalog's schemes (a MethodContext's catalog does), so no
+/// catalog is built per call. Evaluating an expression over the result
+/// gives the same result and error status as over EncodeInstance(instance,
+/// relations). The database borrows `instance`: it must not be read after
+/// the instance is mutated or destroyed.
+Result<Database> BindInstance(const Instance& instance, const Catalog& catalog,
+                              std::span<const std::string> relations);
 
 /// Decodes a relational database back into an object-base instance of
 /// `schema`. Fails if the database does not satisfy the induced inclusion

@@ -50,7 +50,8 @@ void AttachStats(
 /// engines execute, not the raw syntax tree: a σ-chain over a product
 /// renders as its single HashJoin, each condition in the role the lowering
 /// gave it — cross equalities are hash keys, per-side conditions are
-/// build/probe filters, and cross non-equalities are residual filters.
+/// build/probe filters, and cross non-equalities are residual filters. An
+/// index build names the bound relation and column its table is read by.
 PlanNode BuildPlan(
     const PhysicalNode& n,
     const std::unordered_map<const Expr*, EvalNodeStats>* stats) {
@@ -114,6 +115,12 @@ PlanNode BuildPlan(
         node.detail += "; build filter: " + build_filters;
       }
       if (!residual.empty()) node.detail += "; residual: " + residual;
+      if (n.index != nullptr) {
+        const PhysicalNode* scan = n.right;
+        while (scan->kind == Kind::kRename) scan = scan->left;
+        node.detail += "; build: index " + scan->expr->relation_name() + "." +
+                       scan->scheme->attribute(0).name;
+      }
       break;
     }
   }
@@ -313,8 +320,10 @@ Result<ExplainPlan> ExplainSetOrientedUpdate(const Instance& instance,
     ExecContext& ctx = scope.ctx();
 
     // Phase one: evaluate the receiver query against the encoded input
-    // state, collecting per-node statistics.
-    SETREC_ASSIGN_OR_RETURN(Database db, EncodeInstance(instance));
+    // state (the relations it reads), collecting per-node statistics.
+    SETREC_ASSIGN_OR_RETURN(
+        Database db,
+        EncodeInstance(instance, ReferencedRelations(*receiver_query)));
     Evaluator evaluator(&db, ctx);
     evaluator.set_backend(opts.backend);
     evaluator.set_node_stats(&stats);

@@ -1,5 +1,6 @@
 #include "relational/evaluator.h"
 
+#include <algorithm>
 #include <chrono>
 #include <unordered_map>
 #include <vector>
@@ -21,7 +22,7 @@ Result<Relation> Evaluator::Eval(const ExprPtr& expr) {
   return *result;
 }
 
-bool Evaluator::UseVectorized(const Expr& expr) {
+Result<bool> Evaluator::UseVectorized(const ExprPtr& expr) {
   switch (backend_) {
     case ExecBackend::kInterpreter:
       return false;
@@ -33,8 +34,10 @@ bool Evaluator::UseVectorized(const Expr& expr) {
   if (!auto_vectorize_.has_value()) {
     // Latched once per evaluator: mixing backends within one evaluator
     // would split the result memo into two domains and skew the cache-hit
-    // counters that EXPLAIN ANALYZE reports.
-    auto_vectorize_ = vectorized::EstimatedInputRows(expr, *database_) >=
+    // counters that EXPLAIN ANALYZE reports. The estimate reads the plan,
+    // so a relation read only through index builds does not count.
+    SETREC_ASSIGN_OR_RETURN(const PhysicalNode* root, plan_.LowerRoot(expr));
+    auto_vectorize_ = vectorized::EstimatedInputRows(*root, *database_) >=
                       kAutoVectorizeInputRows;
   }
   return *auto_vectorize_;
@@ -42,7 +45,8 @@ bool Evaluator::UseVectorized(const Expr& expr) {
 
 Result<std::shared_ptr<const Relation>> Evaluator::EvalShared(
     const ExprPtr& expr) {
-  if (UseVectorized(*expr)) {
+  SETREC_ASSIGN_OR_RETURN(const bool vectorize, UseVectorized(expr));
+  if (vectorize) {
     if (engine_ == nullptr) {
       engine_ = std::make_unique<vectorized::Engine>(database_, ctx_);
     }
@@ -191,10 +195,13 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
   TraceSpan join_span = StartSpan(*ctx_, "evaluator/join");
   SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> left_ptr,
                           EvalNode(*node.left));
-  SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> right_ptr,
-                          EvalNode(*node.right));
+  // An index build reads its rows from the bound relation below and never
+  // evaluates the right operand.
+  std::shared_ptr<const Relation> right_ptr;
+  if (node.index == nullptr) {
+    SETREC_ASSIGN_OR_RETURN(right_ptr, EvalNode(*node.right));
+  }
   const Relation& left = *left_ptr;
-  const Relation& right = *right_ptr;
   MetricsRegistry* metrics = ctx_->metrics();
 
   // Per-side filters, in the roles the plan classified.
@@ -208,15 +215,48 @@ Result<Relation> Evaluator::EvalSelectionChain(const PhysicalNode& node) {
   };
 
   // Build the hash table on the right side, keyed by the join attributes.
+  // An index build fetches only the rows the probe side can match: those
+  // of the bound relation whose first value is some probe key.
+  std::vector<Tuple> fetched;
   std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHash> index;
   {
     TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
-    index.reserve(right.size());
     std::uint64_t built = 0;
-    for (const Tuple& t : right) {
-      if (!passes(t, JoinCond::Role::kBuildFilter)) continue;
+    auto insert = [&](const Tuple& t) {
+      if (!passes(t, JoinCond::Role::kBuildFilter)) return;
       index[t.Project(node.right_key)].push_back(&t);
       ++built;
+    };
+    if (node.index == nullptr) {
+      index.reserve(right_ptr->size());
+      for (const Tuple& t : *right_ptr) insert(t);
+      // Each key's rows in tuple order, the order an index build fetches
+      // them in: the probe then meets its candidates in one order whatever
+      // built the table, so the rows a budget stop leaves counted do not
+      // depend on the build side's hash layout.
+      for (auto& [key, rows] : index) {
+        if (rows.size() < 2) continue;
+        std::sort(rows.begin(), rows.end(),
+                  [](const Tuple* a, const Tuple* b) { return *a < *b; });
+      }
+    } else {
+      std::vector<ObjectId> keys;
+      keys.reserve(left.size());
+      for (const Tuple& lt : left) {
+        if (passes(lt, JoinCond::Role::kProbeFilter)) {
+          keys.push_back(lt.at(node.left_key[node.index_key]));
+        }
+      }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      for (const ObjectId key : keys) {
+        for (const auto& [first, second] : node.index->RowsWithFirst(key)) {
+          fetched.push_back(Tuple{first, second});
+        }
+      }
+      // The table points into `fetched`, which is complete by now.
+      index.reserve(fetched.size());
+      for (const Tuple& t : fetched) insert(t);
     }
     if (metrics != nullptr) metrics->engine.eval_join_build_rows.Add(built);
     if (node_stats_ != nullptr) {

@@ -49,9 +49,10 @@ struct EvalNodeStats {
 /// instead of exhausting the machine. It runs on the calling thread.
 class Evaluator {
  public:
-  /// kAuto picks the vectorized backend only when the referenced base
-  /// relations hold at least this many rows in total: below it, transposing
-  /// inputs into columns costs more than batching saves.
+  /// kAuto picks the vectorized backend only when the base relations the
+  /// plan loads hold at least this many rows in total (a relation read only
+  /// through index builds does not count): below it, transposing inputs
+  /// into columns costs more than batching saves.
   static constexpr std::size_t kAutoVectorizeInputRows = 4096;
 
   Evaluator(const Database* database, ExecContext& ctx);
@@ -106,10 +107,10 @@ class Evaluator {
   Result<Relation> EvalSelectionChain(const PhysicalNode& node);
 
   /// Whether `expr` should run on the compiled vectorized backend. Forced
-  /// backends answer directly; kAuto latches its cost decision on the first
-  /// call: vectorization wins once the referenced inputs reach
-  /// kAutoVectorizeInputRows.
-  bool UseVectorized(const Expr& expr);
+  /// backends answer directly; kAuto lowers `expr` (failing with its type
+  /// error) and latches its cost decision on the first call: vectorization
+  /// wins once the inputs the plan loads reach kAutoVectorizeInputRows.
+  Result<bool> UseVectorized(const ExprPtr& expr);
 
   const Database* database_;
   PhysicalPlan plan_;  // the interpreter's lowering; unused by the engine

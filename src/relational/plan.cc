@@ -41,13 +41,31 @@ Result<RelationScheme> ProductScheme(const RelationScheme& l,
   return RelationScheme::Make(std::move(attrs));
 }
 
+/// Marks `join` as an index build when its right operand is a scan of a
+/// relation bound in `database`, seen through any ρs, and one of its keys
+/// binds that relation's first column.
+void MarkIndexBuild(const Database& database, PhysicalNode& join) {
+  const PhysicalNode* scan = join.right;
+  while (scan->kind == PhysicalNode::Kind::kRename) scan = scan->left;
+  if (scan->kind != PhysicalNode::Kind::kScan) return;
+  const BoundRelation* bound =
+      database.FindBound(scan->expr->relation_name());
+  if (bound == nullptr) return;
+  for (std::size_t k = 0; k < join.right_key.size(); ++k) {
+    if (join.right_key[k] == 0) {
+      join.index = bound;
+      join.index_key = static_cast<std::uint32_t>(k);
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 Result<const RelationScheme*> PhysicalPlan::FindScheme(
     std::string_view name) const {
   if (catalog_ != nullptr) return catalog_->Find(name);
-  SETREC_ASSIGN_OR_RETURN(const Relation* rel, database_->Find(name));
-  return &rel->scheme();
+  return database_->FindScheme(name);
 }
 
 Result<const PhysicalNode*> PhysicalPlan::Lower(const Expr& expr) {
@@ -194,6 +212,7 @@ Status PhysicalPlan::LowerJoin(const Expr& bottom, PhysicalNode& node) {
     node.right_key.push_back(c.a_left ? c.ib : c.ia);
   }
   node.scheme = Own(std::move(scheme));
+  if (database_ != nullptr) MarkIndexBuild(*database_, node);
   return Status::OK();
 }
 

@@ -72,6 +72,14 @@ struct PhysicalNode {
   std::vector<JoinCond> conds;          // kJoin: chain order, top σ first
   std::vector<std::uint32_t> left_key;  // kJoin: kKey columns, chain order
   std::vector<std::uint32_t> right_key;
+  /// kJoin, lowered against a Database only: an index build. `right` is a
+  /// scan of this bound relation through any ρs (which keep its tuples and
+  /// column order), and key `index_key` binds its first column, so the
+  /// engines never evaluate `right`: they build the join's table from the
+  /// relation's rows for each distinct value of left_key[index_key] among
+  /// the probe rows that pass the probe filters.
+  const BoundRelation* index = nullptr;
+  std::uint32_t index_key = 0;
 };
 
 /// The lowering of the Section 5.1 algebra: expression DAG → typed plan.
@@ -80,6 +88,11 @@ struct PhysicalNode {
 /// the evaluator's result memo: a shared subexpression becomes one shared
 /// plan node, and a σ-chain interior gets a node of its own only when it
 /// is lowered from somewhere other than the chain above it.
+///
+/// Lowered against a Database, a join whose build side is a bound relation
+/// keyed on its first column is marked as an index build (see
+/// PhysicalNode::index); scheme lookups never materialize a bound relation.
+/// Lowered against a Catalog, no join is.
 ///
 /// Type errors surface here and only here, found left operand first, with
 /// one message per typing rule. The scheme source, and every expression

@@ -4,9 +4,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ranges>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "relational/schema.h"
@@ -140,6 +143,46 @@ class Relation {
   std::uint64_t sorted_invalidations_ = 0;
 };
 
+class Counter;
+
+/// The rows of a binary relation kept outside the relational layer, as
+/// sorted (first, second) pairs: an index on the first column.
+/// Instance::edges(p) has this type.
+using SortedPairs = std::set<std::pair<ObjectId, ObjectId>>;
+
+/// A binary relation borrowed from a SortedPairs without copying it
+/// (Database::Bind). Reading the rows of one first-column value costs the
+/// rows read; a whole read builds the Relation once, exactly as inserting
+/// the pairs in order would, and adds its size to `materialized_rows`. The
+/// pairs must outlive the view and stay unchanged while anything reads it;
+/// they must conform to the scheme (the binder's typing guarantees it).
+class BoundRelation {
+ public:
+  using Rows = std::ranges::subrange<SortedPairs::const_iterator>;
+
+  BoundRelation(RelationScheme scheme, const SortedPairs* pairs,
+                Counter* materialized_rows)
+      : scheme_(std::move(scheme)),
+        pairs_(pairs),
+        materialized_rows_(materialized_rows) {}
+
+  const RelationScheme& scheme() const { return scheme_; }
+  std::size_t size() const { return pairs_->size(); }
+
+  /// The rows whose first value is `key`, in sorted order.
+  Rows RowsWithFirst(ObjectId key) const;
+
+  /// The whole relation, built on the first call (thread-safe).
+  const std::shared_ptr<const Relation>& Materialized() const;
+
+ private:
+  RelationScheme scheme_;
+  const SortedPairs* pairs_;
+  Counter* materialized_rows_;  // may be null
+  mutable std::once_flag once_;
+  mutable std::shared_ptr<const Relation> materialized_;
+};
+
 /// A relational database instance: named relations. The object-relational
 /// encoding produces one; update expressions are evaluated against one.
 ///
@@ -147,6 +190,11 @@ class Relation {
 /// Database is O(#relations) regardless of data size: copies that differ in
 /// a few relations share the storage of all the others. Put never mutates a
 /// stored relation in place, which is what makes the sharing thread-safe.
+///
+/// A relation may also be bound (Bind): borrowed from sorted pairs held
+/// elsewhere. Find and FindShared are whole reads and materialize it, once;
+/// FindScheme, FindSize and FindBound never do, and the lowering reads a
+/// bound relation keyed on its first column by index (relational/plan.h).
 class Database {
  public:
   /// Installs (or replaces) a relation under `name`.
@@ -158,6 +206,12 @@ class Database {
   /// copy; `relation` must not be null.
   void PutShared(std::string name, std::shared_ptr<const Relation> relation);
 
+  /// Installs (or replaces) a relation of the binary `scheme` under `name`
+  /// as a borrowed view of `pairs` (see BoundRelation); copies share it.
+  /// Fails on a scheme that is not binary.
+  Status Bind(std::string name, RelationScheme scheme,
+              const SortedPairs* pairs, Counter* materialized_rows = nullptr);
+
   bool Has(std::string_view name) const;
   Result<const Relation*> Find(std::string_view name) const;
 
@@ -167,6 +221,14 @@ class Database {
   Result<std::shared_ptr<const Relation>> FindShared(
       std::string_view name) const;
 
+  /// The scheme and the row count of `name`, without materializing it.
+  Result<const RelationScheme*> FindScheme(std::string_view name) const;
+  Result<std::size_t> FindSize(std::string_view name) const;
+
+  /// The relation bound under `name`, or null when `name` is absent or
+  /// holds an ordinary relation.
+  const BoundRelation* FindBound(std::string_view name) const;
+
   /// Names in deterministic (sorted) order.
   std::vector<std::string> Names() const;
 
@@ -174,8 +236,19 @@ class Database {
   friend bool operator==(const Database& a, const Database& b);
 
  private:
-  std::map<std::string, std::shared_ptr<const Relation>, std::less<>>
-      relations_;
+  /// Exactly one of the two is set.
+  struct Slot {
+    std::shared_ptr<const Relation> relation;
+    std::shared_ptr<const BoundRelation> bound;
+
+    const std::shared_ptr<const Relation>& Whole() const {
+      return bound != nullptr ? bound->Materialized() : relation;
+    }
+  };
+
+  Result<const Slot*> FindSlot(std::string_view name) const;
+
+  std::map<std::string, Slot, std::less<>> relations_;
 };
 
 }  // namespace setrec

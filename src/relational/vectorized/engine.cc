@@ -4,6 +4,7 @@
 #include <chrono>
 #include <numeric>
 #include <optional>
+#include <string_view>
 #include <unordered_set>
 
 #include "relational/vectorized/kernels.h"
@@ -87,10 +88,11 @@ class Compiler {
     if (n.kind == Kind::kProduct) {
       EmitProduct(n, reg);
     } else {
-      // Operands in the interpreter's left-then-right order.
+      // Operands in the interpreter's left-then-right order. An index
+      // build never evaluates its right operand, so it gets no block.
       Insn in{.op = MaterializerOf(n.kind), .node = &n, .dst = reg};
       if (n.left != nullptr) in.a = Emit(*n.left);
-      if (n.right != nullptr) in.b = Emit(*n.right);
+      if (n.right != nullptr && n.index == nullptr) in.b = Emit(*n.right);
       Push(in);
     }
     code_[check_idx].target = static_cast<std::uint32_t>(code_.size());
@@ -141,11 +143,24 @@ class Compiler {
 
 }  // namespace
 
-std::size_t EstimatedInputRows(const Expr& expr, const Database& database) {
+std::size_t EstimatedInputRows(const PhysicalNode& root,
+                               const Database& database) {
+  std::unordered_set<const PhysicalNode*> seen;
+  std::unordered_set<std::string_view> loaded;
+  std::vector<const PhysicalNode*> stack = {&root};
   std::size_t total = 0;
-  for (const std::string& name : ReferencedRelations(expr)) {
-    Result<const Relation*> rel = database.Find(name);
-    if (rel.ok()) total += (*rel)->size();
+  while (!stack.empty()) {
+    const PhysicalNode* n = stack.back();
+    stack.pop_back();
+    if (!seen.insert(n).second) continue;
+    if (n->kind == Kind::kScan) {
+      const std::string& name = n->expr->relation_name();
+      Result<std::size_t> size = database.FindSize(name);
+      if (size.ok() && loaded.insert(name).second) total += *size;
+      continue;
+    }
+    if (n->left != nullptr) stack.push_back(n->left);
+    if (n->right != nullptr && n->index == nullptr) stack.push_back(n->right);
   }
   return total;
 }
@@ -407,10 +422,9 @@ Result<ColumnTable> Engine::RunHashJoin(
     const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
   const PhysicalNode& node = *in.node;
   const ColumnTable& left = *regs[in.a];
-  const ColumnTable& right = *regs[in.b];
   TraceSpan join_span = StartSpan(*ctx_, "evaluator/join");
   MetricsRegistry* metrics = ctx_->metrics();
-  const std::size_t la = left.arity(), ra = right.arity();
+  const std::size_t la = left.arity(), ra = node.right->scheme->arity();
   const std::uint64_t tuple_bytes =
       static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
   // Folds the conditions of one role into a row mask.
@@ -422,13 +436,41 @@ Result<ColumnTable> Engine::RunHashJoin(
     return mask;
   };
 
+  const std::vector<std::uint8_t> lmask =
+      mask_of(left, JoinCond::Role::kProbeFilter);
+
   // Build: filter the right side with its local conditions, gather the
   // survivors into a dense build table, index it by the join keys. The
-  // insertion count is the interpreter's build_rows.
+  // insertion count is the interpreter's build_rows. An index build's right
+  // side is the bound relation's rows for the distinct keys of the probe
+  // rows that pass the probe filters.
   ColumnTable build;
   std::optional<RowHashTable> index;
   {
     TraceSpan build_span = StartSpan(*ctx_, "evaluator/join-build");
+    ColumnTable fetched;
+    if (node.index != nullptr) {
+      const std::vector<PackedValue>& column =
+          left.columns[node.left_key[node.index_key]];
+      std::vector<PackedValue> keys;
+      keys.reserve(left.rows);
+      for (std::size_t li = 0; li < left.rows; ++li) {
+        if (lmask[li]) keys.push_back(column[li]);
+      }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      fetched = MakeTable(*node.right->scheme);
+      for (const PackedValue key : keys) {
+        for (const auto& [first, second] :
+             node.index->RowsWithFirst(Unpack(key))) {
+          fetched.columns[0].push_back(Pack(first));
+          fetched.columns[1].push_back(Pack(second));
+          ++fetched.rows;
+        }
+      }
+    }
+    const ColumnTable& right =
+        node.index != nullptr ? fetched : *regs[in.b];
     const std::vector<std::uint32_t> sel =
         MaskToSelection(mask_of(right, JoinCond::Role::kBuildFilter));
     build = Gather(right, AllColumns(ra), sel, right.scheme);
@@ -456,8 +498,6 @@ Result<ColumnTable> Engine::RunHashJoin(
   if (join_stats_ != nullptr) {
     (*join_stats_)[node.expr].probe_rows += left.rows;
   }
-  const std::vector<std::uint8_t> lmask =
-      mask_of(left, JoinCond::Role::kProbeFilter);
   std::vector<std::uint64_t> lh;
   HashRows(left, node.left_key, lh);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;

@@ -16,11 +16,15 @@
 
 namespace setrec::vectorized {
 
-/// Sum of the sizes of the base relations `expr` references (unknown names
-/// count zero). The kAuto backend policy compares this against a threshold:
-/// transposing inputs into columns is a per-evaluation cost that only pays
-/// off once the batched kernels have enough rows to chew through.
-std::size_t EstimatedInputRows(const Expr& expr, const Database& database);
+/// Sum of the sizes of the distinct base relations the plan below `root`
+/// loads: every scan counts, except one reached only as the right operand
+/// of index builds, whose rows the join fetches by key. Sizes come from
+/// `database` without materializing a bound relation. The kAuto backend
+/// policy compares this against a threshold: transposing inputs into
+/// columns is a per-evaluation cost that only pays off once the batched
+/// kernels have enough rows to chew through.
+std::size_t EstimatedInputRows(const PhysicalNode& root,
+                               const Database& database);
 
 /// One flat-bytecode instruction. A node's block is
 ///   kMemoCheck (hit: load result, count a cache hit, jump past the block)

@@ -208,6 +208,12 @@ class DurableStore {
   /// snapshot is always labeled with exactly the sequence it covers.
   Instance SnapshotState(std::uint64_t* sequence = nullptr) const;
 
+  /// SnapshotState into `out` by copy assignment, which reuses the set
+  /// nodes `out` already holds: a caller that keeps its snapshot instance
+  /// does not allocate and free the whole graph per snapshot.
+  void SnapshotStateInto(Instance& out,
+                         std::uint64_t* sequence = nullptr) const;
+
   /// Borrowed view for single-threaded use; not synchronized against a
   /// concurrent Checkpoint/Commit from another thread.
   const Instance& instance() const { return instance_; }

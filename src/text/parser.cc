@@ -1,6 +1,7 @@
 #include "text/parser.h"
 
 #include <cctype>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -62,8 +63,13 @@ const char* TokenKindName(TokenKind kind) {
   return "token";
 }
 
-Result<std::vector<Token>> Lex(std::string_view text) {
-  std::vector<Token> tokens;
+/// The whole text's tokens. A deque, not a vector: a snapshot of a 25k-object
+/// instance lexes into about half a million tokens, and a vector's last
+/// doubling would hold both its old and its new buffer, so recovery's peak
+/// memory would step up by tens of MB each time the token count passed a
+/// power of two.
+Result<std::deque<Token>> Lex(std::string_view text) {
+  std::deque<Token> tokens;
   int line = 1, column = 1;
   std::size_t i = 0;
   auto advance = [&](std::size_t n) {
@@ -150,7 +156,7 @@ Result<std::vector<Token>> Lex(std::string_view text) {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::deque<Token> tokens) : tokens_(std::move(tokens)) {}
 
   const Token& Peek() const { return tokens_[pos_]; }
   bool At(TokenKind kind) const { return Peek().kind == kind; }
@@ -318,7 +324,7 @@ class Parser {
   /// recursive-descent parser cannot blow the stack on hostile input.
   static constexpr int kMaxExpressionDepth = 200;
 
-  std::vector<Token> tokens_;
+  std::deque<Token> tokens_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
@@ -326,7 +332,7 @@ class Parser {
 }  // namespace
 
 Result<std::unique_ptr<Schema>> ParseSchema(std::string_view text) {
-  SETREC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
+  SETREC_ASSIGN_OR_RETURN(std::deque<Token> tokens, Lex(text));
   Parser p(std::move(tokens));
   SETREC_RETURN_IF_ERROR(p.ExpectKeyword("schema"));
   SETREC_RETURN_IF_ERROR(p.Expect(TokenKind::kLBrace).status());
@@ -359,7 +365,7 @@ Result<std::unique_ptr<Schema>> ParseSchema(std::string_view text) {
 }
 
 Result<Instance> ParseInstance(std::string_view text, const Schema* schema) {
-  SETREC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
+  SETREC_ASSIGN_OR_RETURN(std::deque<Token> tokens, Lex(text));
   Parser p(std::move(tokens));
   SETREC_RETURN_IF_ERROR(p.ExpectKeyword("instance"));
   SETREC_RETURN_IF_ERROR(p.Expect(TokenKind::kLBrace).status());
@@ -389,7 +395,7 @@ Result<Instance> ParseInstance(std::string_view text, const Schema* schema) {
 }
 
 Result<InstanceDelta> ParseDelta(std::string_view text, const Schema* schema) {
-  SETREC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
+  SETREC_ASSIGN_OR_RETURN(std::deque<Token> tokens, Lex(text));
   Parser p(std::move(tokens));
   SETREC_RETURN_IF_ERROR(p.ExpectKeyword("delta"));
   SETREC_RETURN_IF_ERROR(p.Expect(TokenKind::kLBrace).status());
@@ -427,7 +433,7 @@ Result<InstanceDelta> ParseDelta(std::string_view text, const Schema* schema) {
 }
 
 Result<ExprPtr> ParseExpression(std::string_view text) {
-  SETREC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
+  SETREC_ASSIGN_OR_RETURN(std::deque<Token> tokens, Lex(text));
   Parser p(std::move(tokens));
   SETREC_ASSIGN_OR_RETURN(ExprPtr expr, p.Expression());
   SETREC_RETURN_IF_ERROR(p.Expect(TokenKind::kEnd).status());
@@ -436,7 +442,7 @@ Result<ExprPtr> ParseExpression(std::string_view text) {
 
 Result<std::unique_ptr<AlgebraicUpdateMethod>> ParseMethod(
     std::string_view text, const Schema* schema) {
-  SETREC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
+  SETREC_ASSIGN_OR_RETURN(std::deque<Token> tokens, Lex(text));
   Parser p(std::move(tokens));
   SETREC_RETURN_IF_ERROR(p.ExpectKeyword("method"));
   SETREC_ASSIGN_OR_RETURN(std::string name, p.Identifier("method name"));

@@ -179,19 +179,36 @@ void TxnManager::RecordOutcome(bool conflicted) {
 
 // -- Version chain ------------------------------------------------------------
 
-Instance TxnManager::TakeSnapshot(std::uint64_t* version) {
+std::unique_ptr<Instance> TxnManager::TakeSnapshot(std::uint64_t* version) {
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
     *version = version_;
     active_snapshots_.insert(version_);
   }
+  std::unique_ptr<Instance> snapshot;
+  {
+    std::lock_guard<std::mutex> lock(spare_mu_);
+    if (!spare_snapshots_.empty()) {
+      snapshot = std::move(spare_snapshots_.back());
+      spare_snapshots_.pop_back();
+    }
+  }
   // Read the instance *after* the version: a commit landing in between makes
   // the snapshot strictly newer than its version, which can only cause a
   // spurious conflict (safe), never a missed one.
-  return store_->SnapshotState();
+  if (snapshot == nullptr) {
+    return std::make_unique<Instance>(store_->SnapshotState());
+  }
+  store_->SnapshotStateInto(*snapshot);
+  return snapshot;
 }
 
-void TxnManager::ReleaseSnapshot(std::uint64_t version) {
+void TxnManager::ReleaseSnapshot(std::uint64_t version,
+                                 std::unique_ptr<Instance> snapshot) {
+  {
+    std::lock_guard<std::mutex> lock(spare_mu_);
+    spare_snapshots_.push_back(std::move(snapshot));
+  }
   std::lock_guard<std::mutex> lock(chain_mu_);
   auto it = active_snapshots_.find(version);
   if (it != active_snapshots_.end()) active_snapshots_.erase(it);
@@ -320,7 +337,8 @@ Status TxnManager::AttemptMvcc(
   std::uint64_t snapshot_version = 0;
   // The snapshot is this attempt's private copy: the body runs on it under
   // a journal, which yields the write set without a second copy or a diff.
-  Instance snapshot = TakeSnapshot(&snapshot_version);
+  std::unique_ptr<Instance> kept = TakeSnapshot(&snapshot_version);
+  Instance& snapshot = *kept;
   Status result = [&]() -> Status {
     InstanceDelta delta;
     {
@@ -352,7 +370,7 @@ Status TxnManager::AttemptMvcc(
     SubmitCommit(pending);
     return pending.result;
   }();
-  ReleaseSnapshot(snapshot_version);
+  ReleaseSnapshot(snapshot_version, std::move(kept));
   return result;
 }
 

@@ -1,13 +1,23 @@
 // Tests for algebraic update methods (Section 5): application semantics
 // (Definition 5.4), the paper's named methods (Examples 2.7, 4.15, 5.5,
-// 5.11) against Figures 2-5, validation rules and positivity.
+// 5.11) against Figures 2-5, validation rules and positivity; and M(I, t)
+// over the bound instance against a reference that encodes what it reads.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "algebraic/method_library.h"
 #include "algebraic/order_independence.h"
+#include "core/instance_generator.h"
 #include "core/sequential.h"
+#include "decision_corpus.h"
+#include "objrel/encoding.h"
 #include "relational/builder.h"
+#include "relational/evaluator.h"
+#include "sql/table.h"
 
 namespace setrec {
 namespace {
@@ -221,6 +231,287 @@ TEST(MethodLibraryTest, ReceiversFromQueryChecksSchemes) {
   MethodSignature wide({ps.c, ps.c, ps.c});
   EXPECT_FALSE(
       ReceiversFromQuery(Expr::Relation("Cb"), instance, wide, ctx).ok());
+}
+
+// -- M(I, t) over the bound instance against the encoded reference -----------
+
+/// M(I, t) computed the way it was before method application bound the
+/// instance: the read set encoded (EncodeInstance), the receiver relations
+/// installed, every statement evaluated, the results spliced in.
+Status ReferenceApplyInPlace(const AlgebraicUpdateMethod& method,
+                             Instance& instance, const Receiver& receiver,
+                             ExecContext& ctx) {
+  if (!receiver.IsValidOver(method.signature(), instance)) {
+    return Status::FailedPrecondition(
+        "receiver is not valid over the instance for method " +
+        method.name());
+  }
+  SETREC_ASSIGN_OR_RETURN(Database db,
+                          EncodeInstance(instance, method.ReadRelations()));
+  SETREC_RETURN_IF_ERROR(InstallReceiverRelations(db, method.context(),
+                                                  receiver, /*primed=*/false));
+  Evaluator evaluator(&db, ctx);
+  std::vector<Relation> results;
+  for (const UpdateStatement& s : method.statements()) {
+    SETREC_ASSIGN_OR_RETURN(Relation r, evaluator.Eval(s.expression));
+    results.push_back(std::move(r));
+  }
+  const ObjectId receiving = receiver.receiving_object();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const PropertyId a = method.statements()[i].property;
+    SETREC_RETURN_IF_ERROR(instance.ClearEdgesFrom(receiving, a));
+    for (const Tuple& t : results[i]) {
+      SETREC_RETURN_IF_ERROR(instance.AddEdge(receiving, a, t.at(0)));
+    }
+  }
+  return Status::OK();
+}
+
+/// What applying a receiver sequence left: the instance, the first failure
+/// (OK if none) and the logical counters charged.
+struct Outcome {
+  Instance instance;
+  Status status;
+  std::uint64_t rows = 0, probes = 0, build_rows = 0;
+};
+
+/// Applies `sequence` in order under one context with row budget
+/// `max_rows` (0: none), stopping at the first failure, by ApplyInPlace or
+/// by the reference.
+Outcome RunSequence(const AlgebraicUpdateMethod& method,
+                    const Instance& instance,
+                    const std::vector<Receiver>& sequence,
+                    std::uint64_t max_rows, bool reference) {
+  MetricsRegistry metrics;
+  ExecContext::Limits limits;
+  limits.max_rows = max_rows;
+  ExecContext ctx(limits);
+  ctx.set_metrics(&metrics);
+  Outcome out{instance, Status::OK()};
+  for (const Receiver& t : sequence) {
+    out.status = reference ? ReferenceApplyInPlace(method, out.instance, t, ctx)
+                           : method.ApplyInPlace(out.instance, t, ctx);
+    if (!out.status.ok()) break;
+  }
+  out.rows = metrics.engine.eval_rows.value();
+  out.probes = metrics.engine.eval_join_probes.value();
+  out.build_rows = metrics.engine.eval_join_build_rows.value();
+  return out;
+}
+
+/// Over the bound database of each receiver of `sequence`, the interpreter
+/// and the vectorized engine agree on every statement's result and on all
+/// three join counters.
+void ExpectBackendsAgreeWhenBound(const AlgebraicUpdateMethod& method,
+                                  const Instance& instance,
+                                  const std::vector<Receiver>& sequence,
+                                  const std::string& tag) {
+  for (const Receiver& t : sequence) {
+    Database db = std::move(BindInstance(instance, method.context().catalog,
+                                         method.ReadRelations()))
+                      .value();
+    ASSERT_TRUE(InstallReceiverRelations(db, method.context(), t,
+                                         /*primed=*/false)
+                    .ok());
+    for (const UpdateStatement& s : method.statements()) {
+      std::vector<Relation> results;
+      std::vector<std::vector<std::uint64_t>> counters;
+      for (ExecBackend backend :
+           {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+        MetricsRegistry metrics;
+        ExecContext ctx;
+        ctx.set_metrics(&metrics);
+        Evaluator evaluator(&db, ctx);
+        evaluator.set_backend(backend);
+        Result<Relation> r = evaluator.Eval(s.expression);
+        ASSERT_TRUE(r.ok()) << tag << " " << r.status().message();
+        results.push_back(std::move(r).value());
+        counters.push_back({metrics.engine.eval_rows.value(),
+                            metrics.engine.eval_join_probes.value(),
+                            metrics.engine.eval_join_build_rows.value()});
+      }
+      const std::string at = tag + " " + method.name() + " " +
+                             ExprToString(*s.expression);
+      EXPECT_TRUE(results[0] == results[1]) << at;
+      EXPECT_EQ(counters[0], counters[1]) << at;
+    }
+  }
+}
+
+/// Holds ApplyInPlace to the reference on `sequence`, unbudgeted and under
+/// row budgets of 1, 2 and 3, and checks both backends over the bound
+/// database. Returns the unbudgeted build rows of both sides.
+std::pair<std::uint64_t, std::uint64_t> ExpectMatchesReference(
+    const AlgebraicUpdateMethod& method, const Instance& instance,
+    const std::vector<Receiver>& sequence, const std::string& tag) {
+  std::pair<std::uint64_t, std::uint64_t> build_rows;
+  for (std::uint64_t max_rows : {0u, 1u, 2u, 3u}) {
+    const Outcome bound =
+        RunSequence(method, instance, sequence, max_rows, false);
+    const Outcome reference =
+        RunSequence(method, instance, sequence, max_rows, true);
+    const std::string at = tag + " " + method.name() + " max_rows " +
+                           std::to_string(max_rows);
+    EXPECT_EQ(bound.status, reference.status) << at;
+    EXPECT_TRUE(bound.instance == reference.instance) << at;
+    EXPECT_EQ(bound.rows, reference.rows) << at;
+    EXPECT_EQ(bound.probes, reference.probes) << at;
+    if (max_rows == 0) build_rows = {bound.build_rows, reference.build_rows};
+  }
+  ExpectBackendsAgreeWhenBound(method, instance, sequence, tag);
+  return build_rows;
+}
+
+TEST(BoundApplyTest, MatchesTheReferenceOnTheDrinkersCorpus) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  std::vector<std::unique_ptr<AlgebraicUpdateMethod>> methods;
+  methods.push_back(std::move(MakeAddBar(ds)).value());
+  methods.push_back(std::move(MakeFavoriteBar(ds)).value());
+  methods.push_back(std::move(MakeDeleteBar(ds)).value());
+  methods.push_back(std::move(MakeLikesServesBar(ds)).value());
+  methods.push_back(std::move(MakeClearBars(ds)).value());
+  methods.push_back(std::move(MakeAllBars(ds)).value());
+  // The methods of the decision-procedure corpus.
+  for (std::uint64_t seed = 1; seed < kCorpusEnd; ++seed) {
+    methods.push_back(
+        std::move(AlgebraicUpdateMethod::Make(
+                      &ds.schema, MethodSignature({ds.drinker, ds.bar}),
+                      "corpus" + std::to_string(seed),
+                      {UpdateStatement{ds.frequents, CorpusExpression(seed)}}))
+            .value());
+  }
+  std::uint64_t bound_build_rows = 0, reference_build_rows = 0;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    InstanceGenerator gen(&ds.schema, seed);
+    InstanceGenerator::Options options;
+    options.min_objects_per_class = 2;
+    options.max_objects_per_class = 6;
+    const Instance instance = gen.RandomInstance(options);
+    for (const auto& method : methods) {
+      const std::vector<Receiver> sequence =
+          gen.RandomReceiverSet(instance, method->signature(), 4);
+      const auto [bound, reference] = ExpectMatchesReference(
+          *method, instance, sequence, "seed " + std::to_string(seed));
+      EXPECT_LE(bound, reference) << method->name();
+      bound_build_rows += bound;
+      reference_build_rows += reference;
+    }
+  }
+  // The corpus exercises index builds: they build from fewer rows.
+  EXPECT_LT(bound_build_rows, reference_build_rows);
+}
+
+TEST(BoundApplyTest, MatchesTheReferenceOnTheOtherLibrarySchemas) {
+  TcSchema tc = std::move(MakeTcSchema()).value();
+  PairSchema ps = std::move(MakePairSchema()).value();
+  struct Case {
+    const Schema* schema;
+    std::unique_ptr<AlgebraicUpdateMethod> method;
+  };
+  std::vector<Case> cases;
+  cases.push_back({&tc.schema,
+                   std::move(MakeTransitiveClosureMethod(tc)).value()});
+  cases.push_back({&ps.schema,
+                   std::move(MakeConditionalDeleteMethod(ps)).value()});
+  cases.push_back({&ps.schema, std::move(MakeCopyExtendMethod(ps)).value()});
+  cases.push_back({&ps.schema, std::move(MakeParityMethod(ps)).value()});
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    for (const Case& c : cases) {
+      InstanceGenerator gen(c.schema, seed);
+      InstanceGenerator::Options options;
+      options.min_objects_per_class = 2;
+      options.max_objects_per_class = 6;
+      const Instance instance = gen.RandomInstance(options);
+      const std::vector<Receiver> sequence =
+          gen.RandomReceiverSet(instance, c.method->signature(), 4);
+      const auto [bound, reference] = ExpectMatchesReference(
+          *c.method, instance, sequence, "seed " + std::to_string(seed));
+      EXPECT_LE(bound, reference) << c.method->name();
+    }
+  }
+}
+
+TEST(BoundApplyTest, MatchesTheReferenceOnPayroll) {
+  PayrollSchema ps = std::move(MakePayrollSchema()).value();
+  std::vector<EmployeeRow> employees;
+  std::vector<NewSalRow> raises;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    employees.push_back(EmployeeRow{
+        i, 1000 + (i % 6),
+        i == 0 ? std::nullopt : std::optional<std::uint32_t>(i / 4)});
+  }
+  for (std::uint32_t s = 0; s < 6; ++s) {
+    raises.push_back(NewSalRow{1000 + s, 2000 + s});
+  }
+  const Instance instance =
+      std::move(BuildPayrollInstance(ps, employees, {}, raises)).value();
+  const auto b = std::move(MakeSalaryFromNewSal(ps)).value();
+  const auto c = std::move(MakeSalaryFromManagersNewSal(ps)).value();
+  std::vector<Receiver> salary_receivers;
+  std::vector<Receiver> employee_receivers;
+  for (const EmployeeRow& row : employees) {
+    salary_receivers.push_back(Receiver::Unchecked(
+        {ObjectId(ps.emp, row.id), ObjectId(ps.val, row.salary)}));
+    employee_receivers.push_back(
+        Receiver::Unchecked({ObjectId(ps.emp, row.id)}));
+  }
+  ExpectMatchesReference(*b, instance, salary_receivers, "payroll");
+  const auto [bound, reference] =
+      ExpectMatchesReference(*c, instance, employee_receivers, "payroll");
+  // C' joins EmpManager by self and EmpSalary by Manager through the index.
+  EXPECT_LT(bound, reference);
+}
+
+/// The exact work of M(I, t): a sequential add_bar builds its join from
+/// each receiver's own Df edges at its turn, not from all of Df.
+TEST(BoundApplyTest, AddBarBuildsFromTheReceiversOwnEdges) {
+  constexpr std::uint32_t kDrinkers = 10000;
+  constexpr std::uint32_t kBars = 100;
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance instance(&ds.schema);
+  for (std::uint32_t b = 0; b < kBars; ++b) {
+    ASSERT_TRUE(instance.AddObject(ObjectId(ds.bar, b)).ok());
+  }
+  for (std::uint32_t d = 0; d < kDrinkers; ++d) {
+    const ObjectId drinker(ds.drinker, d);
+    ASSERT_TRUE(instance.AddObject(drinker).ok());
+    ASSERT_TRUE(instance
+                    .AddEdge(drinker, ds.frequents,
+                             ObjectId(ds.bar, d % kBars))
+                    .ok());
+    ASSERT_TRUE(instance
+                    .AddEdge(drinker, ds.frequents,
+                             ObjectId(ds.bar, (d * 7 + 3) % kBars))
+                    .ok());
+  }
+  ASSERT_GT(instance.edges(ds.frequents).size(), 19000u);
+  const auto add_bar = std::move(MakeAddBar(ds)).value();
+  // Drinker 5 receives twice: at its second turn it has the bar the first
+  // one added.
+  const std::vector<Receiver> receivers = CanonicalReceiverSet(std::vector{
+      Receiver::Unchecked({ObjectId(ds.drinker, 5), ObjectId(ds.bar, 90)}),
+      Receiver::Unchecked({ObjectId(ds.drinker, 5), ObjectId(ds.bar, 91)}),
+      Receiver::Unchecked({ObjectId(ds.drinker, 17), ObjectId(ds.bar, 2)}),
+      Receiver::Unchecked({ObjectId(ds.drinker, 4242), ObjectId(ds.bar, 42)})});
+  std::uint64_t own_edges = 0;
+  Instance walk = instance;
+  for (const Receiver& t : receivers) {
+    own_edges += walk.Targets(t.receiving_object(), ds.frequents).size();
+    walk = std::move(add_bar->Apply(walk, t)).value();
+  }
+  ASSERT_EQ(own_edges, 2u + 3u + 2u + 2u);
+
+  MetricsRegistry metrics;
+  Result<Instance> out =
+      SequentialApply(*add_bar, instance, receivers, {.metrics = &metrics});
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  EXPECT_TRUE(*out == walk);
+  EXPECT_EQ(metrics.engine.eval_join_build_rows.value(), own_edges);
+  EXPECT_EQ(metrics.engine.eval_join_probes.value(), 4u);
+  const Outcome reference =
+      RunSequence(*add_bar, instance, receivers, 0, /*reference=*/true);
+  ASSERT_TRUE(reference.status.ok());
+  EXPECT_EQ(metrics.engine.eval_rows.value(), reference.rows);
 }
 
 }  // namespace

@@ -243,6 +243,40 @@ TEST_F(CommitCostTest, TransactionsCopyOnlyTheMvccSnapshot) {
   EXPECT_EQ(c.encodes, 0u) << "MVCC Apply";
 }
 
+/// M(I, t) binds the instance instead of encoding it: add_bar reads Df only
+/// by its receiver's key, so applying it materializes no row of the
+/// instance, on either commit path. A query that reads whole relations
+/// still encodes them, and is counted.
+TEST_F(CommitCostTest, MethodApplicationsEncodeNoRows) {
+  const Counter& rows = InstanceCosts().encoded_rows;
+  auto receivers = [&](std::uint32_t d) {
+    return std::vector<Receiver>{
+        Receiver::Unchecked({ObjectId(ds_.drinker, d), ObjectId(ds_.bar, d)}),
+        Receiver::Unchecked(
+            {ObjectId(ds_.drinker, d + 1), ObjectId(ds_.bar, d)})};
+  };
+
+  auto txn_store = OpenStore("txn_rows");
+  CommutativityCache cache;
+  TxnManager txn(txn_store.get(), &cache);
+  // The first certified Apply pays for the Theorem 5.12 certificate.
+  ASSERT_TRUE(txn.Apply(*add_bar_, receivers(0)).ok());
+  std::uint64_t before = rows.value();
+  ASSERT_TRUE(txn.Apply(*add_bar_, receivers(2)).ok());
+  EXPECT_EQ(txn.stats().commutative_admissions, 2u);
+  EXPECT_EQ(rows.value() - before, 0u) << "certified Apply";
+
+  // The §7 Update's receiver query joins Dl with Bas: 6 + 12 rows.
+  before = rows.value();
+  ASSERT_TRUE(txn.Update(ds_.frequents, query_).ok());
+  EXPECT_EQ(rows.value() - before, 18u) << "Update";
+
+  auto store = OpenStore("cursor_rows");
+  before = rows.value();
+  ASSERT_TRUE(store->ApplyCursorUpdate(*add_bar_, receivers(4)).ok());
+  EXPECT_EQ(rows.value() - before, 0u) << "ApplyCursorUpdate";
+}
+
 TEST_F(CommitCostTest, ViewCachePublicationsDiffNothing) {
   ViewCache views(&ds_.schema);
   ASSERT_TRUE(views.Prime(seed_).ok());

@@ -283,5 +283,39 @@ TEST_F(UllmanSchemaTest, GeneratorIsDeterministicAndTyped) {
   EXPECT_LE(keys.size(), 3u);
 }
 
+TEST_F(UllmanSchemaTest, CopyAssignmentOverAnyShapeGivesTheSource) {
+  // Assignment reuses the target's sets key by key, so cover targets whose
+  // classes and properties are a superset, a subset and disjoint from the
+  // source's (edge probability 0 leaves a property's key absent).
+  InstanceGenerator gen(&schema_, 9);
+  InstanceGenerator::Options dense;
+  dense.min_objects_per_class = 3;
+  dense.max_objects_per_class = 6;
+  dense.edge_probability = 0.5;
+  InstanceGenerator::Options sparse = dense;
+  sparse.min_objects_per_class = 0;
+  sparse.edge_probability = 0.0;
+  std::vector<Instance> shapes = {Instance(&schema_), gen.RandomInstance(dense),
+                                  gen.RandomInstance(sparse),
+                                  gen.RandomInstance(dense)};
+  Instance only_serves(&schema_);
+  ASSERT_TRUE(only_serves.AddObject(ObjectId(bar_, 0)).ok());
+  ASSERT_TRUE(only_serves.AddObject(ObjectId(beer_, 0)).ok());
+  ASSERT_TRUE(
+      only_serves.AddEdge(ObjectId(bar_, 0), serves_, ObjectId(beer_, 0)).ok());
+  shapes.push_back(only_serves);
+  for (const Instance& source : shapes) {
+    for (const Instance& start : shapes) {
+      Instance target = start;
+      const std::uint64_t copies = InstanceCosts().copies.value();
+      target = source;
+      EXPECT_EQ(InstanceCosts().copies.value() - copies, 1u);
+      EXPECT_EQ(target, source);
+      EXPECT_EQ(target.num_edges(), source.num_edges());
+      EXPECT_EQ(target.AllObjects(), source.AllObjects());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace setrec

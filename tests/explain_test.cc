@@ -20,6 +20,7 @@
 #include "algebraic/parallel.h"
 #include "core/instance_generator.h"
 #include "core/thread_pool.h"
+#include "objrel/encoding.h"
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 #include "sql/improve.h"
@@ -516,6 +517,65 @@ TEST(ExplainAnalyzeTest, PoolDoesNotChangeTheAutoBackend) {
   ASSERT_EQ(pooled.roots.size(), 1u);
   EXPECT_EQ(Backends(plain.roots[0]), Backends(pooled.roots[0]));
   EXPECT_EQ(LogicalFingerprint(plain), LogicalFingerprint(pooled));
+}
+
+TEST(ExplainAnalyzeTest, BoundDatabasesShowIndexBuilds) {
+  // 4,096 drinkers with two bars each: Df alone passes kAuto's threshold.
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  Instance instance(&ds.schema);
+  for (std::uint32_t b = 0; b < 64; ++b) {
+    ASSERT_TRUE(instance.AddObject(ObjectId(ds.bar, b)).ok());
+  }
+  for (std::uint32_t d = 0; d < 4096; ++d) {
+    const ObjectId drinker(ds.drinker, d);
+    ASSERT_TRUE(instance.AddObject(drinker).ok());
+    for (std::uint32_t b : {d % 64, (d + 1) % 64}) {
+      ASSERT_TRUE(
+          instance.AddEdge(drinker, ds.frequents, ObjectId(ds.bar, b)).ok());
+    }
+  }
+  const auto add_bar = std::move(MakeAddBar(ds)).value();
+  const MethodContext& context = add_bar->context();
+  const ExprPtr& f = add_bar->statements()[0].expression;
+  const Receiver t =
+      Receiver::Unchecked({ObjectId(ds.drinker, 7), ObjectId(ds.bar, 9)});
+
+  // Bound: the join reads drinker 7's two Df rows by index, and kAuto,
+  // which counts only what the plan loads, keeps the interpreter.
+  Database bound = std::move(BindInstance(instance, context.catalog,
+                                          add_bar->ReadRelations()))
+                       .value();
+  ASSERT_TRUE(InstallReceiverRelations(bound, context, t, false).ok());
+  const ExplainPlan indexed =
+      std::move(ExplainExpressionAnalyze(f, bound)).value();
+  EXPECT_NE(indexed.ToText().find(
+                "-> HashJoin [keys: self=D; build: index Df.D] :: (self, D, "
+                "f) (rows=2 build=2 probes=1 backend=interpreter "),
+            std::string::npos)
+      << indexed.ToText();
+  EXPECT_EQ(indexed.counters.at("evaluator.join_build_rows"), 2u);
+
+  // Encoded: the same join builds its table from all of Df, on the engine
+  // kAuto picks for 8,192 input rows.
+  Database encoded =
+      std::move(EncodeInstance(instance, add_bar->ReadRelations())).value();
+  ASSERT_TRUE(InstallReceiverRelations(encoded, context, t, false).ok());
+  const ExplainPlan hashed =
+      std::move(ExplainExpressionAnalyze(f, encoded)).value();
+  EXPECT_NE(hashed.ToText().find("-> HashJoin [keys: self=D] :: (self, D, f) "
+                                 "(rows=2 build=8192 probes=1 "
+                                 "backend=bytecode "),
+            std::string::npos)
+      << hashed.ToText();
+  EXPECT_EQ(hashed.counters.at("evaluator.rows"),
+            indexed.counters.at("evaluator.rows"));
+  EXPECT_EQ(hashed.counters.at("evaluator.join_probes"),
+            indexed.counters.at("evaluator.join_probes"));
+
+  // A catalog-lowered plan never shows an index build.
+  const ExplainPlan plain =
+      std::move(ExplainExpression(f, context.catalog)).value();
+  EXPECT_EQ(plain.ToText().find("index"), std::string::npos);
 }
 
 /// The 16-seed corpus of parallel_runtime_test, re-run through EXPLAIN

@@ -899,6 +899,35 @@ TEST_F(ReplicationTest, ReplicaPingsAndExplainsCopyNoInstance) {
   EXPECT_EQ(InstanceCosts().copies.value(), copies);
 }
 
+TEST_F(ReplicationTest, ReplicaQueriesEncodeOnlyWhatTheyRead) {
+  auto leader = MakeServer(MakeTempDir("leader"), {Tenant("acme")});
+  Client leader_client(ClientOptions(leader.get(), "acme"));
+  MustOk(leader_client.ApplyDelta(
+      "delta { add object A(1); add object A(3); add object B(2); }"));
+  MustOk(leader_client.Update("f", "product(A, B)"));
+
+  auto replica = std::move(FollowerReplica::Create(
+                               ReplicaOptions(leader.get(), "acme")))
+                     .value();
+  CatchUp(*replica);
+
+  auto follower = MakeServer(MakeTempDir("follower"), {});
+  ASSERT_TRUE(follower->ServeReplica("acme", replica.get()).ok());
+  Client follower_client(ClientOptions(follower.get(), "acme"));
+
+  // A follower read evaluates from scratch, over the relations its query
+  // reads only: never the whole encoding.
+  const std::uint64_t encodes = InstanceCosts().encodes.value();
+  const std::uint64_t rows = InstanceCosts().encoded_rows.value();
+  for (int i = 0; i < 10; ++i) {
+    Response answer = MustOk(follower_client.Query("Af"));
+    EXPECT_EQ(answer.body, "A(1) B(2)\nA(3) B(2)\n");
+    EXPECT_EQ(answer.applied_sequence, 2u);
+  }
+  EXPECT_EQ(InstanceCosts().encodes.value(), encodes);
+  EXPECT_EQ(InstanceCosts().encoded_rows.value() - rows, 10u * 2u);
+}
+
 TEST_F(ReplicationTest, FailoverClientScreensStaleFollowersAndDeadOnes) {
   auto leader = MakeServer(MakeTempDir("leader"), {Tenant("acme")});
   Client leader_seed(ClientOptions(leader.get(), "acme"));

@@ -1,6 +1,6 @@
 // Tests for the object-relational encoding (Section 5.1, Proposition 5.1):
-// the encode/decode round trip, the induced dependencies, and queries over
-// encoded instances.
+// the encode/decode round trip, the induced dependencies, queries over
+// encoded instances, and the binding that method application reads.
 
 #include <gtest/gtest.h>
 
@@ -303,6 +303,89 @@ TEST(ReadSetEncodingTest, MatchesTheFullEncodingOnPayroll) {
   for (const Tuple* t : full.SortedTuples()) {
     EXPECT_EQ(receivers[i++], Receiver::Unchecked(t->values()));
   }
+}
+
+// -- Binding ------------------------------------------------------------------
+
+TEST(BindingTest, BoundRelationsReadLikeTheEncoding) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  const Catalog catalog = std::move(EncodeCatalog(ds.schema)).value();
+  const std::vector<std::string> names = catalog.Names();
+  const std::vector<ExprPtr> queries = {
+      ra::Project(ra::JoinEq(ra::Rel("Dl"), ra::Rel("Bas"), "l", "s"),
+                  {"D", "Ba"}),
+      ra::Project(ra::JoinEq(ra::Rename(ra::Rel("D"), "D", "D0"),
+                             ra::Rel("Df"), "D0", "D"),
+                  {"f"}),
+      ra::JoinEq(ra::Rename(ra::Rel("Ba"), "Ba", "B2"), ra::Rel("Bas"), "B2",
+                 "Ba"),
+      ra::JoinEq(ra::Rename(ra::Rel("Df"), "D", "D2"), ra::Rel("Dl"), "D2",
+                 "D"),
+      ra::Diff(ra::Project(ra::Rel("Df"), {"D"}),
+               ra::Project(ra::Rel("Dl"), {"D"})),
+      ra::Rel("Nope")};
+  const Counter& rows = InstanceCosts().encoded_rows;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    InstanceGenerator gen(&ds.schema, seed);
+    InstanceGenerator::Options options;
+    options.min_objects_per_class = 2;
+    options.max_objects_per_class = 6;
+    const Instance instance = gen.RandomInstance(options);
+    const std::string tag = "seed " + std::to_string(seed);
+
+    std::uint64_t before = rows.value();
+    const Database encoded = std::move(EncodeInstance(instance)).value();
+    EXPECT_EQ(rows.value() - before,
+              instance.num_objects() + instance.num_edges())
+        << tag;
+
+    // Binding encodes the class relations and no property relation; scheme
+    // and size lookups read none.
+    before = rows.value();
+    const Database bound =
+        std::move(BindInstance(instance, catalog, names)).value();
+    EXPECT_EQ(rows.value() - before, instance.num_objects()) << tag;
+    before = rows.value();
+    EXPECT_EQ(bound.Names(), encoded.Names()) << tag;
+    for (const std::string& name : names) {
+      EXPECT_EQ(*std::move(bound.FindScheme(name)).value(),
+                std::move(encoded.Find(name)).value()->scheme())
+          << tag << " " << name;
+      EXPECT_EQ(std::move(bound.FindSize(name)).value(),
+                std::move(encoded.Find(name)).value()->size())
+          << tag << " " << name;
+    }
+    EXPECT_EQ(rows.value() - before, 0u) << tag;
+
+    // Index reads materialize nothing; whole reads materialize each
+    // property relation once.
+    for (const ExprPtr& q : {queries[1], queries[2]}) {
+      ExpectSameOutcome(Evaluate(q, encoded), Evaluate(q, bound),
+                        tag + " query " + ExprToString(*q));
+    }
+    EXPECT_EQ(rows.value() - before, 0u) << tag;
+    EXPECT_TRUE(bound == encoded) << tag;
+    EXPECT_EQ(rows.value() - before, instance.num_edges()) << tag;
+    for (const ExprPtr& q : queries) {
+      ExpectSameOutcome(Evaluate(q, encoded), Evaluate(q, bound),
+                        tag + " query " + ExprToString(*q));
+    }
+    EXPECT_EQ(rows.value() - before, instance.num_edges()) << tag;
+  }
+}
+
+TEST(BindingTest, ReadSetEncodingCountsItsRows) {
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  InstanceGenerator gen(&ds.schema, 7);
+  const Instance instance = gen.RandomInstance({});
+  const Counter& rows = InstanceCosts().encoded_rows;
+  const std::vector<std::string> read = {"Ba", "Df", "self"};
+  const std::uint64_t before = rows.value();
+  const Database db = std::move(EncodeInstance(instance, read)).value();
+  EXPECT_EQ(rows.value() - before,
+            instance.objects(ds.bar).size() +
+                instance.edges(ds.frequents).size());
+  EXPECT_EQ(db.Names(), (std::vector<std::string>{"Ba", "Df"}));
 }
 
 }  // namespace

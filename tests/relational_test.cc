@@ -1,6 +1,7 @@
 // Tests for the relational algebra engine: typed relations, the evaluator
 // for all eight operators, scheme inference, positivity (Definition 5.2),
-// dependencies, and classical algebraic identities as randomized properties.
+// dependencies, classical algebraic identities as randomized properties,
+// and bound relations with the joins that read them by index.
 
 #include <gtest/gtest.h>
 
@@ -450,6 +451,146 @@ TEST_P(AlgebraPropertyTest, ClassicalIdentitiesHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AlgebraPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// -- Bound relations and index builds -----------------------------------------
+
+/// R(x, y) with rows for x = P(0) .. P(n-1), each linked to two Qs.
+SortedPairs MakePairs(std::uint32_t n) {
+  SortedPairs pairs;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    pairs.insert({P(i), Q(i % 3)});
+    pairs.insert({P(i), Q(i % 3 + 1)});
+  }
+  return pairs;
+}
+
+TEST(BoundRelationTest, ReadsLikeTheMaterializedRelation) {
+  const SortedPairs pairs = MakePairs(5);
+  const RelationScheme scheme = MakeScheme({{"x", kP}, {"y", kQ}});
+  Counter materialized;
+  Database bound;
+  ASSERT_TRUE(bound.Bind("R", scheme, &pairs, &materialized).ok());
+  EXPECT_EQ(bound.Bind("U", MakeScheme({{"x", kP}}), &pairs).code(),
+            StatusCode::kInvalidArgument);
+  Database put;
+  Relation r(scheme);
+  for (const auto& [x, y] : pairs) ASSERT_TRUE(r.Insert(Tuple{x, y}).ok());
+  put.Put("R", r);
+
+  // Scheme, size and index reads leave it unmaterialized.
+  EXPECT_EQ(*std::move(bound.FindScheme("R")).value(), scheme);
+  EXPECT_EQ(std::move(bound.FindSize("R")).value(), 10u);
+  ASSERT_NE(bound.FindBound("R"), nullptr);
+  EXPECT_EQ(put.FindBound("R"), nullptr);
+  const BoundRelation::Rows rows = bound.FindBound("R")->RowsWithFirst(P(3));
+  EXPECT_EQ(std::vector(rows.begin(), rows.end()),
+            (std::vector<std::pair<ObjectId, ObjectId>>{{P(3), Q(0)},
+                                                       {P(3), Q(1)}}));
+  EXPECT_TRUE(bound.FindBound("R")->RowsWithFirst(P(9)).empty());
+  EXPECT_EQ(bound.FindSize("Nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(materialized.value(), 0u);
+
+  // A whole read materializes once, shared by copies.
+  const Database copy = bound;
+  EXPECT_TRUE(*std::move(bound.Find("R")).value() == r);
+  EXPECT_EQ(materialized.value(), 10u);
+  EXPECT_EQ(std::move(copy.FindShared("R")).value(),
+            std::move(bound.FindShared("R")).value());
+  EXPECT_TRUE(copy == put);
+  EXPECT_EQ(materialized.value(), 10u);
+
+  // Put replaces a binding.
+  bound.Put("R", Relation(scheme));
+  EXPECT_EQ(bound.FindBound("R"), nullptr);
+  EXPECT_EQ(std::move(bound.FindSize("R")).value(), 0u);
+}
+
+/// Evaluates `expr` with `backend`, returning the result and the logical
+/// counters (rows, probes, build rows).
+std::pair<Relation, std::vector<std::uint64_t>> EvalCounted(
+    const ExprPtr& expr, const Database& db, ExecBackend backend) {
+  MetricsRegistry metrics;
+  Relation out =
+      std::move(Evaluate(expr, db, {.metrics = &metrics, .backend = backend}))
+          .value();
+  return {std::move(out),
+          {metrics.engine.eval_rows.value(),
+           metrics.engine.eval_join_probes.value(),
+           metrics.engine.eval_join_build_rows.value()}};
+}
+
+TEST(BoundRelationTest, IndexBuildsJoinLikeTheMaterializedRelation) {
+  const SortedPairs pairs = MakePairs(64);
+  const RelationScheme scheme = MakeScheme({{"x", kP}, {"y", kQ}});
+  Relation k(MakeScheme({{"k", kP}, {"q", kQ}}));
+  for (std::uint32_t i : {1u, 2u, 5u, 70u}) {
+    ASSERT_TRUE(k.Insert(Tuple{P(i), Q(i % 2)}).ok());
+  }
+  Database bound;
+  ASSERT_TRUE(bound.Bind("R", scheme, &pairs).ok());
+  bound.Put("K", k);
+  Database put;
+  Relation r_rows(scheme);
+  for (const auto& [x, y] : pairs) {
+    ASSERT_TRUE(r_rows.Insert(Tuple{x, y}).ok());
+  }
+  put.Put("R", std::move(r_rows));
+  put.Put("K", k);
+
+  const ExprPtr r = ra::Rel("R");
+  const ExprPtr renamed = ra::Rename(ra::Rename(r, "x", "x2"), "y", "y2");
+  struct Case {
+    ExprPtr expr;
+    bool index;              // whether the lowering reads R by index
+    std::uint64_t build = 0;  // an index build's table rows
+  };
+  // K's keys 1, 2, 5 and 70 select R's rows of P(1), P(2) and P(5).
+  const std::vector<Case> cases = {
+      // Keyed on R's first column, also through ρs, with a second key, a
+      // residual and probe filters.
+      {ra::JoinEq(ra::Rel("K"), r, "k", "x"), true, 6},
+      {ra::JoinEq(ra::Rel("K"), renamed, "k", "x2"), true, 6},
+      {ra::SelectEq(ra::JoinEq(ra::Rel("K"), renamed, "k", "x2"), "q", "y2"),
+       true, 6},
+      {ra::SelectNeq(ra::JoinEq(ra::Rel("K"), renamed, "k", "x2"), "q", "y2"),
+       true, 6},
+      {ra::SelectEq(ra::JoinEq(ra::Rel("K"), renamed, "k", "x2"), "k", "k"),
+       true, 6},
+      {ra::SelectNeq(ra::JoinEq(ra::Rel("K"), renamed, "k", "x2"), "k", "k"),
+       true, 0},
+      // No index: keyed on R's second column, R on the probe side, a
+      // cross product.
+      {ra::JoinEq(ra::Rename(ra::Rel("K"), "q", "q0"), r, "q0", "y"), false},
+      {ra::JoinEq(r, ra::Rename(ra::Rename(ra::Rel("K"), "k", "x3"), "q",
+                                "q3"),
+                  "x", "x3"),
+       false},
+      {ra::Product(ra::Rel("K"), r), false},
+  };
+  for (const Case& c : cases) {
+    const std::string what = ExprToString(*c.expr);
+    PhysicalPlan plan(bound);
+    const PhysicalNode* root = std::move(plan.Lower(*c.expr)).value();
+    const PhysicalNode* join = root;
+    while (join->kind != PhysicalNode::Kind::kJoin &&
+           join->kind != PhysicalNode::Kind::kProduct) {
+      join = join->left;
+    }
+    EXPECT_EQ(join->index != nullptr, c.index) << what;
+
+    const auto [reference, reference_counts] =
+        EvalCounted(c.expr, put, ExecBackend::kInterpreter);
+    for (ExecBackend backend :
+         {ExecBackend::kInterpreter, ExecBackend::kVectorized}) {
+      const auto [result, counts] = EvalCounted(c.expr, bound, backend);
+      const std::string at = what + " " + ExecBackendName(backend);
+      EXPECT_TRUE(result == reference) << at;
+      EXPECT_EQ(counts[0], reference_counts[0]) << at;
+      EXPECT_EQ(counts[1], reference_counts[1]) << at;
+      EXPECT_EQ(counts[2], c.index ? c.build : reference_counts[2]) << at;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace setrec
