@@ -176,7 +176,8 @@ class ImageFacts {
 /// membership search — no Database, name lookup or span. Resolution errors
 /// are kept and reported at the point where evaluating on the canonical
 /// Database would have hit them, so verdicts, errors and counters agree
-/// with that evaluation.
+/// with that evaluation. A chased disjunct that some disjunct of q2 covers
+/// (see Refute) is settled without enumerating the rest of its valuations.
 class CompiledContainment {
  public:
   CompiledContainment(const PositiveQuery& q2, const DependencySet& deps,
@@ -200,16 +201,27 @@ class CompiledContainment {
   /// the FDs for membership of its summary in q2. Returns true, with the
   /// canonical counterexample in `result`, at the first valuation refuting
   /// containment.
+  ///
+  /// After the first valuation found to be a member, the cover is tried
+  /// once: when a strict homomorphism maps some disjunct of q2 into
+  /// `chased`, it composes with every representative valuation into a
+  /// membership witness, so no valuation can refute and the enumeration
+  /// stops. The first valuation is tested first because the enumeration
+  /// visits the coarsest partition first, where refutations usually show.
   Result<bool> Refute(const ConjunctiveQuery& chased, ContainmentResult& result,
                       ExecContext& ctx) {
     const Status layout = facts_.Layout(chased, slots_);
     TraceSpan span = StartSpan(ctx, "homomorphism/membership");
     SearchCounters counters;
+    std::uint64_t valuations = 0;
+    bool try_cover = Coverable(chased);
+    bool covered = false;
     Status inner = Status::OK();
     bool refuted = false;
     const Status enumerated = ForEachRepresentativeValuation(
         chased,
         [&](const std::vector<VarId>& block_of) {
+          ++valuations;
           if (!layout.ok()) {
             inner = layout;
             return false;
@@ -230,7 +242,17 @@ class CompiledContainment {
             inner = member.status();
             return false;
           }
-          if (*member) return true;
+          if (*member) {
+            if (!try_cover) return true;
+            try_cover = false;
+            Result<bool> cover = Covers(chased, ctx);
+            if (!cover.ok()) {
+              inner = cover.status();
+              return false;
+            }
+            covered = *cover;
+            return !covered;
+          }
           Result<CanonicalInstance> canon =
               BuildCanonicalInstance(chased, block_of, slots_.catalog());
           if (!canon.ok()) {
@@ -244,6 +266,10 @@ class CompiledContainment {
         },
         ctx);
     counters.Flush(ctx.metrics());
+    if (MetricsRegistry* metrics = ctx.metrics(); metrics != nullptr) {
+      metrics->engine.containment_valuations.Add(valuations);
+      if (covered) metrics->engine.containment_covered.Add(1);
+    }
     SETREC_RETURN_IF_ERROR(enumerated);
     SETREC_RETURN_IF_ERROR(inner);
     return refuted;
@@ -256,6 +282,33 @@ class CompiledContainment {
     Result<BoundQuery> bound;
     std::vector<std::optional<ObjectId>> binding;
   };
+
+  /// May the cover settle `chased`? Only when no valuation it skips could
+  /// have failed: IsMember reaches a later disjunct of q2 only on a later
+  /// valuation, so every satisfiable disjunct must be bound and match the
+  /// summary's arity. (Every FD has compiled by the time a valuation is
+  /// found a member, and a layout error stops the first valuation.)
+  bool Coverable(const ConjunctiveQuery& chased) const {
+    return std::all_of(members_.begin(), members_.end(), [&](const Member& m) {
+      return m.query->trivially_false() ||
+             (m.bound.ok() &&
+              m.query->summary().size() == chased.summary().size());
+    });
+  }
+
+  /// Does a strict homomorphism map some satisfiable disjunct of q2 into
+  /// `chased`? A ⊥ disjunct maps anywhere vacuously but witnesses nothing,
+  /// so it is skipped. A governance stop is returned, never read as "no".
+  Result<bool> Covers(const ConjunctiveQuery& chased, ExecContext& ctx) {
+    for (const Member& m : members_) {
+      if (m.query->trivially_false()) continue;
+      SETREC_ASSIGN_OR_RETURN(
+          bool hom,
+          HasHomomorphism(*m.query, chased, /*strict_neq=*/true, ctx));
+      if (hom) return true;
+    }
+    return false;
+  }
 
   /// Is the image of `chased`'s summary produced by some disjunct of q2 on
   /// the current image facts? Mirrors TupleInPositiveQuery on the canonical

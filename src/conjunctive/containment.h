@@ -21,13 +21,30 @@ struct ContainmentResult {
 
 /// Decides q1 ⊆_Σ q2 for positive queries under functional and full
 /// inclusion dependencies (Lemma 5.13). The procedure combines the three
-/// classical ingredients exactly as Appendix A does:
+/// classical ingredients as Appendix A does, with one shortcut between the
+/// chase and Klug's enumeration:
 ///
 ///   1. union (Sagiv–Yannakakis): test each disjunct of q1 separately;
 ///   2. dependencies (Johnson–Klug, Lemma A.3): chase the disjunct first;
-///   3. non-equalities (Klug, Theorem A.1): enumerate representative
+///   3. cover (Chandra–Merlin): after the first representative valuation
+///      (step 4) is found to be a member, look once for a disjunct of q2
+///      that maps into the chased disjunct by a strict homomorphism
+///      (HasHomomorphism with strict_neq): summary onto summary, every
+///      conjunct onto a conjunct, every ≠ onto a ≠. Composed with any
+///      representative valuation it is a membership witness, so such a
+///      disjunct is contained and its enumeration stops there;
+///   4. non-equalities (Klug, Theorem A.1): enumerate representative
 ///      valuations of the chased disjunct and test membership of the summary
 ///      image in q2 on each canonical instance.
+///
+/// The cover decides nothing Klug's test would not: verdicts, errors and
+/// the first counterexample are those of the plain enumeration. It is not
+/// tried while a later valuation could still fail on a malformed disjunct
+/// of q2 (unbound, or of another summary arity), and a governance stop
+/// inside it is the call's status. The metrics count representative
+/// valuations visited (`containment.valuations`, FD-rejected ones
+/// included) and chased disjuncts the cover settled
+/// (`containment.covered`).
 ///
 /// One refinement is needed for completeness: a representative valuation may
 /// merge the left-hand sides of a functional dependency without merging its

@@ -49,17 +49,23 @@ Result<Relation> EvaluatePositiveQuery(const PositiveQuery& query,
                                        ExecContext& ctx);
 
 /// Classical homomorphism test (Chandra–Merlin): is there a mapping ψ from
-/// `from`'s variables to `to`'s variables with ψ(conjuncts(from)) ⊆
-/// conjuncts(to) and ψ(summary(from)) = summary(to)? For equality
-/// conjunctive queries this holds iff `to` ⊆ `from` (the Homomorphism
-/// Theorem); with non-equalities it is sufficient for containment only, which
-/// is why the general test goes through representative instances instead.
-/// Non-equalities of `from` must be respected: ψ may not merge ≠-constrained
-/// variables, and every image pair must be ≠-entailed... — this predicate
-/// checks the purely structural condition on conjuncts and summaries and
-/// additionally requires ψ to map `from`'s non-equality pairs to pairs that
-/// are either distinct-and-≠-constrained in `to` or syntactically distinct
-/// when `strict_neq` is false.
+/// `from`'s variables to `to`'s variables, preserving each variable's
+/// domain, with ψ(conjuncts(from)) ⊆ conjuncts(to) and ψ(summary(from)) =
+/// summary(to) position by position? For equality conjunctive queries this
+/// holds iff `to` ⊆ `from` (the Homomorphism Theorem); with non-equalities
+/// a strict one (below) is only sufficient, which is why the general test
+/// goes through representative instances.
+///
+/// Every non-equality x ≠ y of `from` constrains ψ:
+///   * non-strict (`strict_neq` false): ψ(x) and ψ(y) are distinct
+///     variables of `to`;
+///   * strict (`strict_neq` true): in addition, ψ(x) ≠ ψ(y) is a
+///     non-equality of `to`. Only then does ψ composed with any valuation
+///     of `to` that keeps `to`'s non-equalities keep `from`'s, so only a
+///     strict homomorphism shows `to` ⊆ `from`.
+/// A trivially false `from` maps anywhere (true); a trivially false `to`
+/// receives nothing (false). Summaries of different arity are an
+/// InvalidArgument.
 Result<bool> HasHomomorphism(const ConjunctiveQuery& from,
                              const ConjunctiveQuery& to, bool strict_neq,
                              ExecContext& ctx);

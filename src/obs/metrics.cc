@@ -11,6 +11,9 @@ MetricsRegistry::MetricsRegistry() {
   counters_.emplace("homomorphism.candidates", &engine.hom_candidates);
   counters_.emplace("homomorphism.pruned", &engine.hom_pruned);
   counters_.emplace("containment.tests", &engine.containment_tests);
+  counters_.emplace("containment.valuations",
+                    &engine.containment_valuations);
+  counters_.emplace("containment.covered", &engine.containment_covered);
   counters_.emplace("evaluator.rows", &engine.eval_rows);
   counters_.emplace("evaluator.join_probes", &engine.eval_join_probes);
   counters_.emplace("evaluator.join_build_rows",

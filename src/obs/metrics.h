@@ -117,6 +117,8 @@ class MetricsRegistry {
     Counter hom_candidates;        // homomorphism.candidates
     Counter hom_pruned;            // homomorphism.pruned
     Counter containment_tests;     // containment.tests
+    Counter containment_valuations;  // containment.valuations
+    Counter containment_covered;     // containment.covered
     Counter eval_rows;             // evaluator.rows
     Counter eval_join_probes;      // evaluator.join_probes
     Counter eval_join_build_rows;  // evaluator.join_build_rows

@@ -141,6 +141,35 @@ class Compiler {
   std::vector<std::vector<const PhysicalNode*>> regions_;
 };
 
+/// Charges a batch of `n` output rows of `bytes` each with one ChargeRows
+/// and one ChargeMemory. `admitted` is how many of them count as made: all
+/// `n` on success; on a stop, as many as the interpreter's row-by-row
+/// charges would have let through before it — the room the row and memory
+/// budgets had left. A stop at the batch's checkpoint (fault, cancellation,
+/// step budget, deadline) admits none.
+Status ChargeBatch(ExecContext& ctx, std::uint64_t n, std::uint64_t bytes,
+                   const char* probe_point, std::uint64_t& admitted) {
+  const std::uint64_t rows_before = ctx.rows();
+  const std::uint64_t memory_before = ctx.memory_in_use();
+  Status charged = ctx.ChargeRows(n, probe_point);
+  if (charged.ok()) charged = ctx.ChargeMemory(n * bytes, probe_point);
+  admitted = n;
+  if (charged.ok()) return charged;
+  const ExecContext::Limits& limits = ctx.limits();
+  auto room = [](std::uint64_t cap, std::uint64_t used) {
+    return used < cap ? cap - used : 0;
+  };
+  if (limits.max_rows != 0) {
+    admitted = std::min(admitted, room(limits.max_rows, rows_before));
+  }
+  if (limits.max_memory_bytes != 0 && bytes != 0) {
+    admitted = std::min(
+        admitted, room(limits.max_memory_bytes, memory_before) / bytes);
+  }
+  if (admitted == n) admitted = 0;
+  return charged;
+}
+
 }  // namespace
 
 std::size_t EstimatedInputRows(const PhysicalNode& root,
@@ -387,10 +416,11 @@ Result<ColumnTable> Engine::RunOp(
         std::size_t j = 0;
         while (j < r.rows) {
           const std::size_t n = std::min(kBatchWidth, r.rows - j);
-          SETREC_RETURN_IF_ERROR(ctx_->ChargeRows(n, "evaluator/product-row"));
-          SETREC_RETURN_IF_ERROR(
-              ctx_->ChargeMemory(n * tuple_bytes, "evaluator/product-row"));
-          if (metrics != nullptr) metrics->engine.eval_rows.Add(n);
+          std::uint64_t admitted = 0;
+          const Status charged = ChargeBatch(*ctx_, n, tuple_bytes,
+                                             "evaluator/product-row", admitted);
+          if (metrics != nullptr) metrics->engine.eval_rows.Add(admitted);
+          SETREC_RETURN_IF_ERROR(charged);
           for (std::size_t c = 0; c < la; ++c) {
             out.columns[c].insert(out.columns[c].end(), n, l.columns[c][i]);
           }
@@ -504,12 +534,12 @@ Result<ColumnTable> Engine::RunHashJoin(
   pairs.reserve(kBatchWidth);
   auto flush = [&]() -> Status {
     if (pairs.empty()) return Status::OK();
-    const std::uint64_t n = pairs.size();
-    SETREC_RETURN_IF_ERROR(ctx_->ChargeRows(n, "evaluator/join-row"));
-    SETREC_RETURN_IF_ERROR(
-        ctx_->ChargeMemory(n * tuple_bytes, "evaluator/join-row"));
+    std::uint64_t admitted = 0;
+    const Status charged = ChargeBatch(*ctx_, pairs.size(), tuple_bytes,
+                                       "evaluator/join-row", admitted);
     std::uint64_t kept = 0;
-    for (const auto& [li, ri] : pairs) {
+    for (std::size_t p = 0; p < admitted; ++p) {
+      const auto [li, ri] = pairs[p];
       bool ok = true;
       for (const JoinCond& c : node.conds) {
         if (c.role != JoinCond::Role::kResidual) continue;
@@ -534,7 +564,7 @@ Result<ColumnTable> Engine::RunHashJoin(
     }
     if (metrics != nullptr && kept > 0) metrics->engine.eval_rows.Add(kept);
     pairs.clear();
-    return Status::OK();
+    return charged;
   };
   for (std::size_t li = 0; li < left.rows; ++li) {
     if (!lmask[li]) continue;

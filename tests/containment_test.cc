@@ -3,11 +3,14 @@
 // representative-set test for non-equalities (Theorem A.1), union
 // containment (Sagiv–Yannakakis), and containment under dependencies
 // (Lemma 5.13) — cross-validated against exhaustive evaluation on random
-// databases, and the compiled containment test against a reference built
-// from the canonical Database of every representative valuation.
+// databases, and the compiled containment test against two references
+// built from the canonical Database of each representative valuation:
+// Klug's plain enumeration, and the same with the strict-homomorphism
+// cover step.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -376,30 +379,60 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContainmentGroundTruthTest,
 
 // -- Differential suite: compiled containment vs. the canonical Database ----
 
+/// What a reference run counted besides the engine counters.
+struct ReferenceCounts {
+  std::uint64_t fd_rejected = 0;  // valuations the FD filter skipped
+  std::uint64_t valuations = 0;   // representative valuations visited
+  std::uint64_t covered = 0;      // chased disjuncts the cover settled
+};
+
 /// The containment test spelled out over its public per-valuation pieces: a
 /// canonical Database per representative valuation (BuildCanonicalInstance),
 /// the FD filter on it (Satisfies), and membership of the summary in q2
-/// (TupleInPositiveQuery). Counts the FD-rejected valuations.
+/// (TupleInPositiveQuery). Without `cover` this is Klug's plain
+/// enumeration, every valuation of every chased disjunct. With it, the
+/// cover step runs where CheckContainment runs it: after the first
+/// valuation found to be a member, once per chased disjunct, a strict
+/// HasHomomorphism from each satisfiable disjunct of q2 — unless some
+/// satisfiable disjunct of q2 fails to bind or has another summary arity.
 Result<ContainmentResult> ReferenceContainment(const PositiveQuery& q1,
                                                const PositiveQuery& q2,
                                                const DependencySet& deps,
                                                const Catalog& catalog,
-                                               std::uint64_t& fd_rejected,
+                                               bool cover,
+                                               ReferenceCounts& counts,
                                                ExecContext& ctx) {
   if (!(q1.scheme == q2.scheme)) {
     return Status::InvalidArgument(
         "containment requires identical result schemes");
   }
+  const ResolveRelation resolve = [&](const std::string& name)
+      -> Result<std::pair<std::uint32_t, const RelationScheme*>> {
+    SETREC_ASSIGN_OR_RETURN(const RelationScheme* scheme, catalog.Find(name));
+    return std::pair(std::uint32_t{0}, scheme);
+  };
+  auto coverable = [&](const ConjunctiveQuery& chased) {
+    for (const ConjunctiveQuery& q : q2.disjuncts) {
+      if (q.trivially_false()) continue;
+      if (q.summary().size() != chased.summary().size() ||
+          !BindQuery(q, /*summary_bound=*/true, resolve).ok()) {
+        return false;
+      }
+    }
+    return true;
+  };
   ContainmentResult result;
   for (const ConjunctiveQuery& disjunct : q1.disjuncts) {
     SETREC_ASSIGN_OR_RETURN(ConjunctiveQuery chased,
                             ChaseQuery(disjunct, deps, catalog, ctx));
     if (chased.trivially_false()) continue;
+    bool try_cover = cover && coverable(chased);
     Status inner = Status::OK();
     bool refuted = false;
     Status enumerated = ForEachRepresentativeValuation(
         chased,
         [&](const std::vector<VarId>& block_of) {
+          ++counts.valuations;
           Result<CanonicalInstance> canon =
               BuildCanonicalInstance(chased, block_of, catalog);
           if (!canon.ok()) {
@@ -413,7 +446,7 @@ Result<ContainmentResult> ReferenceContainment(const PositiveQuery& q1,
               return false;
             }
             if (!*sat) {
-              ++fd_rejected;
+              ++counts.fd_rejected;
               return true;
             }
           }
@@ -423,7 +456,24 @@ Result<ContainmentResult> ReferenceContainment(const PositiveQuery& q1,
             inner = member.status();
             return false;
           }
-          if (*member) return true;
+          if (*member) {
+            if (!try_cover) return true;
+            try_cover = false;
+            for (const ConjunctiveQuery& q : q2.disjuncts) {
+              if (q.trivially_false()) continue;
+              Result<bool> hom =
+                  HasHomomorphism(q, chased, /*strict_neq=*/true, ctx);
+              if (!hom.ok()) {
+                inner = hom.status();
+                return false;
+              }
+              if (*hom) {
+                ++counts.covered;
+                return false;
+              }
+            }
+            return true;
+          }
           result.counterexample = std::move(canon->database);
           result.counterexample_tuple = std::move(canon->summary);
           refuted = true;
@@ -445,6 +495,8 @@ struct ContainmentRun {
   std::uint64_t steps = 0;
   std::uint64_t candidates = 0;
   std::uint64_t pruned = 0;
+  std::uint64_t valuations = 0;
+  std::uint64_t covered = 0;
 };
 
 template <typename Fn>
@@ -462,34 +514,51 @@ ContainmentRun Observe(Fn&& fn) {
   run.steps = ctx.steps();
   run.candidates = metrics.engine.hom_candidates.value();
   run.pruned = metrics.engine.hom_pruned.value();
+  run.valuations = metrics.engine.containment_valuations.value();
+  run.covered = metrics.engine.containment_covered.value();
   return run;
 }
 
-/// Runs CheckContainment (without simplification) and the reference on the
-/// same input and expects the same verdict, counterexample, status and
-/// work. Returns the reference's FD-rejected valuation count.
-std::uint64_t ExpectSameAsReference(const PositiveQuery& q1,
-                                    const PositiveQuery& q2,
-                                    const DependencySet& deps,
-                                    const Catalog& catalog,
-                                    const std::string& label) {
+/// Expects two runs to agree on status text, verdict and counterexample.
+void ExpectSameOutcome(const ContainmentRun& a, const ContainmentRun& b) {
+  EXPECT_EQ(a.status.ToString(), b.status.ToString());
+  EXPECT_EQ(a.result.contained, b.result.contained);
+  EXPECT_EQ(a.result.counterexample, b.result.counterexample);
+  EXPECT_EQ(a.result.counterexample_tuple, b.result.counterexample_tuple);
+}
+
+/// Runs CheckContainment (without simplification) and both references on
+/// the same input. The compiled test must reach the plain enumeration's
+/// status, verdict and counterexample, and charge exactly the work of the
+/// reference that takes the same cover step. Returns that reference's
+/// counts.
+ReferenceCounts ExpectSameAsReference(const PositiveQuery& q1,
+                                      const PositiveQuery& q2,
+                                      const DependencySet& deps,
+                                      const Catalog& catalog,
+                                      const std::string& label) {
   SCOPED_TRACE(label);
-  std::uint64_t fd_rejected = 0;
+  ReferenceCounts counts;
+  ReferenceCounts plain_counts;
   const ContainmentRun compiled = Observe([&](ExecContext& ctx) {
     return CheckContainment(q1, q2, deps, catalog, /*simplify=*/false, ctx);
   });
   const ContainmentRun reference = Observe([&](ExecContext& ctx) {
-    return ReferenceContainment(q1, q2, deps, catalog, fd_rejected, ctx);
+    return ReferenceContainment(q1, q2, deps, catalog, /*cover=*/true, counts,
+                                ctx);
   });
-  EXPECT_EQ(compiled.status.ToString(), reference.status.ToString());
-  EXPECT_EQ(compiled.result.contained, reference.result.contained);
-  EXPECT_EQ(compiled.result.counterexample, reference.result.counterexample);
-  EXPECT_EQ(compiled.result.counterexample_tuple,
-            reference.result.counterexample_tuple);
+  const ContainmentRun plain = Observe([&](ExecContext& ctx) {
+    return ReferenceContainment(q1, q2, deps, catalog, /*cover=*/false,
+                                plain_counts, ctx);
+  });
+  ExpectSameOutcome(compiled, plain);
+  ExpectSameOutcome(reference, plain);
   EXPECT_EQ(compiled.steps, reference.steps);
   EXPECT_EQ(compiled.candidates, reference.candidates);
   EXPECT_EQ(compiled.pruned, reference.pruned);
-  return fd_rejected;
+  EXPECT_EQ(compiled.valuations, counts.valuations);
+  EXPECT_EQ(compiled.covered, counts.covered);
+  return counts;
 }
 
 /// Both directions of every property reduction of `method`, simplified as
@@ -609,7 +678,8 @@ TEST(ContainmentDifferentialTest, RandomQueriesUnderFdsMatchTheReference) {
       deps.inds.push_back(InclusionDependency{"E", {"y"}, "V"});
     }
     fd_rejected += ExpectSameAsReference(q1, q2, deps, catalog,
-                                         "seed " + std::to_string(seed));
+                                         "seed " + std::to_string(seed))
+                       .fd_rejected;
     auto verdict =
         std::move(CheckContainment(q1, q2, deps, catalog, false, ctx)).value();
     ++(verdict.contained ? contained : refuted);
@@ -679,6 +749,174 @@ TEST(ContainmentDifferentialTest, MalformedInputsFailAsTheReferenceDoes) {
         CheckContainment(q1, q2, c.deps, catalog, false, ctx).status().code(),
         c.code)
         << c.label;
+  }
+
+  // A malformed disjunct of q2 that only a later valuation reaches: the
+  // first valuation of `edge` (a loop) is a member of `loop`, and `edge`
+  // would cover, but the cover must not skip the valuation that fails.
+  const ConjunctiveQuery loop = query({{"E", {0, 0}}}, 1);
+  ConjunctiveQuery wide = edge;
+  wide.set_summary({0, 1});
+  struct Later {
+    const char* label;
+    ConjunctiveQuery bad;
+    StatusCode code;
+  };
+  const std::vector<Later> later = {
+      {"q2's later disjunct has another summary arity", wide,
+       StatusCode::kInvalidArgument},
+      {"q2's later disjunct reads a relation missing from the catalog",
+       missing, StatusCode::kNotFound},
+  };
+  for (const Later& c : later) {
+    const PositiveQuery q1{scheme, {edge}};
+    const PositiveQuery q2{scheme, {loop, c.bad, edge}};
+    ExpectSameAsReference(q1, q2, {}, catalog, c.label);
+    EXPECT_EQ(CheckContainment(q1, q2, {}, catalog, false, ctx).status().code(),
+              c.code)
+        << c.label;
+  }
+}
+
+// -- The cover step ----------------------------------------------------------
+
+/// The single-edge query E(x, y) with summary (x).
+ConjunctiveQuery EdgeQuery() {
+  ConjunctiveQuery q;
+  const VarId x = q.NewVar(kP), y = q.NewVar(kP);
+  q.AddConjunct("E", {x, y});
+  q.set_summary({x});
+  return q;
+}
+
+TEST(ContainmentCoverTest, BottomDisjunctCoversNothing) {
+  // E(x, y) ⊄ {⊥} ∪ {E(w, w)}: the first valuation (x = y) is a member of
+  // the loop disjunct, which does not cover; ⊥ maps into anything but
+  // witnesses nothing, so the refutation at x ≠ y must still be found.
+  ExecContext ctx;
+  const Catalog catalog = GraphCatalog();
+  const RelationScheme scheme = MakeScheme({{"v", kP}});
+  ConjunctiveQuery loop;
+  const VarId w = loop.NewVar(kP);
+  loop.AddConjunct("E", {w, w});
+  loop.set_summary({w});
+  ConjunctiveQuery bottom = loop;
+  bottom.MarkTriviallyFalse();
+  const PositiveQuery q1{scheme, {EdgeQuery()}};
+  const PositiveQuery q2{scheme, {bottom, loop}};
+  ExpectSameAsReference(q1, q2, {}, catalog, "⊥ next to a loop");
+  Result<ContainmentResult> r =
+      CheckContainment(q1, q2, {}, catalog, /*simplify=*/false, ctx);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->contained);
+  ASSERT_TRUE(r->counterexample_tuple.has_value());
+}
+
+TEST(ContainmentCoverTest, StepBudgetInsideTheCoverIsAnError) {
+  const Catalog catalog = GraphCatalog();
+  const PositiveQuery q{MakeScheme({{"v", kP}}), {EdgeQuery()}};
+  FaultInjector observer;
+  observer.set_recording(true);
+  MetricsRegistry metrics;
+  ExecContext observe;
+  observe.set_fault_injector(&observer);
+  observe.set_metrics(&metrics);
+  Result<ContainmentResult> clean =
+      CheckContainment(q, q, {}, catalog, /*simplify=*/false, observe);
+  ASSERT_TRUE(clean.ok());
+  EXPECT_TRUE(clean->contained);
+  EXPECT_EQ(metrics.engine.containment_covered.value(), 1u);
+
+  // A budget of every step before the cover's first node stops at that
+  // node, and the stop is the call's status — not "not covered", which
+  // would resume the enumeration and stop at its next checkpoint instead.
+  const std::vector<std::string> probes = observer.recorded_probes();
+  const auto first =
+      std::find(probes.begin(), probes.end(), "homomorphism/map-node");
+  ASSERT_NE(first, probes.end());
+  ExecContext ctx(ExecContext::StepBudget(
+      static_cast<std::uint64_t>(first - probes.begin())));
+  Result<ContainmentResult> r =
+      CheckContainment(q, q, {}, catalog, /*simplify=*/false, ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status().message(),
+            "step budget exhausted at homomorphism/map-node");
+}
+
+/// RandomGraphQuery with at least one non-equality.
+ConjunctiveQuery RandomNeqGraphQuery(SplitMix64& rng) {
+  ConjunctiveQuery q = RandomGraphQuery(rng);
+  const std::size_t n = q.num_vars();
+  if (q.non_equalities().empty()) {
+    const VarId a = static_cast<VarId>(rng.UniformInt(n));
+    const VarId b = static_cast<VarId>((a + 1 + rng.UniformInt(n - 1)) % n);
+    q.AddNonEquality(a, b);
+  }
+  return q;
+}
+
+TEST(ContainmentDifferentialTest, RandomNonEqualityQueriesMatchBothReferences) {
+  ExecContext ctx;
+  const Catalog catalog = GraphCatalog();
+  const RelationScheme scheme = MakeScheme({{"v", kP}});
+  int covered = 0;
+  int uncovered_contained = 0;
+  int refuted = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SplitMix64 rng(seed + 1000);
+    const PositiveQuery q1{scheme, {RandomNeqGraphQuery(rng)}};
+    PositiveQuery q2{scheme, {}};
+    const std::size_t width = 1 + rng.UniformInt(3);
+    for (std::size_t i = 0; i < width; ++i) {
+      q2.disjuncts.push_back(RandomNeqGraphQuery(rng));
+    }
+    DependencySet deps;
+    if (rng.UniformInt(2) == 0) {
+      deps.fds.push_back(FunctionalDependency{"E", {"x"}, "y"});
+    }
+    const ReferenceCounts counts = ExpectSameAsReference(
+        q1, q2, deps, catalog, "seed " + std::to_string(seed));
+    auto verdict =
+        std::move(CheckContainment(q1, q2, deps, catalog, false, ctx)).value();
+    if (!verdict.contained) {
+      ++refuted;
+    } else if (counts.covered > 0) {
+      ++covered;
+    } else if (counts.valuations > 0) {
+      ++uncovered_contained;
+    }
+  }
+  EXPECT_GT(covered, 0);
+  EXPECT_GT(uncovered_contained, 0);
+  EXPECT_GT(refuted, 0);
+}
+
+TEST(ContainmentCoverTest, CopyExtendDecisionsCountTheirValuations) {
+  // The reduction's heaviest pairs, both directions of both properties.
+  // Key-order: the cover settles all 16 chased disjuncts, each after its
+  // first valuation; the plain enumeration visits 13,656 valuations.
+  // Absolute: both directions of one property are refuted at the first
+  // valuation of a disjunct, after the cover settled the 7 before it; both
+  // directions of the other are contained, with 11 of 13 disjuncts settled
+  // and 2 paying for Klug's enumeration. The plain enumeration visits
+  // 32,146 valuations.
+  PairSchema pairs = std::move(MakePairSchema()).value();
+  auto copy_extend = std::move(MakeCopyExtendMethod(pairs)).value();
+  struct Expected {
+    OrderIndependenceKind kind;
+    std::uint64_t valuations;
+    std::uint64_t covered;
+  };
+  for (const Expected& e :
+       {Expected{OrderIndependenceKind::kAbsolute, 642, 36},
+        Expected{OrderIndependenceKind::kKeyOrder, 16, 16}}) {
+    MetricsRegistry metrics;
+    ASSERT_TRUE(DecideOrderIndependenceCertified(*copy_extend, e.kind,
+                                                 {.metrics = &metrics})
+                    .ok());
+    EXPECT_EQ(metrics.engine.containment_valuations.value(), e.valuations);
+    EXPECT_EQ(metrics.engine.containment_covered.value(), e.covered);
   }
 }
 

@@ -152,11 +152,35 @@ PositiveQuery ChainQuery(int n) {
   return PositiveQuery{MakeScheme({{"v", kP}}), {std::move(q)}};
 }
 
+/// A union that contains ChainQuery(n) but that no strict homomorphism
+/// maps into it: the chain with x0 ≠ x1, and the chain with x1 merged into
+/// x0. Every valuation of the chain is a member of one of the two, so
+/// CheckContainment(ChainQuery(n), SplitChainQuery(n)) pays for all Bell(n)
+/// representative valuations.
+PositiveQuery SplitChainQuery(int n) {
+  PositiveQuery q = ChainQuery(n);
+  ConjunctiveQuery apart = q.disjuncts[0];
+  apart.AddNonEquality(0, 1);
+  ConjunctiveQuery merged;
+  std::vector<VarId> vars;
+  for (int i = 0; i < n; ++i) {
+    vars.push_back(i == 1 ? vars[0] : merged.NewVar(kP));
+  }
+  for (int i = 0; i + 1 < n; ++i) {
+    merged.AddConjunct("E", {vars[static_cast<std::size_t>(i)],
+                             vars[static_cast<std::size_t>(i) + 1]});
+  }
+  merged.set_summary({vars[0]});
+  q.disjuncts = {std::move(apart), std::move(merged)};
+  return q;
+}
+
 TEST(GovernedKernelsTest, ContainmentStopsOnStepBudget) {
-  PositiveQuery q = ChainQuery(12);
+  PositiveQuery q1 = ChainQuery(12);
+  PositiveQuery q2 = SplitChainQuery(12);
   ExecContext ctx(ExecContext::StepBudget(1000));
   Result<ContainmentResult> r =
-      CheckContainment(q, q, DependencySet{}, GraphCatalog(),
+      CheckContainment(q1, q2, DependencySet{}, GraphCatalog(),
                        /*simplify=*/false, ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
@@ -165,11 +189,12 @@ TEST(GovernedKernelsTest, ContainmentStopsOnStepBudget) {
 TEST(GovernedKernelsTest, ContainmentStopsOnDeadline) {
   // Bell(12) ≈ 4.2M representative partitions: far beyond a 5ms deadline,
   // so the call must come back with kDeadlineExceeded — and promptly.
-  PositiveQuery q = ChainQuery(12);
+  PositiveQuery q1 = ChainQuery(12);
+  PositiveQuery q2 = SplitChainQuery(12);
   ExecContext ctx(ExecContext::Deadline(milliseconds(5)));
   const auto start = steady_clock::now();
   Result<ContainmentResult> r =
-      CheckContainment(q, q, DependencySet{}, GraphCatalog(),
+      CheckContainment(q1, q2, DependencySet{}, GraphCatalog(),
                        /*simplify=*/false, ctx);
   const auto elapsed = steady_clock::now() - start;
   ASSERT_FALSE(r.ok());

@@ -743,39 +743,39 @@ TEST(CertificateTest, NonPositiveMethodsAreRejected) {
 /// candidates and counterexample texts. Any change to the containment
 /// search (its order, its checkpoints, its counters) shows up here.
 constexpr char kE13Certificates[] = R"golden({"type":"decision-certificate","method":"add_bar","kind":"absolute","order_independent":true,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":1126,"containment_tests":1,"chase_rounds":105,"hom_candidates":631,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":1117,"containment_tests":1,"chase_rounds":104,"hom_candidates":624,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":841,"containment_tests":1,"chase_rounds":105,"hom_candidates":395,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":844,"containment_tests":1,"chase_rounds":104,"hom_candidates":400,"counterexample":""}
 {"type":"decision-certificate","method":"add_bar","kind":"key-order","order_independent":true,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":579,"containment_tests":1,"chase_rounds":64,"hom_candidates":284,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":572,"containment_tests":1,"chase_rounds":63,"hom_candidates":279,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":395,"containment_tests":1,"chase_rounds":64,"hom_candidates":144,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":390,"containment_tests":1,"chase_rounds":63,"hom_candidates":141,"counterexample":""}
 {"type":"decision-certificate","method":"favorite_bar","kind":"absolute","order_independent":false,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":false,"steps":420,"containment_tests":1,"chase_rounds":50,"hom_candidates":172,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Ba = {(c1#1), (c1#2)}\n  D = {(c0#0)}\n  arg1 = {(c1#2)}\n  arg1' = {(c1#1)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
-{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":false,"steps":425,"containment_tests":1,"chase_rounds":50,"hom_candidates":177,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Ba = {(c1#1), (c1#2)}\n  D = {(c0#0)}\n  arg1 = {(c1#1)}\n  arg1' = {(c1#2)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
+{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":false,"steps":314,"containment_tests":1,"chase_rounds":50,"hom_candidates":100,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Ba = {(c1#1), (c1#2)}\n  D = {(c0#0)}\n  arg1 = {(c1#2)}\n  arg1' = {(c1#1)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
+{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":false,"steps":319,"containment_tests":1,"chase_rounds":50,"hom_candidates":105,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Ba = {(c1#1), (c1#2)}\n  D = {(c0#0)}\n  arg1 = {(c1#1)}\n  arg1' = {(c1#2)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
 {"type":"decision-certificate","method":"favorite_bar","kind":"key-order","order_independent":true,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":230,"containment_tests":1,"chase_rounds":30,"hom_candidates":85,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":229,"containment_tests":1,"chase_rounds":30,"hom_candidates":84,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":183,"containment_tests":1,"chase_rounds":30,"hom_candidates":58,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":182,"containment_tests":1,"chase_rounds":30,"hom_candidates":57,"counterexample":""}
 {"type":"decision-certificate","method":"delete_bar","kind":"absolute","order_independent":true,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":627,"containment_tests":1,"chase_rounds":66,"hom_candidates":326,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":626,"containment_tests":1,"chase_rounds":66,"hom_candidates":325,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":511,"containment_tests":1,"chase_rounds":66,"hom_candidates":250,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":509,"containment_tests":1,"chase_rounds":66,"hom_candidates":248,"counterexample":""}
 {"type":"decision-certificate","method":"likes_serves_bar","kind":"absolute","order_independent":true,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":257,"containment_tests":1,"chase_rounds":58,"hom_candidates":59,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":253,"containment_tests":1,"chase_rounds":58,"hom_candidates":55,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"tt⊆ts","contained":true,"steps":328,"containment_tests":1,"chase_rounds":58,"hom_candidates":118,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"f","direction":"ts⊆tt","contained":true,"steps":320,"containment_tests":1,"chase_rounds":58,"hom_candidates":110,"counterexample":""}
 {"type":"decision-certificate","method":"copy_extend","kind":"absolute","order_independent":false,"properties":2,"tests":4}
-{"type":"containment-test","property":0,"property_name":"a","direction":"tt⊆ts","contained":false,"steps":135641,"containment_tests":1,"chase_rounds":115,"hom_candidates":111689,"counterexample":"witness (c0#0, c0#0) produced by the left query only; canonical database:\n  C = {(c0#0), (c0#1)}\n  arg1 = {(c0#0)}\n  arg1' = {(c0#1)}\n  arg2 = {(c0#0)}\n  arg2' = {(c0#0)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
-{"type":"containment-test","property":0,"property_name":"a","direction":"ts⊆tt","contained":false,"steps":135635,"containment_tests":1,"chase_rounds":114,"hom_candidates":111685,"counterexample":"witness (c0#0, c0#0) produced by the left query only; canonical database:\n  C = {(c0#0), (c0#1)}\n  arg1 = {(c0#1)}\n  arg1' = {(c0#0)}\n  arg2 = {(c0#0)}\n  arg2' = {(c0#0)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
-{"type":"containment-test","property":1,"property_name":"b","direction":"tt⊆ts","contained":true,"steps":190688,"containment_tests":1,"chase_rounds":172,"hom_candidates":165917,"counterexample":""}
-{"type":"containment-test","property":1,"property_name":"b","direction":"ts⊆tt","contained":true,"steps":189519,"containment_tests":1,"chase_rounds":171,"hom_candidates":164750,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"a","direction":"tt⊆ts","contained":false,"steps":945,"containment_tests":1,"chase_rounds":115,"hom_candidates":365,"counterexample":"witness (c0#0, c0#0) produced by the left query only; canonical database:\n  C = {(c0#0), (c0#1)}\n  arg1 = {(c0#0)}\n  arg1' = {(c0#1)}\n  arg2 = {(c0#0)}\n  arg2' = {(c0#0)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
+{"type":"containment-test","property":0,"property_name":"a","direction":"ts⊆tt","contained":false,"steps":939,"containment_tests":1,"chase_rounds":114,"hom_candidates":361,"counterexample":"witness (c0#0, c0#0) produced by the left query only; canonical database:\n  C = {(c0#0), (c0#1)}\n  arg1 = {(c0#1)}\n  arg1' = {(c0#0)}\n  arg2 = {(c0#0)}\n  arg2' = {(c0#0)}\n  self = {(c0#0)}\n  self' = {(c0#0)}\n"}
+{"type":"containment-test","property":1,"property_name":"b","direction":"tt⊆ts","contained":true,"steps":8660,"containment_tests":1,"chase_rounds":172,"hom_candidates":5578,"counterexample":""}
+{"type":"containment-test","property":1,"property_name":"b","direction":"ts⊆tt","contained":true,"steps":8894,"containment_tests":1,"chase_rounds":171,"hom_candidates":5814,"counterexample":""}
 {"type":"decision-certificate","method":"copy_extend","kind":"key-order","order_independent":true,"properties":2,"tests":4}
-{"type":"containment-test","property":0,"property_name":"a","direction":"tt⊆ts","contained":true,"steps":50870,"containment_tests":1,"chase_rounds":51,"hom_candidates":41285,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"a","direction":"ts⊆tt","contained":true,"steps":50868,"containment_tests":1,"chase_rounds":50,"hom_candidates":41285,"counterexample":""}
-{"type":"containment-test","property":1,"property_name":"b","direction":"tt⊆ts","contained":true,"steps":67551,"containment_tests":1,"chase_rounds":74,"hom_candidates":57566,"counterexample":""}
-{"type":"containment-test","property":1,"property_name":"b","direction":"ts⊆tt","contained":true,"steps":66798,"containment_tests":1,"chase_rounds":73,"hom_candidates":56815,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"a","direction":"tt⊆ts","contained":true,"steps":317,"containment_tests":1,"chase_rounds":51,"hom_candidates":82,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"a","direction":"ts⊆tt","contained":true,"steps":315,"containment_tests":1,"chase_rounds":50,"hom_candidates":82,"counterexample":""}
+{"type":"containment-test","property":1,"property_name":"b","direction":"tt⊆ts","contained":true,"steps":529,"containment_tests":1,"chase_rounds":74,"hom_candidates":182,"counterexample":""}
+{"type":"containment-test","property":1,"property_name":"b","direction":"ts⊆tt","contained":true,"steps":524,"containment_tests":1,"chase_rounds":73,"hom_candidates":179,"counterexample":""}
 {"type":"decision-certificate","method":"set_salary","kind":"key-order","order_independent":true,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"Salary","direction":"tt⊆ts","contained":true,"steps":377,"containment_tests":1,"chase_rounds":34,"hom_candidates":174,"counterexample":""}
-{"type":"containment-test","property":0,"property_name":"Salary","direction":"ts⊆tt","contained":true,"steps":374,"containment_tests":1,"chase_rounds":34,"hom_candidates":171,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"Salary","direction":"tt⊆ts","contained":true,"steps":243,"containment_tests":1,"chase_rounds":34,"hom_candidates":70,"counterexample":""}
+{"type":"containment-test","property":0,"property_name":"Salary","direction":"ts⊆tt","contained":true,"steps":242,"containment_tests":1,"chase_rounds":34,"hom_candidates":69,"counterexample":""}
 {"type":"decision-certificate","method":"set_salary_from_manager","kind":"key-order","order_independent":false,"properties":1,"tests":2}
-{"type":"containment-test","property":0,"property_name":"Salary","direction":"tt⊆ts","contained":false,"steps":174,"containment_tests":1,"chase_rounds":21,"hom_candidates":70,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Emp = {(c0#0), (c0#2)}\n  EmpManager = {(c0#0, c0#2)}\n  EmpSalary = {(c0#2, c1#1)}\n  NS = {(c2#3)}\n  NSNew = {(c2#3, c1#1)}\n  NSOld = {(c2#3, c1#1)}\n  Val = {(c1#1)}\n  self = {(c0#0)}\n  self' = {(c0#2)}\n"}
-{"type":"containment-test","property":0,"property_name":"Salary","direction":"ts⊆tt","contained":false,"steps":168,"containment_tests":1,"chase_rounds":21,"hom_candidates":65,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Emp = {(c0#0), (c0#2)}\n  EmpManager = {(c0#0, c0#2)}\n  EmpSalary = {(c0#2, c1#1)}\n  NS = {(c2#3)}\n  NSNew = {(c2#3, c1#1)}\n  NSOld = {(c2#3, c1#1)}\n  Val = {(c1#1)}\n  self = {(c0#2)}\n  self' = {(c0#0)}\n"}
+{"type":"containment-test","property":0,"property_name":"Salary","direction":"tt⊆ts","contained":false,"steps":204,"containment_tests":1,"chase_rounds":21,"hom_candidates":99,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Emp = {(c0#0), (c0#2)}\n  EmpManager = {(c0#0, c0#2)}\n  EmpSalary = {(c0#2, c1#1)}\n  NS = {(c2#3)}\n  NSNew = {(c2#3, c1#1)}\n  NSOld = {(c2#3, c1#1)}\n  Val = {(c1#1)}\n  self = {(c0#0)}\n  self' = {(c0#2)}\n"}
+{"type":"containment-test","property":0,"property_name":"Salary","direction":"ts⊆tt","contained":false,"steps":194,"containment_tests":1,"chase_rounds":21,"hom_candidates":90,"counterexample":"witness (c0#0, c1#1) produced by the left query only; canonical database:\n  Emp = {(c0#0), (c0#2)}\n  EmpManager = {(c0#0, c0#2)}\n  EmpSalary = {(c0#2, c1#1)}\n  NS = {(c2#3)}\n  NSNew = {(c2#3, c1#1)}\n  NSOld = {(c2#3, c1#1)}\n  Val = {(c1#1)}\n  self = {(c0#2)}\n  self' = {(c0#0)}\n"}
 )golden";
 
 TEST(CertificateTest, E13CertificatesArePinnedByteForByte) {

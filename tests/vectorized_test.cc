@@ -293,6 +293,68 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------------
+// Row budgets: a batch stop counts what the row-by-row interpreter counts
+// ---------------------------------------------------------------------------
+
+/// RunCounted under a row budget of `max_rows`.
+CountedRun RunUnderRowBudget(const ExprPtr& expr, const Database& db,
+                             ExecBackend backend, std::uint64_t max_rows) {
+  MetricsRegistry metrics;
+  ExecContext::Limits limits;
+  limits.max_rows = max_rows;
+  ExecContext ctx(limits);
+  ctx.set_metrics(&metrics);
+  ExecOptions options;
+  options.ctx = &ctx;
+  options.backend = backend;
+  CountedRun run{Evaluate(expr, db, options), {}};
+  run.counters = LogicalCounters(metrics);
+  return run;
+}
+
+/// The vectorized engine charges a batch of output rows at once; when the
+/// budget stops the batch, it counts the rows the interpreter's per-row
+/// charges would have made before the stop, so `evaluator.rows` and every
+/// other logical counter agree across backends. (Without residual
+/// conditions every admitted pair is kept, so the count does not depend on
+/// the order in which the engines enumerate pairs.)
+TEST(VectorizedBudgetTest, RowBudgetStopCountsTheRowsItAdmitted) {
+  Database db;
+  auto fill = [&](const char* name, std::vector<Attribute> attrs,
+                  std::uint32_t rows, bool key_first) {
+    Relation r(MakeScheme(std::move(attrs)));
+    for (std::uint32_t i = 0; i < rows; ++i) {
+      EXPECT_TRUE(
+          r.Insert(key_first ? Tuple{P(0), P(i)} : Tuple{P(i), P(0)}).ok());
+    }
+    db.Put(name, std::move(r));
+  };
+  fill("A", {{"x", kP}, {"y", kP}}, 8, /*key_first=*/false);
+  fill("C", {{"z", kP}, {"w", kP}}, 8, /*key_first=*/true);
+  fill("B", {{"x", kP}, {"y", kP}}, 3, /*key_first=*/false);
+  fill("D", {{"z", kP}, {"w", kP}}, 4, /*key_first=*/true);
+  const std::vector<std::pair<const char*, ExprPtr>> cases = {
+      {"8 x 8 one-key join", ra::JoinEq(ra::Rel("A"), ra::Rel("C"), "y", "z")},
+      {"3 x 4 product", ra::Product(ra::Rel("B"), ra::Rel("D"))},
+  };
+  for (const auto& [label, expr] : cases) {
+    SCOPED_TRACE(label);
+    const CountedRun interp =
+        RunUnderRowBudget(expr, db, ExecBackend::kInterpreter, 5);
+    const CountedRun vec =
+        RunUnderRowBudget(expr, db, ExecBackend::kVectorized, 5);
+    ASSERT_FALSE(interp.result.ok());
+    ASSERT_FALSE(vec.result.ok());
+    EXPECT_EQ(interp.result.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(interp.result.status().ToString(),
+              vec.result.status().ToString());
+    EXPECT_EQ(interp.counters.at("evaluator.rows"), 5u);
+    EXPECT_EQ(vec.counters.at("evaluator.rows"), 5u);
+    EXPECT_EQ(interp.counters, vec.counters);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE backend annotation
 // ---------------------------------------------------------------------------
 

@@ -49,6 +49,26 @@ def check_bench(path):
         errors += check_incremental(path, doc)
     if "vectorized" in os.path.basename(path):
         errors += check_vectorized(path, doc)
+    if "decision" in os.path.basename(path):
+        errors += check_decision(path, doc)
+    return errors
+
+
+def check_decision(path, doc):
+    """The decision bench must say where its time goes: every
+    BM_Decide_* row carries the reduction's union width (union_branches),
+    the representative valuations one decision visits (valuations) and the
+    chased disjuncts the strict-homomorphism cover settles (covered)."""
+    errors = 0
+    rows = [row for row in doc.get("benchmarks") or []
+            if row.get("name", "").startswith("BM_Decide_")]
+    if not rows:
+        errors += fail(path, 'no "BM_Decide_" rows')
+    for row in rows:
+        for key in ("union_branches", "valuations", "covered"):
+            if not isinstance(row.get(key), (int, float)):
+                errors += fail(path, f'benchmark "{row["name"]}" lacks '
+                               f'counter "{key}"')
     return errors
 
 
