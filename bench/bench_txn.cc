@@ -4,10 +4,12 @@
 // lock-free via the Theorem 5.12 certificate) and (b) a deliberately
 // conflicting MVCC mix where every transaction writes the same (drinker,
 // property) slot, so first-committer-wins aborts, retries and possibly the
-// serial-mode degradation all show up in the counters.
+// serial-mode degradation all show up in the counters. BM_MvccCommitAtSize
+// times one-edge MVCC commits on stores of 1k to 100k objects.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -152,6 +154,70 @@ BENCHMARK(BM_TxnConflictingCommits)
     ->Arg(4)
     ->Arg(8)
     ->Iterations(20)
+    ->Unit(benchmark::kMillisecond);
+
+/// The MVCC commit gate: one-edge TxnManager::Mutate commits on stores of
+/// growing size. The snapshot shares the store's chunks and the write
+/// clones only the chunk it touches, so the latency stays flat across the
+/// sweep as BM_CommitLatencyAtSize's does; `cloned_items` is the items
+/// cloned per commit. Wall clock: the fsync is most of it.
+void BM_MvccCommitAtSize(benchmark::State& state) {
+  const auto objects = static_cast<std::uint32_t>(state.range(0));
+  DrinkersSchema ds = std::move(MakeDrinkersSchema()).value();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "setrec_bench_txn" /
+      ("mvcc-at-" + std::to_string(objects));
+  std::filesystem::remove_all(dir);
+  auto store = std::move(DurableStore::Open(dir.string(), &ds.schema)).value();
+  const std::uint32_t pairs = objects / 2;
+  if (!store
+           ->Mutate([&](Instance& inst, ExecContext&) {
+             for (std::uint32_t k = 0; k < pairs; ++k) {
+               SETREC_RETURN_IF_ERROR(inst.AddObject(ObjectId(ds.drinker, k)));
+               SETREC_RETURN_IF_ERROR(inst.AddObject(ObjectId(ds.bar, k)));
+             }
+             for (std::uint32_t k = 0; k < pairs; ++k) {
+               SETREC_RETURN_IF_ERROR(inst.AddEdge(ObjectId(ds.drinker, k),
+                                                   ds.frequents,
+                                                   ObjectId(ds.bar, k)));
+             }
+             return Status::OK();
+           })
+           .ok()) {
+    std::abort();
+  }
+  CommutativityCache cache;
+  TxnManager mgr(store.get(), &cache);
+  const Counter& cloned = InstanceCosts().cloned_items;
+  const std::uint64_t cloned_before = cloned.value();
+  std::uint32_t k = 0;
+  for (auto _ : state) {
+    // Toggle one edge D(k) -> Ba(k+1): added on even passes, removed on odd.
+    const ObjectId drinker(ds.drinker, (k / 2) % pairs);
+    const ObjectId bar(ds.bar, ((k / 2) + 1) % pairs);
+    ++k;
+    Status s = mgr.Mutate([&](Instance& inst, ExecContext&) {
+      return inst.HasEdge(drinker, ds.frequents, bar)
+                 ? inst.RemoveEdge(drinker, ds.frequents, bar)
+                 : inst.AddEdge(drinker, ds.frequents, bar);
+    });
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["objects"] =
+      static_cast<double>(store->instance().num_objects());
+  state.counters["cloned_items"] =
+      static_cast<double>(cloned.value() - cloned_before) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_MvccCommitAtSize)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -9,9 +9,13 @@
 namespace setrec {
 
 namespace {
-const std::set<ObjectId> kEmptyObjects;
-const std::set<std::pair<ObjectId, ObjectId>> kEmptyEdges;
+const ChunkedSet<ObjectId> kEmptyObjects;
+const ChunkedSet<std::pair<ObjectId, ObjectId>> kEmptyEdges;
 }  // namespace
+
+void CountClonedItems(std::size_t items) {
+  InstanceCosts().cloned_items.Add(items);
+}
 
 /// The recorded mutations of the open journal scopes, oldest first. Object
 /// operations keep their object in `edge.source`; an assignment keeps the
@@ -56,34 +60,12 @@ Instance::Instance(Instance&& other) noexcept
       objects_(std::move(other.objects_)),
       edges_(std::move(other.edges_)) {}
 
-namespace {
-
-/// `to = from` for a map of sets, assigning set by set: a set's copy
-/// assignment reuses its nodes, while the map's own would destroy every
-/// inner set and allocate it anew.
-template <typename Map>
-void AssignReusingNodes(Map& to, const Map& from) {
-  auto t = to.begin();
-  for (const auto& [key, value] : from) {
-    while (t != to.end() && t->first < key) t = to.erase(t);
-    if (t != to.end() && t->first == key) {
-      t->second = value;
-      ++t;
-    } else {
-      to.emplace_hint(t, key, value);
-    }
-  }
-  to.erase(t, to.end());
-}
-
-}  // namespace
-
 Instance& Instance::operator=(const Instance& other) {
   if (this == &other) return *this;
   if (journal_ != nullptr) JournalAssignment(other);
   schema_ = other.schema_;
-  AssignReusingNodes(objects_, other.objects_);
-  AssignReusingNodes(edges_, other.edges_);
+  objects_ = other.objects_;
+  edges_ = other.edges_;
   InstanceCosts().copies.Add(1);
   return *this;
 }
@@ -110,7 +92,7 @@ Status Instance::AddObject(ObjectId object) {
   if (!schema_->HasClass(object.class_id())) {
     return Status::InvalidArgument("object class unknown to schema");
   }
-  const bool inserted = objects_[object.class_id()].insert(object).second;
+  const bool inserted = objects_[object.class_id()].insert(object);
   if (inserted && journal_ != nullptr) {
     journal_->Object(Journal::Op::kAddObject, object);
   }
@@ -131,7 +113,7 @@ Status Instance::AddEdge(ObjectId source, PropertyId property,
     return Status::FailedPrecondition(
         "edge endpoints must be present in the instance");
   }
-  const bool inserted = edges_[property].emplace(source, target).second;
+  const bool inserted = edges_[property].insert({source, target});
   if (inserted && journal_ != nullptr) {
     journal_->EdgeOp(Journal::Op::kAddEdge, source, property, target);
   }
@@ -157,25 +139,29 @@ Status Instance::RemoveObject(ObjectId object) {
     return Status::OK();
   }
   // Drop incident edges so the graph stays proper. Typing confines them to
-  // properties whose source or target class is the object's class.
+  // properties whose source or target class is the object's class. The
+  // scan for incoming edges reads every pair but writes (and so clones)
+  // only the chunks it removes from.
   for (auto eit = edges_.begin(); eit != edges_.end();) {
-    const Schema::PropertyDef& def = schema_->property(eit->first);
+    const PropertyId property = eit->first;
+    const Schema::PropertyDef& def = schema_->property(property);
     auto& pairs = eit->second;
-    auto drop = [&](auto pit) {
+    auto drop = [&](const std::pair<ObjectId, ObjectId>& pair) {
       if (journal_ != nullptr) {
-        journal_->EdgeOp(Journal::Op::kRemoveEdge, pit->first, eit->first,
-                         pit->second);
+        journal_->EdgeOp(Journal::Op::kRemoveEdge, pair.first, property,
+                         pair.second);
       }
-      return pairs.erase(pit);
+      return true;
     };
     if (def.source == cls) {
-      auto lo = pairs.lower_bound({object, ObjectId(0, 0)});
-      while (lo != pairs.end() && lo->first == object) lo = drop(lo);
+      pairs.erase_run({object, ObjectId(0, 0)}, [&](const auto& pair) {
+        return pair.first == object && drop(pair);
+      });
     }
     if (def.target == cls) {
-      for (auto pit = pairs.begin(); pit != pairs.end();) {
-        pit = pit->second == object ? drop(pit) : std::next(pit);
-      }
+      pairs.erase_if([&](const auto& pair) {
+        return pair.second == object && drop(pair);
+      });
     }
     eit = pairs.empty() ? edges_.erase(eit) : std::next(eit);
   }
@@ -189,13 +175,13 @@ Status Instance::ClearEdgesFrom(ObjectId source, PropertyId property) {
   auto it = edges_.find(property);
   if (it == edges_.end()) return Status::OK();
   auto& pairs = it->second;
-  auto lo = pairs.lower_bound({source, ObjectId(0, 0)});
-  while (lo != pairs.end() && lo->first == source) {
+  pairs.erase_run({source, ObjectId(0, 0)}, [&](const auto& pair) {
+    if (pair.first != source) return false;
     if (journal_ != nullptr) {
-      journal_->EdgeOp(Journal::Op::kRemoveEdge, source, property, lo->second);
+      journal_->EdgeOp(Journal::Op::kRemoveEdge, source, property, pair.second);
     }
-    lo = pairs.erase(lo);
-  }
+    return true;
+  });
   if (pairs.empty()) edges_.erase(it);
   return Status::OK();
 }
@@ -212,7 +198,7 @@ void Instance::EraseObjectRaw(ObjectId object) {
 }
 
 void Instance::InsertEdgeRaw(const Edge& e) {
-  edges_[e.property].emplace(e.source, e.target);
+  edges_[e.property].insert({e.source, e.target});
 }
 
 void Instance::EraseEdgeRaw(const Edge& e) {
@@ -244,12 +230,12 @@ bool Instance::HasEdge(ObjectId source, PropertyId property,
   return it != edges_.end() && it->second.contains({source, target});
 }
 
-const std::set<ObjectId>& Instance::objects(ClassId class_id) const {
+const ChunkedSet<ObjectId>& Instance::objects(ClassId class_id) const {
   auto it = objects_.find(class_id);
   return it == objects_.end() ? kEmptyObjects : it->second;
 }
 
-const std::set<std::pair<ObjectId, ObjectId>>& Instance::edges(
+const ChunkedSet<std::pair<ObjectId, ObjectId>>& Instance::edges(
     PropertyId property) const {
   auto it = edges_.find(property);
   return it == edges_.end() ? kEmptyEdges : it->second;

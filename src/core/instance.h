@@ -5,10 +5,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "core/chunked_set.h"
 #include "core/ids.h"
 #include "core/schema.h"
 #include "core/status.h"
@@ -36,6 +36,12 @@ struct Edge {
 /// Equality is full graph equality (same objects, same edges), which is the
 /// notion of sameness used by all order-independence definitions.
 ///
+/// Storage. Each class's objects and each property's (source, target)
+/// pairs are a ChunkedSet: sorted chunks shared copy-on-write. So copying an
+/// instance costs O(classes + properties) pointer copies and copies no
+/// item; a later write to either side clones only the chunk it touches
+/// (counted in InstanceCosts().cloned_items).
+///
 /// Mutation journal. While a journal scope is open (BeginJournal), every
 /// *effective* mutation is recorded — a no-op (adding a present item,
 /// removing an absent one) records nothing; RemoveObject records each
@@ -53,13 +59,12 @@ class Instance {
   /// An empty instance of `schema`; the schema must outlive the instance.
   explicit Instance(const Schema* schema);
 
-  /// Copies the graph, never the journal. Counted in InstanceCosts().copies.
+  /// Shares the graph (see Storage), never the journal. Counted in
+  /// InstanceCosts().copies.
   Instance(const Instance& other);
   Instance(Instance&& other) noexcept;
   /// Replaces the graph. A copy is counted in InstanceCosts().copies; on a
   /// journaling instance the replacement is recorded as one DiffInstances.
-  /// A copy reuses this instance's set nodes, so assigning into a kept
-  /// instance of similar size allocates almost nothing.
   Instance& operator=(const Instance& other);
   Instance& operator=(Instance&& other);
   ~Instance();
@@ -96,10 +101,10 @@ class Instance {
   bool HasEdge(ObjectId source, PropertyId property, ObjectId target) const;
 
   /// The class C of `class_id` — all objects labeled by that class name.
-  const std::set<ObjectId>& objects(ClassId class_id) const;
+  const ChunkedSet<ObjectId>& objects(ClassId class_id) const;
 
   /// All (source, target) pairs linked by `property`, in sorted order.
-  const std::set<std::pair<ObjectId, ObjectId>>& edges(
+  const ChunkedSet<std::pair<ObjectId, ObjectId>>& edges(
       PropertyId property) const;
 
   /// Targets of `property` edges leaving `source`, in sorted order.
@@ -156,8 +161,8 @@ class Instance {
 
   const Schema* schema_;
   // Keyed maps keep iteration deterministic; absent keys mean empty sets.
-  std::map<ClassId, std::set<ObjectId>> objects_;
-  std::map<PropertyId, std::set<std::pair<ObjectId, ObjectId>>> edges_;
+  std::map<ClassId, ChunkedSet<ObjectId>> objects_;
+  std::map<PropertyId, ChunkedSet<std::pair<ObjectId, ObjectId>>> edges_;
   // Null when no journal scope is open.
   std::unique_ptr<Journal> journal_;
 };
@@ -213,15 +218,17 @@ Status RunJournaled(
     InstanceDelta* committed = nullptr);
 
 /// Process-wide counts of the work whose cost grows with the whole
-/// instance rather than with a statement's change: full Instance copies
-/// (copy construction and copy assignment), DiffInstances calls,
-/// EncodeInstance calls that encode every relation, and the rows
-/// materialized from an instance into relations (by either EncodeInstance
-/// overload, BindInstance's class relations, or a bound relation's first
-/// whole read; objrel/encoding.h). Counts only grow; tests pin per-commit
-/// differences of them.
+/// instance rather than with a statement's change: Instance copies (copy
+/// construction and copy assignment; each shares the graph, see Storage),
+/// the items a write copies when it clones a chunk that a copy shares,
+/// DiffInstances calls, EncodeInstance calls that encode every relation,
+/// and the rows materialized from an instance into relations (by either
+/// EncodeInstance overload, BindInstance's class relations, or a bound
+/// relation's first whole read; objrel/encoding.h). Counts only grow;
+/// tests pin per-commit differences of them.
 struct InstanceCostCounters {
   Counter copies;
+  Counter cloned_items;
   Counter diffs;
   Counter encodes;
   Counter encoded_rows;

@@ -59,8 +59,13 @@ PartialInstance::PartialInstance(const Schema* schema) : schema_(schema) {
 
 PartialInstance PartialInstance::FromInstance(const Instance& instance) {
   PartialInstance out(&instance.schema());
-  out.objects_ = instance.objects_;
-  out.edges_ = instance.edges_;
+  for (const auto& [cls, objs] : instance.objects_) {
+    out.objects_.emplace(cls, std::set<ObjectId>(objs.begin(), objs.end()));
+  }
+  for (const auto& [property, pairs] : instance.edges_) {
+    out.edges_.emplace(property, std::set<std::pair<ObjectId, ObjectId>>(
+                                     pairs.begin(), pairs.end()));
+  }
   return out;
 }
 
@@ -153,11 +158,11 @@ PartialInstance PartialInstance::Restrict(const Instance& instance,
   PartialInstance out(&instance.schema());
   for (ClassId c : items.classes()) {
     const auto& objs = instance.objects(c);
-    if (!objs.empty()) out.objects_[c] = objs;
+    if (!objs.empty()) out.objects_[c].insert(objs.begin(), objs.end());
   }
   for (PropertyId p : items.properties()) {
     const auto& pairs = instance.edges(p);
-    if (!pairs.empty()) out.edges_[p] = pairs;
+    if (!pairs.empty()) out.edges_[p].insert(pairs.begin(), pairs.end());
   }
   return out;
 }

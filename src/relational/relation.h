@@ -5,13 +5,13 @@
 #include <memory>
 #include <mutex>
 #include <ranges>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/chunked_set.h"
 #include "relational/schema.h"
 #include "relational/tuple.h"
 
@@ -148,7 +148,7 @@ class Counter;
 /// The rows of a binary relation kept outside the relational layer, as
 /// sorted (first, second) pairs: an index on the first column.
 /// Instance::edges(p) has this type.
-using SortedPairs = std::set<std::pair<ObjectId, ObjectId>>;
+using SortedPairs = ChunkedSet<std::pair<ObjectId, ObjectId>>;
 
 /// A binary relation borrowed from a SortedPairs without copying it
 /// (Database::Bind). Reading the rows of one first-column value costs the

@@ -414,16 +414,9 @@ Status DurableStore::CheckpointLocked() {
 }
 
 Instance DurableStore::SnapshotState(std::uint64_t* sequence) const {
-  Instance out(schema_);
-  SnapshotStateInto(out, sequence);
-  return out;
-}
-
-void DurableStore::SnapshotStateInto(Instance& out,
-                                     std::uint64_t* sequence) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (sequence != nullptr) *sequence = wal_.next_sequence() - 1;
-  out = instance_;
+  return instance_;
 }
 
 std::uint64_t DurableStore::last_sequence() const {

@@ -203,16 +203,13 @@ class DurableStore {
   // -- Observers --------------------------------------------------------------
 
   /// Copy of the current committed state (taken under the store mutex).
-  /// When `sequence` is non-null it receives the last acknowledged commit
-  /// sequence *of that same state* — one atomic read, so a replication
-  /// snapshot is always labeled with exactly the sequence it covers.
+  /// The copy shares the store's chunks (core/instance.h), so it costs
+  /// O(classes + properties) and clones nothing; the store's next write to
+  /// a chunk the copy still holds clones that chunk. When `sequence` is
+  /// non-null it receives the last acknowledged commit sequence *of that
+  /// same state* — one atomic read, so a replication snapshot is always
+  /// labeled with exactly the sequence it covers.
   Instance SnapshotState(std::uint64_t* sequence = nullptr) const;
-
-  /// SnapshotState into `out` by copy assignment, which reuses the set
-  /// nodes `out` already holds: a caller that keeps its snapshot instance
-  /// does not allocate and free the whole graph per snapshot.
-  void SnapshotStateInto(Instance& out,
-                         std::uint64_t* sequence = nullptr) const;
 
   /// Borrowed view for single-threaded use; not synchronized against a
   /// concurrent Checkpoint/Commit from another thread.

@@ -179,36 +179,19 @@ void TxnManager::RecordOutcome(bool conflicted) {
 
 // -- Version chain ------------------------------------------------------------
 
-std::unique_ptr<Instance> TxnManager::TakeSnapshot(std::uint64_t* version) {
+Instance TxnManager::TakeSnapshot(std::uint64_t* version) {
   {
     std::lock_guard<std::mutex> lock(chain_mu_);
     *version = version_;
     active_snapshots_.insert(version_);
   }
-  std::unique_ptr<Instance> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(spare_mu_);
-    if (!spare_snapshots_.empty()) {
-      snapshot = std::move(spare_snapshots_.back());
-      spare_snapshots_.pop_back();
-    }
-  }
   // Read the instance *after* the version: a commit landing in between makes
   // the snapshot strictly newer than its version, which can only cause a
   // spurious conflict (safe), never a missed one.
-  if (snapshot == nullptr) {
-    return std::make_unique<Instance>(store_->SnapshotState());
-  }
-  store_->SnapshotStateInto(*snapshot);
-  return snapshot;
+  return store_->SnapshotState();
 }
 
-void TxnManager::ReleaseSnapshot(std::uint64_t version,
-                                 std::unique_ptr<Instance> snapshot) {
-  {
-    std::lock_guard<std::mutex> lock(spare_mu_);
-    spare_snapshots_.push_back(std::move(snapshot));
-  }
+void TxnManager::ReleaseSnapshot(std::uint64_t version) {
   std::lock_guard<std::mutex> lock(chain_mu_);
   auto it = active_snapshots_.find(version);
   if (it != active_snapshots_.end()) active_snapshots_.erase(it);
@@ -335,13 +318,14 @@ Status TxnManager::AttemptMvcc(
     const std::function<Status(Instance&, ExecContext&)>& body) {
   TraceSpan span(options_.tracer, "txn/mvcc-attempt");
   std::uint64_t snapshot_version = 0;
-  // The snapshot is this attempt's private copy: the body runs on it under
-  // a journal, which yields the write set without a second copy or a diff.
-  std::unique_ptr<Instance> kept = TakeSnapshot(&snapshot_version);
-  Instance& snapshot = *kept;
   Status result = [&]() -> Status {
     InstanceDelta delta;
     {
+      // The snapshot is this attempt's private copy: the body runs on it
+      // under a journal, which yields the write set without a second copy
+      // or a diff. It is dropped before the commit, so the store writes in
+      // place the chunks that only the snapshot shared.
+      Instance snapshot = TakeSnapshot(&snapshot_version);
       ExecContext ctx(options_.limits);
       Configure(ctx);
       SETREC_RETURN_IF_ERROR(RunJournaled(
@@ -370,7 +354,7 @@ Status TxnManager::AttemptMvcc(
     SubmitCommit(pending);
     return pending.result;
   }();
-  ReleaseSnapshot(snapshot_version, std::move(kept));
+  ReleaseSnapshot(snapshot_version);
   return result;
 }
 

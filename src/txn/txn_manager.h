@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -171,12 +170,10 @@ class TxnManager {
   bool HasConflict(std::uint64_t snapshot_version,
                    const Footprint& footprint) const;
 
-  /// An MVCC attempt's private copy of the store, assigned into a spare
-  /// instance when one is free (reusing its nodes), and its release, which
-  /// keeps the instance for the next attempt.
-  std::unique_ptr<Instance> TakeSnapshot(std::uint64_t* version);
-  void ReleaseSnapshot(std::uint64_t version,
-                       std::unique_ptr<Instance> snapshot);
+  /// An MVCC attempt's private copy of the store (a copy-on-write share,
+  /// core/instance.h) at `*version`, and the release of that version.
+  Instance TakeSnapshot(std::uint64_t* version);
+  void ReleaseSnapshot(std::uint64_t version);
   void PruneChainLocked();
 
   /// Feeds the degradation window and flips serial mode at the thresholds.
@@ -206,11 +203,6 @@ class TxnManager {
   bool serial_mode_ = false;
   /// Held for the whole transaction in serial mode.
   std::mutex serial_gate_;
-
-  // -- Spare snapshot instances (spare_mu_), at most one per concurrent
-  // MVCC attempt ---------------------------------------------------------------
-  std::mutex spare_mu_;
-  std::vector<std::unique_ptr<Instance>> spare_snapshots_;
 
   // -- Version chain (chain_mu_) ----------------------------------------------
   mutable std::mutex chain_mu_;

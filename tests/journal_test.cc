@@ -183,6 +183,35 @@ TEST_F(JournalTest, RandomProgramsMatchTheDiffOracle) {
   EXPECT_GT(nonempty, 32u);
 }
 
+/// The seeded programs above, run on an instance that shares its chunks
+/// with a copy taken before the scope opens: neither the program, nor its
+/// rollback, nor its commit may change the copy.
+TEST_F(JournalTest, ACopyTakenBeforeTheScopeNeverChanges) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    for (const bool commit : {false, true}) {
+      Instance instance = Generate(seed);
+      const Instance copy = instance;
+      const std::vector<ObjectId> objects = copy.AllObjects();
+      const std::vector<Edge> edges = copy.AllEdges();
+      SplitMix64 rng(seed * 7919 + 3);
+      const std::size_t length = 1 + rng.UniformInt(12);
+      instance.BeginJournal();
+      for (std::size_t i = 0; i < length; ++i) {
+        MutateOnce(instance, ds_.schema, rng, seed);
+      }
+      EXPECT_EQ(copy.AllObjects(), objects) << "seed " << seed;
+      EXPECT_EQ(copy.AllEdges(), edges) << "seed " << seed;
+      if (!commit) {
+        instance.Rollback();
+        EXPECT_TRUE(instance == copy) << "seed " << seed;
+      }
+      instance.EndJournal();
+      EXPECT_EQ(copy.AllObjects(), objects) << "seed " << seed;
+      EXPECT_EQ(copy.AllEdges(), edges) << "seed " << seed;
+    }
+  }
+}
+
 TEST_F(JournalTest, NoOpsRecordNothing) {
   Instance instance = Generate(5);
   const Instance before = instance;

@@ -928,6 +928,47 @@ TEST_F(ReplicationTest, ReplicaQueriesEncodeOnlyWhatTheyRead) {
   EXPECT_EQ(InstanceCosts().encoded_rows.value() - rows, 10u * 2u);
 }
 
+/// A from-scratch query reads a copy of the served instance. The copy
+/// shares its chunks, so neither the read nor the writes that follow it
+/// clone an item: a follower read and an uncached leader query cost what
+/// they read, not the instance.
+TEST_F(ReplicationTest, FollowerReadsAndUncachedLeaderQueriesCloneNothing) {
+  TenantConfig uncached = Tenant("acme");
+  uncached.incremental_views = false;
+  auto leader = MakeServer(MakeTempDir("leader"), {uncached});
+  Client leader_client(ClientOptions(leader.get(), "acme"));
+  MustOk(leader_client.ApplyDelta(
+      "delta { add object A(1); add object A(3); add object B(2); }"));
+  MustOk(leader_client.Update("f", "product(A, B)"));
+
+  auto replica = std::move(FollowerReplica::Create(
+                               ReplicaOptions(leader.get(), "acme")))
+                     .value();
+  CatchUp(*replica);
+  auto follower = MakeServer(MakeTempDir("follower"), {});
+  ASSERT_TRUE(follower->ServeReplica("acme", replica.get()).ok());
+  Client follower_client(ClientOptions(follower.get(), "acme"));
+
+  const Counter& cloned = InstanceCosts().cloned_items;
+  const std::uint64_t before = cloned.value();
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(MustOk(follower_client.Query("Af")).body,
+              "A(1) B(2)\nA(3) B(2)\n");
+    EXPECT_EQ(MustOk(leader_client.Query("Af")).body,
+              "A(1) B(2)\nA(3) B(2)\n");
+  }
+  EXPECT_EQ(cloned.value() - before, 0u) << "reads";
+
+  // The reads dropped their copies: the writes after them, on the leader
+  // and through replay on the follower, write in place.
+  MustOk(leader_client.ApplyDelta(
+      "delta { add object A(5); add edge A(5) f B(2); }"));
+  CatchUp(*replica);
+  EXPECT_EQ(MustOk(follower_client.Query("Af")).body,
+            "A(1) B(2)\nA(3) B(2)\nA(5) B(2)\n");
+  EXPECT_EQ(cloned.value() - before, 0u) << "writes after the reads";
+}
+
 TEST_F(ReplicationTest, FailoverClientScreensStaleFollowersAndDeadOnes) {
   auto leader = MakeServer(MakeTempDir("leader"), {Tenant("acme")});
   Client leader_seed(ClientOptions(leader.get(), "acme"));
