@@ -12,15 +12,16 @@ namespace setrec {
 /// performance knob; the differential test suite pins the equivalence.
 enum class ExecBackend : std::uint8_t {
   /// Cost-based selection, latched once per Evaluator so a DAG of
-  /// expressions sharing subtrees is served by one memo: the compiled
-  /// vectorized engine when the referenced relations are large enough to
-  /// amortize batching, the interpreter otherwise.
+  /// expressions sharing subtrees is served by one memo: the vectorized
+  /// engine when the referenced relations are large enough to amortize
+  /// batching, the interpreter otherwise.
   kAuto,
   /// The tuple-at-a-time tree-walking interpreter — the differential
   /// oracle all other backends are tested against.
   kInterpreter,
-  /// Columnar batch execution: expressions are lowered to a flat bytecode
-  /// over structure-of-arrays tuple batches (relational/vectorized/).
+  /// Columnar batch execution: the same lowered plan, walked with each
+  /// operator run over structure-of-arrays tuple batches
+  /// (relational/vectorized/).
   kVectorized,
 };
 

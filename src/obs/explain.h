@@ -38,7 +38,7 @@ struct PlanNode {
   std::uint64_t cache_hits = 0;   // memo hits (DAG-shaped expressions)
   std::uint64_t wall_ns = 0;      // inclusive wall time
   /// Which backend computed this operator on the analyzed run:
-  /// "interpreter", "vectorized" or "bytecode" (see EvalNodeStats::backend).
+  /// "interpreter" or "vectorized" (see EvalNodeStats::backend).
   /// Empty for plain EXPLAIN and for synthetic (non-evaluator) nodes.
   std::string backend;
 

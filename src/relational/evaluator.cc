@@ -22,7 +22,7 @@ Result<Relation> Evaluator::Eval(const ExprPtr& expr) {
   return *result;
 }
 
-Result<bool> Evaluator::UseVectorized(const ExprPtr& expr) {
+bool Evaluator::UseVectorized(const PhysicalNode& root) {
   switch (backend_) {
     case ExecBackend::kInterpreter:
       return false;
@@ -36,8 +36,7 @@ Result<bool> Evaluator::UseVectorized(const ExprPtr& expr) {
     // would split the result memo into two domains and skew the cache-hit
     // counters that EXPLAIN ANALYZE reports. The estimate reads the plan,
     // so a relation read only through index builds does not count.
-    SETREC_ASSIGN_OR_RETURN(const PhysicalNode* root, plan_.LowerRoot(expr));
-    auto_vectorize_ = vectorized::EstimatedInputRows(*root, *database_) >=
+    auto_vectorize_ = vectorized::EstimatedInputRows(root, *database_) >=
                       kAutoVectorizeInputRows;
   }
   return *auto_vectorize_;
@@ -45,16 +44,15 @@ Result<bool> Evaluator::UseVectorized(const ExprPtr& expr) {
 
 Result<std::shared_ptr<const Relation>> Evaluator::EvalShared(
     const ExprPtr& expr) {
-  SETREC_ASSIGN_OR_RETURN(const bool vectorize, UseVectorized(expr));
-  if (vectorize) {
+  // Type errors surface here, before any budget is charged.
+  SETREC_ASSIGN_OR_RETURN(const PhysicalNode* root, plan_.LowerRoot(expr));
+  if (UseVectorized(*root)) {
     if (engine_ == nullptr) {
       engine_ = std::make_unique<vectorized::Engine>(database_, ctx_);
     }
-    return engine_->Execute(expr, node_stats_);
+    return engine_->Execute(*root, node_stats_);
   }
-  // Type errors surface here, before any budget is charged.
-  SETREC_ASSIGN_OR_RETURN(const PhysicalNode* node, plan_.LowerRoot(expr));
-  return EvalNode(*node);
+  return EvalNode(*root);
 }
 
 Result<std::shared_ptr<const Relation>> Evaluator::EvalNode(

@@ -30,10 +30,10 @@ struct EvalNodeStats {
   std::uint64_t probe_rows = 0;  // hash-join probe-side tuples probed
   std::uint64_t cache_hits = 0;  // memo hits for this node
   std::uint64_t wall_ns = 0;     // time in this node, children included
-  // Which backend computed this node: "interpreter" (tuple-at-a-time tree
-  // walk), "vectorized" (columnar batch operator) or "bytecode" (fused
-  // σ-chain compiled into the flat-program hash join). Purely descriptive —
-  // every logical field above is backend-invariant. Static strings only.
+  // Which backend computed this node: "interpreter" (tuple-at-a-time
+  // operator) or "vectorized" (columnar batch operator). Purely
+  // descriptive — every logical field above is backend-invariant. Static
+  // strings only.
   const char* backend = "interpreter";
 };
 
@@ -106,14 +106,14 @@ class Evaluator {
   /// size.
   Result<Relation> EvalSelectionChain(const PhysicalNode& node);
 
-  /// Whether `expr` should run on the compiled vectorized backend. Forced
-  /// backends answer directly; kAuto lowers `expr` (failing with its type
-  /// error) and latches its cost decision on the first call: vectorization
-  /// wins once the inputs the plan loads reach kAutoVectorizeInputRows.
-  Result<bool> UseVectorized(const ExprPtr& expr);
+  /// Whether the plan below `root` should run on the vectorized backend.
+  /// Forced backends answer directly; kAuto latches its cost decision on
+  /// the first call: vectorization wins once the inputs the plan loads
+  /// reach kAutoVectorizeInputRows.
+  bool UseVectorized(const PhysicalNode& root);
 
   const Database* database_;
-  PhysicalPlan plan_;  // the interpreter's lowering; unused by the engine
+  PhysicalPlan plan_;  // the one lowering both backends walk
   ExecContext* ctx_;
   ExecBackend backend_ = ExecBackend::kAuto;
   std::optional<bool> auto_vectorize_;  // kAuto decision, latched

@@ -36,8 +36,8 @@ struct JoinCond {
 };
 
 /// One operator of a lowered expression: its resolved output scheme, its
-/// children and its operator payload. The interpreter, the bytecode
-/// compiler, EXPLAIN and the view cache all read these nodes, so the typing
+/// children and its operator payload. The interpreter, the vectorized
+/// engine, EXPLAIN and the view cache all read these nodes, so the typing
 /// rules and the join classification exist once.
 struct PhysicalNode {
   enum class Kind : std::uint8_t {

@@ -12,7 +12,7 @@
 
 namespace setrec::vectorized {
 
-/// Rows processed per dispatch-loop batch: large enough that per-batch
+/// Rows processed per operator batch: large enough that per-batch
 /// overhead (budget charges, virtual-free inner loops) amortizes, small
 /// enough that a batch of packed values stays cache-resident.
 inline constexpr std::size_t kBatchWidth = 1024;

@@ -13,7 +13,6 @@ namespace setrec::vectorized {
 
 namespace {
 
-using Op = Insn::Op;
 using Clock = std::chrono::steady_clock;
 using Kind = PhysicalNode::Kind;
 
@@ -22,124 +21,6 @@ std::vector<std::uint32_t> AllColumns(std::size_t arity) {
   std::iota(cols.begin(), cols.end(), 0);
   return cols;
 }
-
-/// The instruction that materializes a plan node of `kind`.
-Op MaterializerOf(Kind kind) {
-  switch (kind) {
-    case Kind::kScan:
-      return Op::kLoad;
-    case Kind::kUnion:
-      return Op::kUnion;
-    case Kind::kDifference:
-      return Op::kDifference;
-    case Kind::kProduct:
-      return Op::kProduct;
-    case Kind::kSelect:
-      return Op::kSelect;
-    case Kind::kProject:
-      return Op::kProject;
-    case Kind::kRename:
-      return Op::kRename;
-    case Kind::kJoin:
-      return Op::kHashJoin;
-  }
-  return Op::kLoad;
-}
-
-/// Flattens one lowered plan into a program. The compiler walks the plan in
-/// the interpreter's exact evaluation order. Every repeated reference to a
-/// node becomes a kMemoLoad, never a raw register reuse: a register defined
-/// inside a block that an enclosing memo hit skipped would be stale, while
-/// the memo is guaranteed populated for every non-conditional node emitted
-/// earlier.
-class Compiler {
- public:
-  Program Compile(const PhysicalNode& root) {
-    Emit(root);
-    Program program;
-    program.root = root.expr;
-    program.code = std::move(code_);
-    program.num_regs = num_regs_;
-    return program;
-  }
-
- private:
-  std::uint32_t NewReg() { return num_regs_++; }
-
-  std::size_t Push(Insn in) {
-    code_.push_back(in);
-    return code_.size() - 1;
-  }
-
-  /// Emits the block computing `n` and returns its result register.
-  std::uint32_t Emit(const PhysicalNode& n) {
-    if (available_.contains(&n)) {
-      // Already computed unconditionally earlier in this program: at
-      // runtime the memo provably holds it (a skipped ancestor implies the
-      // ancestor's own memo hit, which implies this entry was stored on the
-      // run that populated the ancestor). Mirrors an interpreter cache hit.
-      const std::uint32_t reg = NewReg();
-      Push(Insn{.op = Op::kMemoLoad, .node = &n, .dst = reg});
-      return reg;
-    }
-    const std::uint32_t reg = NewReg();
-    const std::size_t check_idx =
-        Push(Insn{.op = Op::kMemoCheck, .node = &n, .dst = reg});
-    if (n.kind == Kind::kProduct) {
-      EmitProduct(n, reg);
-    } else {
-      // Operands in the interpreter's left-then-right order. An index
-      // build never evaluates its right operand, so it gets no block.
-      Insn in{.op = MaterializerOf(n.kind), .node = &n, .dst = reg};
-      if (n.left != nullptr) in.a = Emit(*n.left);
-      if (n.right != nullptr && n.index == nullptr) in.b = Emit(*n.right);
-      Push(in);
-    }
-    code_[check_idx].target = static_cast<std::uint32_t>(code_.size());
-    available_.insert(&n);
-    if (!regions_.empty()) regions_.back().push_back(&n);
-    return reg;
-  }
-
-  /// Bare product: lowers the interpreter's π_∅ guard short-circuit as a
-  /// conditional branch. The guard side evaluates unconditionally; the other
-  /// side's block sits on the guard-non-empty path only, so every node first
-  /// lowered there is conditionally computed and loses availability once the
-  /// branch closes (a later reference re-emits a full, memo-checked block —
-  /// which at runtime replays exactly the interpreter's first-eval or
-  /// cache-hit behavior for that node).
-  void EmitProduct(const PhysicalNode& n, std::uint32_t reg) {
-    const bool guarded = n.guard != PhysicalNode::Guard::kNone;
-    std::size_t jie_idx = 0;
-    if (guarded) {
-      const std::uint32_t greg =
-          Emit(n.guard == PhysicalNode::Guard::kLeft ? *n.left : *n.right);
-      jie_idx = Push(Insn{.op = Op::kJumpIfEmpty, .a = greg});
-      regions_.emplace_back();
-    }
-    // Full-evaluation path, in the interpreter's left-then-right order; the
-    // guard side resolves to a kMemoLoad (its block ran just above), which
-    // is precisely the interpreter's extra EvalNode cache hit.
-    const std::uint32_t l = Emit(*n.left);
-    const std::uint32_t r = Emit(*n.right);
-    Push(Insn{.op = Op::kProduct, .node = &n, .dst = reg, .a = l, .b = r});
-    if (guarded) {
-      const std::size_t jmp_idx = Push(Insn{.op = Op::kJump});
-      for (const PhysicalNode* x : regions_.back()) available_.erase(x);
-      regions_.pop_back();
-      code_[jie_idx].target = static_cast<std::uint32_t>(code_.size());
-      // Guard empty: a type-only result. The guard contributes no
-      // attributes, so the product scheme *is* the other side's scheme.
-      Push(Insn{.op = Op::kMakeEmpty, .node = &n, .dst = reg});
-      code_[jmp_idx].target = static_cast<std::uint32_t>(code_.size());
-    }
-  }
-
-  std::vector<Insn> code_;
-  std::uint32_t num_regs_ = 0;
-  std::unordered_set<const PhysicalNode*> available_;
-  std::vector<std::vector<const PhysicalNode*>> regions_;
-};
 
 /// Charges a batch of `n` output rows of `bytes` each with one ChargeRows
 /// and one ChargeMemory. `admitted` is how many of them count as made: all
@@ -195,145 +76,102 @@ std::size_t EstimatedInputRows(const PhysicalNode& root,
 }
 
 Result<std::shared_ptr<const Relation>> Engine::Execute(
-    const ExprPtr& root,
+    const PhysicalNode& root,
     std::unordered_map<const Expr*, EvalNodeStats>* stats) {
-  auto pit = programs_.find(root.get());
-  if (pit == programs_.end()) {
-    // Type errors surface here, before any budget is charged.
-    SETREC_ASSIGN_OR_RETURN(const PhysicalNode* plan, plan_.LowerRoot(root));
-    pit = programs_.emplace(root.get(), Compiler().Compile(*plan)).first;
+  stats_ = stats;
+  SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> table,
+                          EvalNode(root));
+  std::shared_ptr<const Relation>& rel = memo_[root.expr].rel;
+  if (rel == nullptr) {
+    rel = std::make_shared<const Relation>(ToRelation(*table));
   }
-  const Program& program = pit->second;
-  join_stats_ = stats;
-
-  std::vector<std::shared_ptr<const ColumnTable>> regs(program.num_regs);
-  // Open per-node timers, parent below child (pushed on memo miss, popped by
-  // the node's materializer), giving the interpreter's inclusive wall_ns.
-  std::vector<std::pair<const Expr*, Clock::time_point>> open;
-  auto fail = [&](Status status) {
-    if (stats != nullptr) {
-      const Clock::time_point now = Clock::now();
-      for (const auto& [origin, start] : open) {
-        (*stats)[origin].wall_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now - start)
-                .count());
-      }
-    }
-    return status;
-  };
-  auto finish = [&](const Insn& in, std::shared_ptr<const ColumnTable> table,
-                    std::shared_ptr<const Relation> rel) {
-    const Expr* origin = in.node->expr;
-    regs[in.dst] = table;
-    if (stats != nullptr) {
-      EvalNodeStats& s = (*stats)[origin];
-      s.rows = table->rows;
-      s.backend = in.op == Op::kHashJoin ? "bytecode" : "vectorized";
-      if (!open.empty() && open.back().first == origin) {
-        s.wall_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - open.back().second)
-                .count());
-        open.pop_back();
-      }
-    }
-    memo_[origin] = MemoEntry{std::move(table), std::move(rel)};
-  };
-
-  std::size_t pc = 0;
-  while (pc < program.code.size()) {
-    const Insn& in = program.code[pc];
-    switch (in.op) {
-      case Op::kMemoCheck: {
-        auto m = memo_.find(in.node->expr);
-        if (m != memo_.end()) {
-          regs[in.dst] = m->second.table;
-          if (stats != nullptr) ++(*stats)[in.node->expr].cache_hits;
-          pc = in.target;
-          continue;
-        }
-        if (stats != nullptr) open.emplace_back(in.node->expr, Clock::now());
-        break;
-      }
-      case Op::kMemoLoad: {
-        auto m = memo_.find(in.node->expr);
-        if (m == memo_.end()) {
-          return fail(Status::Internal("vectorized memo missing an operand"));
-        }
-        regs[in.dst] = m->second.table;
-        if (stats != nullptr) ++(*stats)[in.node->expr].cache_hits;
-        break;
-      }
-      case Op::kJump:
-        pc = in.target;
-        continue;
-      case Op::kJumpIfEmpty:
-        if (regs[in.a]->rows == 0) {
-          pc = in.target;
-          continue;
-        }
-        break;
-      case Op::kLoad: {
-        const std::string& name = in.node->expr->relation_name();
-        Result<std::shared_ptr<const Relation>> rel =
-            database_->FindShared(name);
-        if (!rel.ok()) return fail(rel.status());
-        std::shared_ptr<const ColumnTable> table;
-        auto lit = loads_.find(name);
-        if (lit != loads_.end()) {
-          table = lit->second;
-        } else {
-          table = std::make_shared<const ColumnTable>(FromRelation(**rel));
-          loads_.emplace(name, table);
-        }
-        finish(in, std::move(table), std::move(*rel));
-        break;
-      }
-      default: {
-        Result<ColumnTable> out = RunOp(in, regs);
-        if (!out.ok()) return fail(out.status());
-        finish(in, std::make_shared<const ColumnTable>(std::move(*out)),
-               nullptr);
-        break;
-      }
-    }
-    ++pc;
-  }
-
-  MemoEntry& entry = memo_[program.root];
-  if (entry.table == nullptr) {
-    return Status::Internal("vectorized program produced no result");
-  }
-  if (entry.rel == nullptr) {
-    entry.rel = std::make_shared<const Relation>(ToRelation(*entry.table));
-  }
-  return entry.rel;
+  return rel;
 }
 
-Result<ColumnTable> Engine::RunOp(
-    const Insn& in,
-    const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
-  const PhysicalNode& node = *in.node;
-  switch (in.op) {
-    case Op::kMakeEmpty:
-      return MakeTable(*node.scheme);
-    case Op::kRename: {
-      const ColumnTable& c = *regs[in.a];
+Result<std::shared_ptr<const ColumnTable>> Engine::EvalNode(
+    const PhysicalNode& node) {
+  const Expr* key = node.expr;
+  auto it = memo_.find(key);
+  if (it != memo_.end()) {
+    if (stats_ != nullptr) ++(*stats_)[key].cache_hits;
+    return it->second.table;
+  }
+  if (stats_ == nullptr) {
+    SETREC_ASSIGN_OR_RETURN(MemoEntry entry, EvalUncached(node));
+    return memo_.emplace(key, std::move(entry)).first->second.table;
+  }
+  const Clock::time_point start = Clock::now();
+  Result<MemoEntry> entry = EvalUncached(node);
+  // Inclusive of the operands' time, as in the interpreter.
+  EvalNodeStats& s = (*stats_)[key];
+  s.wall_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
+  if (!entry.ok()) return entry.status();
+  s.rows = entry->table->rows;
+  s.backend = "vectorized";
+  return memo_.emplace(key, std::move(*entry)).first->second.table;
+}
+
+Result<Engine::MemoEntry> Engine::EvalUncached(const PhysicalNode& node) {
+  if (node.kind == Kind::kScan) {
+    const std::string& name = node.expr->relation_name();
+    SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const Relation> rel,
+                            database_->FindShared(name));
+    std::shared_ptr<const ColumnTable>& table = loads_[name];
+    if (table == nullptr) {
+      table = std::make_shared<const ColumnTable>(FromRelation(*rel));
+    }
+    return MemoEntry{table, std::move(rel)};
+  }
+  // A product with a π_∅ guard factor is the paper's if-then-else: when
+  // the guard evaluates empty only the product's scheme is needed, and the
+  // other factor is never evaluated.
+  if (node.guard != PhysicalNode::Guard::kNone) {
+    SETREC_ASSIGN_OR_RETURN(
+        std::shared_ptr<const ColumnTable> guard,
+        EvalNode(node.guard == PhysicalNode::Guard::kLeft ? *node.left
+                                                          : *node.right));
+    if (guard->rows == 0) {
+      return MemoEntry{std::make_shared<const ColumnTable>(
+                           MakeTable(*node.scheme)),
+                       nullptr};
+    }
+  }
+  SETREC_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnTable> left,
+                          EvalNode(*node.left));
+  // An index build never evaluates its right operand.
+  std::shared_ptr<const ColumnTable> right;
+  if (node.right != nullptr && node.index == nullptr) {
+    SETREC_ASSIGN_OR_RETURN(right, EvalNode(*node.right));
+  }
+  SETREC_ASSIGN_OR_RETURN(ColumnTable out, RunOp(node, *left, right.get()));
+  return MemoEntry{std::make_shared<const ColumnTable>(std::move(out)),
+                   nullptr};
+}
+
+Result<ColumnTable> Engine::RunOp(const PhysicalNode& node,
+                                  const ColumnTable& left,
+                                  const ColumnTable* right) {
+  switch (node.kind) {
+    case Kind::kRename: {
+      const ColumnTable& c = left;
       ColumnTable out;
       out.scheme = *node.scheme;
       out.columns = c.columns;
       out.rows = c.rows;
       return out;
     }
-    case Op::kSelect: {
-      const ColumnTable& c = *regs[in.a];
+    case Kind::kSelect: {
+      const ColumnTable& c = left;
       std::vector<std::uint8_t> mask(c.rows, 1);
       AndEqualityMask(c, node.ia, node.ib, node.equal, mask);
       const std::vector<std::uint32_t> sel = MaskToSelection(mask);
       return Gather(c, AllColumns(c.arity()), sel, *node.scheme);
     }
-    case Op::kProject: {
-      const ColumnTable& c = *regs[in.a];
+    case Kind::kProject: {
+      const ColumnTable& c = left;
       ColumnTable out = MakeTable(*node.scheme);
       const std::vector<std::uint32_t> out_cols = AllColumns(out.arity());
       RowHashTable dedup(&out, out_cols);
@@ -353,9 +191,9 @@ Result<ColumnTable> Engine::RunOp(
       }
       return out;
     }
-    case Op::kUnion: {
-      const ColumnTable& l = *regs[in.a];
-      const ColumnTable& r = *regs[in.b];
+    case Kind::kUnion: {
+      const ColumnTable& l = left;
+      const ColumnTable& r = *right;
       ColumnTable out;
       out.scheme = *node.scheme;
       out.columns = l.columns;
@@ -382,9 +220,9 @@ Result<ColumnTable> Engine::RunOp(
       }
       return out;
     }
-    case Op::kDifference: {
-      const ColumnTable& l = *regs[in.a];
-      const ColumnTable& r = *regs[in.b];
+    case Kind::kDifference: {
+      const ColumnTable& l = left;
+      const ColumnTable& r = *right;
       const std::vector<std::uint32_t> all = AllColumns(l.arity());
       RowHashTable index(&r, all);
       index.Reserve(r.rows);
@@ -403,9 +241,9 @@ Result<ColumnTable> Engine::RunOp(
       }
       return Gather(l, all, sel, *node.scheme);
     }
-    case Op::kProduct: {
-      const ColumnTable& l = *regs[in.a];
-      const ColumnTable& r = *regs[in.b];
+    case Kind::kProduct: {
+      const ColumnTable& l = left;
+      const ColumnTable& r = *right;
       const std::uint64_t tuple_bytes =
           static_cast<std::uint64_t>(node.scheme->arity()) * sizeof(ObjectId);
       TraceSpan span = StartSpan(*ctx_, "evaluator/product");
@@ -435,23 +273,17 @@ Result<ColumnTable> Engine::RunOp(
       }
       return out;
     }
-    case Op::kHashJoin:
-      return RunHashJoin(in, regs);
-    case Op::kMemoCheck:
-    case Op::kMemoLoad:
-    case Op::kJump:
-    case Op::kJumpIfEmpty:
-    case Op::kLoad:
-      break;
+    case Kind::kJoin:
+      return RunHashJoin(node, left, right);
+    case Kind::kScan:
+      break;  // EvalUncached transposes the stored relation
   }
-  return Status::Internal("unexpected vectorized instruction");
+  return Status::Internal("unexpected vectorized operator");
 }
 
-Result<ColumnTable> Engine::RunHashJoin(
-    const Insn& in,
-    const std::vector<std::shared_ptr<const ColumnTable>>& regs) {
-  const PhysicalNode& node = *in.node;
-  const ColumnTable& left = *regs[in.a];
+Result<ColumnTable> Engine::RunHashJoin(const PhysicalNode& node,
+                                        const ColumnTable& left,
+                                        const ColumnTable* right) {
   TraceSpan join_span = StartSpan(*ctx_, "evaluator/join");
   MetricsRegistry* metrics = ctx_->metrics();
   const std::size_t la = left.arity(), ra = node.right->scheme->arity();
@@ -499,11 +331,10 @@ Result<ColumnTable> Engine::RunHashJoin(
         }
       }
     }
-    const ColumnTable& right =
-        node.index != nullptr ? fetched : *regs[in.b];
+    const ColumnTable& side = node.index != nullptr ? fetched : *right;
     const std::vector<std::uint32_t> sel =
-        MaskToSelection(mask_of(right, JoinCond::Role::kBuildFilter));
-    build = Gather(right, AllColumns(ra), sel, right.scheme);
+        MaskToSelection(mask_of(side, JoinCond::Role::kBuildFilter));
+    build = Gather(side, AllColumns(ra), sel, side.scheme);
     index.emplace(&build, node.right_key);
     index->Reserve(build.rows);
     std::vector<std::uint64_t> bh;
@@ -514,8 +345,8 @@ Result<ColumnTable> Engine::RunHashJoin(
     if (metrics != nullptr) {
       metrics->engine.eval_join_build_rows.Add(build.rows);
     }
-    if (join_stats_ != nullptr) {
-      (*join_stats_)[node.expr].build_rows += build.rows;
+    if (stats_ != nullptr) {
+      (*stats_)[node.expr].build_rows += build.rows;
     }
   }
 
@@ -525,8 +356,8 @@ Result<ColumnTable> Engine::RunHashJoin(
   ColumnTable out = MakeTable(*node.scheme);
   TraceSpan probe_span = StartSpan(*ctx_, "evaluator/join-probe");
   if (metrics != nullptr) metrics->engine.eval_join_probes.Add(left.rows);
-  if (join_stats_ != nullptr) {
-    (*join_stats_)[node.expr].probe_rows += left.rows;
+  if (stats_ != nullptr) {
+    (*stats_)[node.expr].probe_rows += left.rows;
   }
   std::vector<std::uint64_t> lh;
   HashRows(left, node.left_key, lh);

@@ -291,9 +291,13 @@ Status TxnManager::RunWithRetries(const char* what,
       Bump(&Stats::conflicts, "txn.conflicts");
       Note("txn/conflict", 0, 0, status.message());
     }
-    if (!schedule.ShouldRetry(status)) {
+    // A budget stop is final: every attempt runs the same body under a
+    // fresh context with the same limits, so only a conflict or a deadline
+    // can change between attempts.
+    const bool budget_stop = status.code() == StatusCode::kResourceExhausted;
+    if (budget_stop || !schedule.ShouldRetry(status)) {
       Bump(&Stats::aborts, "txn.aborts");
-      if (status.IsRetryable()) {
+      if (!budget_stop && status.IsRetryable()) {
         // The schedule ran dry while the failure stayed retryable: report
         // the terminal form so callers do not loop on their own.
         Status exhausted = Status::RetryExhausted(

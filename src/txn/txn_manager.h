@@ -23,9 +23,11 @@ namespace setrec {
 
 struct TxnOptions {
   /// Backoff for aborted transactions (first-committer-wins conflicts and
-  /// retryable governance failures). Unlike the store's statement-level
-  /// policy, transaction retries are on by default: a conflict abort is the
-  /// expected cost of optimism, not an anomaly.
+  /// deadline stops). Unlike the store's statement-level policy,
+  /// transaction retries are on by default: a conflict abort is the
+  /// expected cost of optimism, not an anomaly. A budget stop
+  /// (kResourceExhausted) is returned as it is after one attempt: every
+  /// attempt runs the same body under the same limits.
   RetryPolicy retry{.max_attempts = 8};
   /// Statements flushed per group commit (one fsync covers the batch).
   std::size_t max_group_size = 8;

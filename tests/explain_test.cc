@@ -564,7 +564,7 @@ TEST(ExplainAnalyzeTest, BoundDatabasesShowIndexBuilds) {
       std::move(ExplainExpressionAnalyze(f, encoded)).value();
   EXPECT_NE(hashed.ToText().find("-> HashJoin [keys: self=D] :: (self, D, f) "
                                  "(rows=2 build=8192 probes=1 "
-                                 "backend=bytecode "),
+                                 "backend=vectorized "),
             std::string::npos)
       << hashed.ToText();
   EXPECT_EQ(hashed.counters.at("evaluator.rows"),

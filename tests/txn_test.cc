@@ -904,6 +904,10 @@ TEST_F(TxnCrashMatrixTest, CertifiedApplyHonorsTheStoreRowBudget) {
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("row budget exhausted"), std::string::npos)
       << s.ToString();
+  // Every attempt would charge the same rows: one attempt, and the budget
+  // status itself rather than kRetryExhausted.
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_EQ(mgr.stats().retries, 0u);
   EXPECT_EQ(mgr.stats().commutative_admissions, 1u);
   EXPECT_EQ(mgr.stats().commits, 0u);
   EXPECT_FALSE(store->broken());
@@ -913,6 +917,47 @@ TEST_F(TxnCrashMatrixTest, CertifiedApplyHonorsTheStoreRowBudget) {
             wal_bytes);
   store.reset();
   EXPECT_TRUE(Recover(dir, nullptr) == states_[1]);
+}
+
+/// The same stop under MVCC: a set-oriented update whose receiver query
+/// joins drinker 0's two bars runs over the transaction's own row budget of
+/// one row. The manager runs one attempt and returns the budget status, and
+/// neither the instance nor the WAL changes.
+TEST_F(TxnCrashMatrixTest, MvccUpdateHonorsTheTransactionRowBudget) {
+  const std::string dir = MakeTempDir("update-rows");
+  FlightRecorder recorder;
+  DurableStoreOptions sopt;
+  sopt.recorder = &recorder;
+  auto store = std::move(DurableStore::Open(dir, &ds_.schema, sopt)).value();
+  ASSERT_TRUE(store
+                  ->Mutate([this](Instance& inst, ExecContext&) {
+                    inst = states_[1];
+                    return Status::OK();
+                  })
+                  .ok());
+  const std::uint64_t sequence = store->last_sequence();
+  const std::uintmax_t wal_bytes =
+      std::filesystem::file_size(std::filesystem::path(dir) / "wal.log");
+
+  CommutativityCache cache;
+  TxnOptions topt;
+  topt.recorder = &recorder;
+  topt.limits.max_rows = 1;
+  TxnManager mgr(store.get(), &cache, topt);
+  const ExprPtr bars_of_each_drinker = ra::Project(
+      ra::JoinEq(ra::Rel("Df"), ra::Rel("Ba"), "f", "Ba"), {"D", "Ba"});
+  Status s = mgr.Update(ds_.frequents, bars_of_each_drinker);
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_NE(s.message().find("row budget exhausted"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(mgr.stats().mvcc_admissions, 1u);
+  EXPECT_EQ(mgr.stats().retries, 0u);
+  EXPECT_EQ(mgr.stats().commits, 0u);
+  EXPECT_FALSE(store->broken());
+  EXPECT_TRUE(store->SnapshotState() == states_[1]);
+  EXPECT_EQ(store->last_sequence(), sequence);
+  EXPECT_EQ(std::filesystem::file_size(std::filesystem::path(dir) / "wal.log"),
+            wal_bytes);
 }
 
 /// Storage faults at every commit of the sequence: the WAL append of

@@ -1,12 +1,10 @@
-// Differential tests for the compiled vectorized batch backend
+// Differential tests for the vectorized batch backend
 // (relational/vectorized/): the interpreter is the oracle, and every
 // observable — results, error status codes, logical engine counters,
 // per-node EXPLAIN ANALYZE statistics — must be bit-identical across
-// ExecBackend::kInterpreter, kVectorized (first execution: compile + run)
-// and "bytecode" (re-execution of an already-compiled program with the
-// result memo cleared). The acceptance property rides the same 16-seed
-// drinkers corpus the parallel runtime pins: identical instances at 1/2/8
-// workers under either backend.
+// ExecBackend::kInterpreter and kVectorized. The acceptance property rides
+// the same 16-seed drinkers corpus the parallel runtime pins: identical
+// instances at 1/2/8 workers under either backend.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "relational/builder.h"
 #include "relational/evaluator.h"
 #include "relational/relation.h"
-#include "relational/vectorized/engine.h"
 #include "text/printer.h"
 
 namespace setrec {
@@ -125,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedCorpusTest,
                          ::testing::Range<std::uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------------
-// Randomized expression fuzz: interpreter vs vectorized vs bytecode
+// Randomized expression fuzz: interpreter vs vectorized
 // ---------------------------------------------------------------------------
 
 /// Scheme-aware random expression generator over a fixed catalog:
@@ -240,9 +238,9 @@ Database RandomDatabase(std::uint64_t seed) {
 
 class VectorizedFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-/// Random expressions through all three execution modes. Status codes must
-/// always agree; on success the relation, its canonical text rows, and the
-/// logical counter map must be identical.
+/// Random expressions through both backends. Status codes must always
+/// agree; on success the relation, the logical counter map and every plan
+/// node's logical statistics must be identical.
 TEST_P(VectorizedFuzzTest, RandomExpressionsAgreeAcrossBackends) {
   Database db = RandomDatabase(GetParam());
   ExprGen gen(GetParam());
@@ -261,30 +259,27 @@ TEST_P(VectorizedFuzzTest, RandomExpressionsAgreeAcrossBackends) {
         << "iteration " << i;
     EXPECT_EQ(interp.counters, vec.counters) << "iteration " << i;
 
-    // Bytecode mode: the program is already compiled; clearing the result
-    // memo forces a pure re-execution that must reproduce everything,
-    // including per-node stats on a fresh sink.
-    MetricsRegistry metrics;
-    ExecContext ctx;
-    ctx.set_metrics(&metrics);
-    vectorized::Engine engine(&db, &ctx);
-    std::unordered_map<const Expr*, EvalNodeStats> first_stats;
-    auto first = engine.Execute(expr, &first_stats);
-    ASSERT_TRUE(first.ok()) << first.status().message();
-    engine.ClearResultMemo();
-    std::unordered_map<const Expr*, EvalNodeStats> replay_stats;
-    auto replay = engine.Execute(expr, &replay_stats);
-    ASSERT_TRUE(replay.ok()) << replay.status().message();
-    EXPECT_TRUE(*replay.value() == interp.result.value())
-        << "iteration " << i;
-    ASSERT_EQ(first_stats.size(), replay_stats.size());
-    for (const auto& [node, stats] : first_stats) {
-      const auto it = replay_stats.find(node);
-      ASSERT_NE(it, replay_stats.end());
-      EXPECT_EQ(stats.rows, it->second.rows);
-      EXPECT_EQ(stats.build_rows, it->second.build_rows);
-      EXPECT_EQ(stats.probe_rows, it->second.probe_rows);
-      EXPECT_EQ(stats.cache_hits, it->second.cache_hits);
+    // Per-node statistics: both engines evaluate the same plan nodes and
+    // report the same logical figures for each.
+    const auto node_stats = [&](ExecBackend backend) {
+      ExecContext ctx;
+      Evaluator evaluator(&db, ctx);
+      evaluator.set_backend(backend);
+      std::unordered_map<const Expr*, EvalNodeStats> stats;
+      evaluator.set_node_stats(&stats);
+      EXPECT_TRUE(evaluator.EvalShared(expr).ok()) << "iteration " << i;
+      return stats;
+    };
+    const auto interp_stats = node_stats(ExecBackend::kInterpreter);
+    const auto vec_stats = node_stats(ExecBackend::kVectorized);
+    ASSERT_EQ(interp_stats.size(), vec_stats.size()) << "iteration " << i;
+    for (const auto& [node, stats] : interp_stats) {
+      const auto it = vec_stats.find(node);
+      ASSERT_NE(it, vec_stats.end()) << "iteration " << i;
+      EXPECT_EQ(stats.rows, it->second.rows) << "iteration " << i;
+      EXPECT_EQ(stats.build_rows, it->second.build_rows) << "iteration " << i;
+      EXPECT_EQ(stats.probe_rows, it->second.probe_rows) << "iteration " << i;
+      EXPECT_EQ(stats.cache_hits, it->second.cache_hits) << "iteration " << i;
     }
   }
 }
@@ -378,10 +373,19 @@ ExprPtr PayrollJoin() {
       ra::JoinEq(ra::Rel("Emp"), ra::Rel("Dept"), "d", "d2"), {"e", "m"});
 }
 
+/// What a rendered plan says about its HashJoin operator itself: from the
+/// operator's name to `end` (its text line, or its JSON object up to its
+/// children).
+std::string HashJoinPart(const std::string& rendered, const char* end) {
+  const std::size_t at = rendered.find("HashJoin");
+  if (at == std::string::npos) return "";
+  return rendered.substr(at, rendered.find(end, at) - at);
+}
+
 /// Pins the ANALYZE rendering: every analyzed operator line carries a
 /// `backend=` annotation between the memo-hit count and the wall time, and
-/// the JSON form carries a "backend" key. The fused σ-chain reports
-/// `bytecode`, its inputs `vectorized`.
+/// the JSON form carries a "backend" key. The fused σ-chain and its inputs
+/// all report `vectorized`.
 TEST(VectorizedExplainTest, AnalyzeAnnotatesVectorizedBackends) {
   Database db = PayrollishDatabase();
   ExecOptions options;
@@ -390,13 +394,18 @@ TEST(VectorizedExplainTest, AnalyzeAnnotatesVectorizedBackends) {
       std::move(ExplainExpressionAnalyze(PayrollJoin(), db, options)).value();
 
   const std::string text = plan.ToText();
-  EXPECT_NE(text.find(" backend=bytecode time="), std::string::npos) << text;
+  EXPECT_NE(HashJoinPart(text, "\n").find(" backend=vectorized time="),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find(" backend=vectorized time="), std::string::npos)
       << text;
   EXPECT_EQ(text.find(" backend=interpreter"), std::string::npos) << text;
 
   const std::string json = plan.ToJson();
-  EXPECT_NE(json.find("\"backend\":\"bytecode\""), std::string::npos) << json;
+  EXPECT_NE(HashJoinPart(json, "\"children\"")
+                .find("\"backend\":\"vectorized\""),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"backend\":\"vectorized\""), std::string::npos)
       << json;
 }
@@ -411,7 +420,9 @@ TEST(VectorizedExplainTest, AnalyzeAnnotatesInterpreterBackend) {
   EXPECT_NE(text.find(" backend=interpreter time="), std::string::npos)
       << text;
   EXPECT_EQ(text.find("backend=vectorized"), std::string::npos) << text;
-  EXPECT_EQ(text.find("backend=bytecode"), std::string::npos) << text;
+  EXPECT_NE(HashJoinPart(text, "\n").find(" backend=interpreter time="),
+            std::string::npos)
+      << text;
 }
 
 TEST(VectorizedExplainTest, PlainExplainCarriesNoBackend) {
@@ -429,7 +440,7 @@ TEST(VectorizedExplainTest, PlainExplainCarriesNoBackend) {
 
 /// kAuto is a cost decision: tiny inputs stay on the interpreter, inputs at
 /// or above Evaluator::kAutoVectorizeInputRows flip the whole evaluation to
-/// the compiled backend.
+/// the vectorized backend.
 TEST(VectorizedExplainTest, AutoBackendLatchesOnInputSize) {
   Database small = PayrollishDatabase();
   ExplainPlan plan =
@@ -451,7 +462,8 @@ TEST(VectorizedExplainTest, AutoBackendLatchesOnInputSize) {
   big.Put("Dept", std::move(dept));
   ExplainPlan big_plan =
       std::move(ExplainExpressionAnalyze(PayrollJoin(), big, {})).value();
-  EXPECT_NE(big_plan.ToText().find(" backend=bytecode"), std::string::npos)
+  EXPECT_NE(HashJoinPart(big_plan.ToText(), "\n").find(" backend=vectorized"),
+            std::string::npos)
       << big_plan.ToText();
   EXPECT_EQ(big_plan.ToText().find(" backend=interpreter"),
             std::string::npos);

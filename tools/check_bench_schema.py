@@ -122,9 +122,8 @@ def check_incremental(path, doc):
 
 
 def check_vectorized(path, doc):
-    """The vectorized bench must carry all three execution modes
-    (interpreter / vectorized / bytecode) for every family at every size,
-    and must prove the backend acceptance property: on the eval-heavy
+    """The vectorized bench must carry both backends (interpreter and
+    vectorized) for every family at every size, and must prove the backend acceptance property: on the eval-heavy
     families (SelJoin, ProjectJoin) the vectorized backend's cpu_time beats
     the interpreter's at the two largest sizes. WideJoin is exempt — its
     cost is output tuple materialization, which no backend choice moves."""
@@ -135,7 +134,7 @@ def check_vectorized(path, doc):
         if "/" not in name or not name.startswith("BM_"):
             continue
         head, size = name.split("/", 1)
-        for mode in ("Interpreter", "Vectorized", "Bytecode"):
+        for mode in ("Interpreter", "Vectorized"):
             if head.endswith(mode):
                 family = head[len("BM_"):-len(mode)]
                 try:
@@ -148,7 +147,7 @@ def check_vectorized(path, doc):
             errors += fail(path, f'no "{expected}" rows')
     for family in families:
         sizes = {s for f, m, s in times if f == family}
-        for mode in ("Interpreter", "Vectorized", "Bytecode"):
+        for mode in ("Interpreter", "Vectorized"):
             missing = sizes - {s for f, m, s in times
                                if f == family and m == mode}
             if missing:
